@@ -8,6 +8,7 @@ Two line-oriented text formats are supported, one box per line:
 Fields are separated by spaces or tabs; blank lines are ignored. A corpus is
 a directory of ``<image_id>.txt`` files plus an optional sidecar manifest
 (CSV with header ``image_id,width,height``) carrying image dimensions.
+Files are read as UTF-8; a leading byte-order mark is skipped.
 All types are immutable after construction.
 """
 
@@ -273,7 +274,7 @@ def load_manifest(path: str | Path) -> dict[str, tuple[float, float]]:
     """Read a dimensions manifest: CSV with header ``image_id,width,height``."""
     path = Path(path)
     dims: dict[str, tuple[float, float]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["image_id", "width", "height"]:
@@ -304,6 +305,23 @@ def _inferred_dims(boxes: tuple[GroundTruthBox, ...]) -> tuple[float, float] | N
     return (float(width), float(height))
 
 
+def _txt_files(directory: str | Path, what: str) -> list[Path]:
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise DatasetError(f"not a directory: {directory}")
+    files = sorted(directory.glob("*.txt"))
+    if not files:
+        raise DatasetError(f"no {what} files found in {directory}")
+    return files
+
+
+def _parse_file(file: Path, parse):
+    try:
+        return parse(file.read_text(encoding="utf-8-sig"), file.stem)
+    except ParseError as exc:
+        raise exc.with_source(str(file)) from None
+
+
 def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> Dataset:
     """Load a ground-truth corpus from ``<image_id>.txt`` files.
 
@@ -312,13 +330,7 @@ def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> D
     as the ceiling of the furthest box edge and flagged via ``dims_inferred``;
     images with no boxes keep dimensions unset.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise DatasetError(f"not a directory: {directory}")
-    files = sorted(directory.glob("*.txt"))
-    if not files:
-        raise DatasetError(f"no annotation files found in {directory}")
-
+    files = _txt_files(directory, "annotation")
     dims = load_manifest(manifest) if manifest is not None else {}
     images = []
     seen = set()
@@ -327,10 +339,7 @@ def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> D
         if image_id in seen:
             raise DatasetError(f"duplicate image id {image_id!r}")
         seen.add(image_id)
-        try:
-            parsed = parse_ground_truth(file.read_text(encoding="utf-8"), image_id)
-        except ParseError as exc:
-            raise exc.with_source(str(file)) from None
+        parsed = _parse_file(file, parse_ground_truth)
         if image_id in dims:
             width, height = dims[image_id]
             images.append(
@@ -378,17 +387,9 @@ def save_dataset(
 
 
 def load_predictions_dir(directory: str | Path) -> dict[str, ImageDetections]:
-    """Load every ``<image_id>.txt`` prediction file in a directory."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise DatasetError(f"not a directory: {directory}")
-    predictions: dict[str, ImageDetections] = {}
-    for file in sorted(directory.glob("*.txt")):
-        try:
-            predictions[file.stem] = parse_predictions(file.read_text(encoding="utf-8"), file.stem)
-        except ParseError as exc:
-            raise exc.with_source(str(file)) from None
-    return predictions
+    """Load every ``<image_id>.txt`` prediction file in a directory (at least one)."""
+    files = _txt_files(directory, "prediction")
+    return {file.stem: _parse_file(file, parse_predictions) for file in files}
 
 
 def save_predictions(predictions: Mapping[str, ImageDetections], directory: str | Path) -> None:

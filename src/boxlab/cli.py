@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +27,6 @@ from .anchorlab import (
 from .annotations import (
     Dataset,
     DatasetError,
-    ImageDetections,
     ParseError,
     load_dataset,
     load_predictions_dir,
@@ -36,7 +34,7 @@ from .annotations import (
     save_predictions,
 )
 from .datastats import StatsError, compute_stats, extract_dims, flag_outliers, histogram
-from .evalcore import EvalError, evaluate, match_detections
+from .evalcore import EvalError, evaluate
 from .reports import atomic_write, build_run_manifest, fmt_num, write_csv, write_run_manifest
 from .svgplot import Series, histogram_svg, line_svg, scatter_svg
 from .synthgen import DetectorNoise, SynthConfig, SynthError, generate_dataset, simulate_detector
@@ -70,6 +68,20 @@ def nonnegative_float(text: str) -> float:
 
 def positive_float(text: str) -> float:
     value = nonnegative_float(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be > 0")
+    return value
+
+
+def unit_float(text: str) -> float:
+    value = nonnegative_float(text)
+    if not value <= 1:
+        raise argparse.ArgumentTypeError(f"must be <= 1, got {value}")
+    return value
+
+
+def positive_unit_float(text: str) -> float:
+    value = unit_float(text)
     if value == 0:
         raise argparse.ArgumentTypeError("must be > 0")
     return value
@@ -195,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     anchors.add_argument(
         "--recall-threshold",
-        type=positive_float,
+        type=positive_unit_float,
         default=0.5,
         help="centered-IoU threshold for the recall diagnostic",
     )
@@ -242,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate_cmd.add_argument(
         "--iou-threshold",
-        type=positive_float,
+        type=positive_unit_float,
         default=0.70,
         help="minimum IoU for a detection to match a ground-truth box",
     )
     evaluate_cmd.add_argument(
         "--confidence-threshold",
-        type=nonnegative_float,
+        type=unit_float,
         default=0.5,
         help="detections at or above this confidence enter the predicted count",
     )
@@ -519,27 +531,24 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _overlay_rows(ann, dets, iou_threshold):
-    """Per-image overlay rows: every gt box and detection with its verdict."""
-    classes = {b.class_name for b in ann.boxes}
+def _overlay_rows(ann, detections, matches):
+    """Per-image overlay rows: every gt box and detection with its verdict.
+
+    ``matches`` holds this image's MatchResult for each corpus class. A
+    detection whose class has no ground truth in the image stays ``ignored``
+    here, although AP ranks it as a false positive.
+    """
     gt_partner: dict[int, int] = {}
     det_state: dict[int, tuple[str, int | None]] = {}
-    for class_name in sorted(classes):
-        gt_map = [i for i, b in enumerate(ann.boxes) if b.class_name == class_name]
-        det_map = [i for i, d in enumerate(dets.detections) if d.class_name == class_name]
-        filtered_ann = replace(ann, boxes=tuple(ann.boxes[i] for i in gt_map))
-        filtered_dets = ImageDetections(
-            ann.image_id, tuple(dets.detections[i] for i in det_map)
-        )
-        result = match_detections(filtered_ann, filtered_dets, iou_threshold)
+    for result in matches:
+        if result.gt_count == 0:
+            continue
         for verdict in result.verdicts:
-            original_det = det_map[verdict.det_index]
             if verdict.is_tp:
-                original_gt = gt_map[verdict.matched_gt_index]
-                det_state[original_det] = ("tp", original_gt)
-                gt_partner[original_gt] = original_det
+                det_state[verdict.det_index] = ("tp", verdict.matched_gt_index)
+                gt_partner[verdict.matched_gt_index] = verdict.det_index
             else:
-                det_state[original_det] = ("fp", None)
+                det_state[verdict.det_index] = ("fp", None)
     rows = []
     for i, b in enumerate(ann.boxes):
         partner = gt_partner.get(i)
@@ -548,7 +557,7 @@ def _overlay_rows(ann, dets, iou_threshold):
              "matched" if partner is not None else "missed",
              "" if partner is None else partner)
         )
-    for i, d in enumerate(dets.detections):
+    for i, d in enumerate(detections):
         verdict, partner = det_state.get(i, ("ignored", None))
         rows.append(
             ("pred", d.class_name, d.confidence, d.box.left, d.box.top, d.box.right,
@@ -583,19 +592,18 @@ def cmd_eval(args) -> int:
     ]
     write_csv(out / "report.csv", ("metric", "value"), report_rows)
 
-    pr_rows = []
-    pr_series = []
-    for class_name, curve in sorted(report.pr_per_class.items()):
+    curves = sorted(report.pr_per_class.items())
+    pr_rows = (
+        (class_name, rank, confidence, precision, recall)
+        for class_name, curve in curves
         for rank, ((recall, precision), confidence) in enumerate(
             zip(curve.points, curve.confidences), start=1
-        ):
-            pr_rows.append((class_name, rank, confidence, precision, recall))
-        pr_series.append(
-            Series(class_name, tuple((r, p) for r, p in curve.points), "line")
         )
+    )
     write_csv(
         out / "pr_curve.csv", ("class", "rank", "confidence", "precision", "recall"), pr_rows
     )
+    pr_series = [Series(class_name, curve.points, "line") for class_name, curve in curves]
     pr_svg = line_svg(
         pr_series,
         x_label="recall",
@@ -624,13 +632,14 @@ def cmd_eval(args) -> int:
     atomic_write(out / "counts.svg", counts_svg)
 
     overlay_dir = out / "overlays"
-    for ann in gt:
-        dets = predictions.get(ann.image_id, ImageDetections(ann.image_id, ()))
+    per_image = zip(*report.matches_per_class.values())
+    for ann, matches in zip(gt, per_image):
+        pred = predictions.get(ann.image_id)
         write_csv(
             overlay_dir / f"{ann.image_id}.csv",
             ("kind", "class", "confidence", "left", "top", "right", "bottom", "verdict",
              "partner_index"),
-            _overlay_rows(ann, dets, args.iou_threshold),
+            _overlay_rows(ann, () if pred is None else pred.detections, matches),
         )
 
     manifest = build_run_manifest(

@@ -12,7 +12,7 @@ an R² printed on a scatter plot can mean either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -96,6 +96,9 @@ class EvalReport:
 
     ``r_squared`` is None when the count regression is undefined for the
     corpus (fewer than two images, or constant true counts).
+    ``matches_per_class`` holds, per class, one MatchResult per ground-truth
+    image in corpus order; verdict indices refer to the image's full box and
+    detection sequences, not to the class's subset.
     """
 
     ap_per_class: dict[str, float]
@@ -105,6 +108,7 @@ class EvalReport:
     r_squared: float | None
     iou_threshold: float
     confidence_threshold: float | None
+    matches_per_class: dict[str, tuple[MatchResult, ...]] = field(default_factory=dict)
 
 
 def iou(a, b) -> float:
@@ -169,16 +173,21 @@ def match_detections(
     return MatchResult(image_id=gt.image_id, verdicts=tuple(verdicts), gt_count=n_gt)
 
 
-def _envelope_area(points: Sequence[tuple[float, float]]) -> float:
-    """Area under the monotone non-increasing precision envelope."""
+def _precision_envelope(points: Sequence[tuple[float, float]]) -> list[float]:
+    """Running maximum of precision from the last rank back to the first."""
     envelope = [0.0] * len(points)
     running = 0.0
     for i in range(len(points) - 1, -1, -1):
         running = max(running, points[i][1])
         envelope[i] = running
+    return envelope
+
+
+def _envelope_area(points: Sequence[tuple[float, float]]) -> float:
+    """Area under the monotone non-increasing precision envelope."""
     terms = []
     previous_recall = 0.0
-    for (recall, _), precision in zip(points, envelope):
+    for (recall, _), precision in zip(points, _precision_envelope(points)):
         if recall > previous_recall:
             terms.append((recall - previous_recall) * precision)
             previous_recall = recall
@@ -187,11 +196,7 @@ def _envelope_area(points: Sequence[tuple[float, float]]) -> float:
 
 def _eleven_point_ap(points: Sequence[tuple[float, float]]) -> float:
     """Mean of the precision envelope sampled at recalls 0.0, 0.1, ..., 1.0."""
-    envelope = [0.0] * len(points)
-    running = 0.0
-    for i in range(len(points) - 1, -1, -1):
-        running = max(running, points[i][1])
-        envelope[i] = running
+    envelope = _precision_envelope(points)
     terms = []
     for step in range(11):
         target = step / 10.0
@@ -243,7 +248,8 @@ def average_precision(
     return PRCurve(tuple(points), tuple(confidences), ap)
 
 
-def _as_predictions_map(predictions) -> dict[str, ImageDetections]:
+def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]:
+    """Predictions keyed by image id; a duplicate or an image unknown to ``gt`` is an error."""
     if isinstance(predictions, Mapping):
         items = predictions.values()
     else:
@@ -253,22 +259,72 @@ def _as_predictions_map(predictions) -> dict[str, ImageDetections]:
         if pred.image_id in by_id:
             raise EvalError(f"duplicate predictions for image {pred.image_id!r}")
         by_id[pred.image_id] = pred
+    unknown = sorted(set(by_id) - set(gt.images))
+    if unknown:
+        raise EvalError(f"predictions reference unknown image {unknown[0]!r}")
     return by_id
 
 
-def _check_known_images(gt: Dataset, predictions: Mapping[str, ImageDetections]) -> None:
-    unknown = sorted(set(predictions) - set(gt.images))
-    if unknown:
-        raise EvalError(f"predictions reference unknown image {unknown[0]!r}")
+def _indices_by_class(items) -> dict[str, list[int]]:
+    groups: dict[str, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item.class_name, []).append(i)
+    return groups
 
 
-def _filter_class(gt: Dataset, predictions, class_name: str):
-    """Per-image (annotations, detections) pairs restricted to one class."""
+def _match_class(ann, pred, gt_index, det_index, iou_threshold: float) -> MatchResult:
+    """Match one class's subset of an image; verdicts keep the image's own indices.
+
+    Subsets keep file order, so the index map is monotone and the AP ranking
+    by (confidence, image id, detection index) is the same before and after.
+    """
+    if len(gt_index) == len(ann.boxes) and len(det_index) == len(pred.detections):
+        return match_detections(ann, pred, iou_threshold)
+    boxes = tuple(ann.boxes[i] for i in gt_index)
+    dets = tuple(pred.detections[i] for i in det_index)
+    result = match_detections(
+        ImageAnnotations(ann.image_id, boxes), ImageDetections(ann.image_id, dets), iou_threshold
+    )
+    verdicts = [
+        DetectionVerdict(
+            det_index[v.det_index], v.confidence, v.is_tp,
+            gt_index[v.matched_gt_index] if v.is_tp else None, v.iou_value,
+        )
+        for v in result.verdicts
+    ]
+    return MatchResult(ann.image_id, verdicts, result.gt_count)
+
+
+def _ap_report(
+    gt: Dataset, predictions: Mapping[str, ImageDetections], iou_threshold: float
+) -> EvalReport:
+    """Per-class matching and AP over predictions from ``_checked_predictions``."""
+    classes = sorted({b.class_name for ann in gt for b in ann.boxes})
+    if not classes:
+        raise EvalError("ground truth contains no boxes")
+    matches: dict[str, list[MatchResult]] = {name: [] for name in classes}
     for ann in gt:
-        boxes = tuple(b for b in ann.boxes if b.class_name == class_name)
         pred = predictions.get(ann.image_id, ImageDetections(ann.image_id, ()))
-        dets = tuple(d for d in pred.detections if d.class_name == class_name)
-        yield replace(ann, boxes=boxes), ImageDetections(ann.image_id, dets)
+        gt_groups = _indices_by_class(ann.boxes)
+        det_groups = _indices_by_class(pred.detections)
+        for name, results in matches.items():
+            gt_index, det_index = gt_groups.get(name, ()), det_groups.get(name, ())
+            results.append(_match_class(ann, pred, gt_index, det_index, iou_threshold))
+    pr_per_class = {
+        name: average_precision(results, sum(m.gt_count for m in results))
+        for name, results in matches.items()
+    }
+    ap_per_class = {name: curve.ap for name, curve in pr_per_class.items()}
+    return EvalReport(
+        ap_per_class=ap_per_class,
+        pr_per_class=pr_per_class,
+        map_score=math.fsum(ap_per_class.values()) / len(ap_per_class),
+        count_pairs=(),
+        r_squared=None,
+        iou_threshold=float(iou_threshold),
+        confidence_threshold=None,
+        matches_per_class={name: tuple(results) for name, results in matches.items()},
+    )
 
 
 def mean_average_precision(
@@ -278,35 +334,12 @@ def mean_average_precision(
 
     Classes are those present in the ground truth; detections of any other
     class are ignored. An image with no prediction file contributes only
-    false negatives. The returned report carries the AP fields; count pairs
-    and R² are left empty (see ``evaluate`` for the full report).
+    false negatives. The returned report carries the AP fields and the
+    per-class match results; count pairs and R² are left empty (see
+    ``evaluate`` for the full report).
     """
-    predictions = _as_predictions_map(predictions)
-    _check_known_images(gt, predictions)
-    classes = sorted({b.class_name for ann in gt for b in ann.boxes})
-    if not classes:
-        raise EvalError("ground truth contains no boxes")
-    ap_per_class: dict[str, float] = {}
-    pr_per_class: dict[str, PRCurve] = {}
-    for class_name in classes:
-        matches = []
-        total_gt = 0
-        for ann, dets in _filter_class(gt, predictions, class_name):
-            total_gt += len(ann.boxes)
-            matches.append(match_detections(ann, dets, iou_threshold))
-        curve = average_precision(matches, total_gt)
-        ap_per_class[class_name] = curve.ap
-        pr_per_class[class_name] = curve
-    map_score = math.fsum(ap_per_class.values()) / len(ap_per_class)
-    return EvalReport(
-        ap_per_class=ap_per_class,
-        pr_per_class=pr_per_class,
-        map_score=map_score,
-        count_pairs=(),
-        r_squared=None,
-        iou_threshold=float(iou_threshold),
-        confidence_threshold=None,
-    )
+    predictions = _checked_predictions(gt, predictions)
+    return _ap_report(gt, predictions, iou_threshold)
 
 
 def _count_pairs(
@@ -356,8 +389,7 @@ def count_regression(
     The predicted count is the number of detections at or above the
     confidence threshold; an image without predictions counts zero.
     """
-    predictions = _as_predictions_map(predictions)
-    _check_known_images(gt, predictions)
+    predictions = _checked_predictions(gt, predictions)
     pairs = _count_pairs(gt, predictions, confidence_threshold)
     return pairs, _r_squared(pairs, mode)
 
@@ -377,9 +409,8 @@ def evaluate(
     """
     if r2_mode not in R2_MODES:
         raise EvalError(f"unknown R² mode {r2_mode!r}; expected one of {R2_MODES}")
-    predictions = _as_predictions_map(predictions)
-    _check_known_images(gt, predictions)
-    report = mean_average_precision(gt, predictions, iou_threshold)
+    predictions = _checked_predictions(gt, predictions)
+    report = _ap_report(gt, predictions, iou_threshold)
     pairs = _count_pairs(gt, predictions, confidence_threshold)
     try:
         r_squared = _r_squared(pairs, r2_mode)

@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def fmt_num(value: float) -> str:
@@ -53,7 +53,7 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """CSV with the shared cell formatting and LF line endings."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 from xml.sax.saxutils import escape
 
+from .reports import fmt_num as fmt
+
 WIDTH = 640
 HEIGHT = 480
 MARGIN_LEFT = 64
@@ -27,12 +29,6 @@ TEXT_COLOR = "#222222"
 FONT = "font-family=\"sans-serif\""
 
 MARKERS = ("circle", "cross", "line")
-
-
-def fmt(value: float) -> str:
-    """Render a number with 6 significant digits, locale-independent."""
-    text = format(float(value), ".6g")
-    return "0" if text == "-0" else text
 
 
 @dataclass(frozen=True)
@@ -78,11 +74,9 @@ def _ticks(lo: float, hi: float, max_ticks: int = 6) -> tuple[float, float, tupl
     return axis_lo, axis_hi, ticks
 
 
-def _data_bounds(series: Sequence[Series], include_zero: bool = False):
+def _data_bounds(series: Sequence[Series]):
     xs = [x for s in series for x, _ in s.points]
     ys = [y for s in series for _, y in s.points]
-    if include_zero:
-        ys.append(0.0)
     if not xs or not ys:
         raise ValueError("nothing to plot and no explicit ranges given")
     return (min(xs), max(xs)), (min(ys), max(ys))
@@ -229,11 +223,10 @@ def _chart(
     identity: bool,
     x_range: tuple[float, float] | None,
     y_range: tuple[float, float] | None,
-    include_zero_y: bool,
 ) -> str:
     series = tuple(series)
     if x_range is None or y_range is None:
-        (x_lo, x_hi), (y_lo, y_hi) = _data_bounds(series, include_zero=include_zero_y)
+        (x_lo, x_hi), (y_lo, y_hi) = _data_bounds(series)
         if x_range is None:
             x_range = (x_lo, x_hi)
         if y_range is None:
@@ -259,7 +252,7 @@ def scatter_svg(
     y_range: tuple[float, float] | None = None,
 ) -> str:
     """Scatter chart of one or more point series, optional y=x reference line."""
-    return _chart(series, x_label, y_label, title, annotation, identity, x_range, y_range, False)
+    return _chart(series, x_label, y_label, title, annotation, identity, x_range, y_range)
 
 
 def line_svg(
@@ -275,7 +268,7 @@ def line_svg(
     series = tuple(
         Series(s.label, s.points, "line") if s.marker != "line" else s for s in series
     )
-    return _chart(series, x_label, y_label, title, annotation, False, x_range, y_range, False)
+    return _chart(series, x_label, y_label, title, annotation, False, x_range, y_range)
 
 
 def histogram_svg(

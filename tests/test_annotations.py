@@ -274,6 +274,12 @@ class TestSaveLoad:
         again = load_dataset(tmp_path / "resaved", tmp_path / "resaved" / "manifest.csv")
         assert again.images["a"] == ds.images["a"]
 
+    def test_prediction_directory_without_files_rejected(self, tmp_path):
+        (tmp_path / "pred").mkdir()
+        with pytest.raises(DatasetError) as excinfo:
+            load_predictions_dir(tmp_path / "pred")
+        assert "no prediction files found" in str(excinfo.value)
+
     def test_predictions_round_trip(self, tmp_path):
         dets = ImageDetections(
             "a", (Detection("c", 0.981597, BoundingBox(26, 448, 58, 477)),)
@@ -301,6 +307,25 @@ class TestLoadManifest:
         path.write_text(f"image_id,width,height\n{row}\n")
         with pytest.raises(DatasetError):
             load_manifest(path)
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is skipped, not read as part of a class name."""
+
+    BOM = "\ufeff"
+
+    def test_ground_truth_file(self, tmp_path):
+        gt_dir = write_corpus(tmp_path / "gt", {"a": f"{self.BOM}head 0 0 10 10\n"})
+        assert load_dataset(gt_dir).images["a"].boxes[0].class_name == "head"
+
+    def test_prediction_file(self, tmp_path):
+        pred_dir = write_corpus(tmp_path / "pred", {"a": f"{self.BOM}head 0.9 0 0 10 10\n"})
+        assert load_predictions_dir(pred_dir)["a"].detections[0].class_name == "head"
+
+    def test_manifest(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{self.BOM}image_id,width,height\na,100,50\n", encoding="utf-8")
+        assert load_manifest(path) == {"a": (100.0, 50.0)}
 
 
 class TestImmutability:

@@ -1,7 +1,10 @@
 from pathlib import Path
 
+import argparse
+
 import pytest
 
+from boxlab import cli, evalcore
 from conftest import DATA_DIR, run_cli, write_corpus
 
 GOLDEN_ANCHOR_FLAG = (
@@ -358,6 +361,116 @@ class TestEval:
         assert "R^2 = 1.0000" in stdout
         report = (out / "report.csv").read_text(encoding="utf-8")
         assert "r2_mode,identity" in report
+
+
+    def test_byte_order_mark_in_ground_truth_is_skipped(self, tmp_path):
+        gt = write_corpus(
+            tmp_path / "gt", {"a": "\ufeffhead 0 0 10 10\n", "b": "\ufeffhead 0 0 20 20\n"}
+        )
+        pred = write_corpus(
+            tmp_path / "pred", {"a": "head 0.9 0 0 10 10\n", "b": "head 0.9 0 0 20 20\n"}
+        )
+        code, stdout, _ = run_cli("eval", gt, pred, "--out", tmp_path / "out")
+        assert code == 0
+        assert "mAP = 1.0000" in stdout
+
+    def test_prediction_directory_without_files_is_a_data_error(self, tmp_path):
+        (tmp_path / "pred").mkdir()
+        code, _, err = run_cli("eval", WORKED_GT, tmp_path / "pred", "--out", tmp_path / "out")
+        assert code == 1
+        assert "no prediction files found" in err
+
+    def test_multi_class_overlays_reuse_the_evaluation_matches(self, tmp_path, monkeypatch):
+        gt = write_corpus(
+            tmp_path / "gt",
+            {
+                "a": "head 0 0 10 10\nleaf 20 20 30 30\nhead 40 40 50 50\n",
+                "b": "head 0 0 10 10\n",
+                "c": "",
+            },
+        )
+        pred = write_corpus(
+            tmp_path / "pred",
+            {
+                "a": "leaf 0.9 20 20 30 30\nhead 0.8 40 40 50 50\nhead 0.7 0 0 10 10\n"
+                "stem 0.6 0 0 10 10\nhead 0.5 30 0 40 10\n",
+                "b": "leaf 0.8 0 0 10 10\nhead 0.9 0 0 10 10\n",
+                "c": "head 0.4 0 0 10 10\n",
+            },
+        )
+        calls = []
+        original = evalcore.match_detections
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].image_id)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evalcore, "match_detections", counting)
+        monkeypatch.setattr(cli, "match_detections", counting, raising=False)
+        out = tmp_path / "out"
+        assert cli.main(["eval", str(gt), str(pred), "--out", str(out), "--quiet"]) == 0
+
+        header = "kind,class,confidence,left,top,right,bottom,verdict,partner_index\n"
+        overlays = {
+            image_id: (out / "overlays" / f"{image_id}.csv").read_text(encoding="utf-8")
+            for image_id in "abc"
+        }
+        # Interleaved classes: partners are indices into the image's own file order.
+        assert overlays["a"] == header + (
+            "gt,head,,0,0,10,10,matched,2\n"
+            "gt,leaf,,20,20,30,30,matched,0\n"
+            "gt,head,,40,40,50,50,matched,1\n"
+            "pred,leaf,0.9,20,20,30,30,tp,1\n"
+            "pred,head,0.8,40,40,50,50,tp,2\n"
+            "pred,head,0.7,0,0,10,10,tp,0\n"
+            "pred,stem,0.6,0,0,10,10,ignored,\n"
+            "pred,head,0.5,30,0,40,10,fp,\n"
+        )
+        # 'leaf' has no ground truth in b: the overlay ignores the detection...
+        assert overlays["b"] == header + (
+            "gt,head,,0,0,10,10,matched,1\n"
+            "pred,leaf,0.8,0,0,10,10,ignored,\n"
+            "pred,head,0.9,0,0,10,10,tp,0\n"
+        )
+        # ...while AP ranks it as a false positive.
+        pr = (out / "pr_curve.csv").read_text(encoding="utf-8").splitlines()
+        assert [row for row in pr if row.startswith("leaf,")] == [
+            "leaf,1,0.9,1,1",
+            "leaf,2,0.8,0.5,1",
+        ]
+        assert overlays["c"] == header + "pred,head,0.4,0,0,10,10,ignored,\n"
+        # One matching pass: 3 images x 2 ground-truth classes.
+        assert len(calls) == 6
+
+
+class TestUnitIntervalFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", WORKED_GT, WORKED_PRED, "--iou-threshold", "1.5"),
+            ("eval", WORKED_GT, WORKED_PRED, "--confidence-threshold", "7"),
+            ("anchors", WORKED_GT, "--recall-threshold", "1.5"),
+        ],
+        ids=["iou-threshold", "confidence-threshold", "recall-threshold"],
+    )
+    def test_out_of_range_is_a_usage_error(self, tmp_path, argv):
+        code, _, err = run_cli(*argv, "--out", tmp_path / "out")
+        assert code == 2
+        assert "must be <= 1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bounds(self):
+        assert cli.unit_float("0") == 0.0
+        assert cli.unit_float("1") == 1.0
+        assert cli.positive_unit_float("1") == 1.0
+        for parse, text in [
+            (cli.unit_float, "-0.1"),
+            (cli.unit_float, "nan"),
+            (cli.positive_unit_float, "0"),
+            (cli.positive_unit_float, "inf"),
+        ]:
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse(text)
 
 
 class TestPipeline:

@@ -11,6 +11,7 @@ from boxlab.annotations import (
     ImageDetections,
 )
 from boxlab.evalcore import (
+    DetectionVerdict,
     EvalError,
     MatchResult,
     PRCurve,
@@ -413,6 +414,54 @@ class TestMeanAveragePrecision:
         preds = {"a": det_image("a", [(0.9, (0, 0, 10, 10))], class_name="tail")}
         report = mean_average_precision(gt, preds)
         assert report.ap_per_class == {"head": 0.0}
+
+    def test_match_results_index_into_the_whole_image(self):
+        gt = Dataset.from_images(
+            [
+                ImageAnnotations(
+                    "a",
+                    (
+                        GroundTruthBox("head", BoundingBox(0, 0, 10, 10)),
+                        GroundTruthBox("tail", BoundingBox(20, 20, 30, 30)),
+                        GroundTruthBox("head", BoundingBox(40, 40, 50, 50)),
+                    ),
+                ),
+                ImageAnnotations("b", ()),
+            ]
+        )
+        preds = {
+            "a": ImageDetections(
+                "a",
+                (
+                    Detection("tail", 0.8, BoundingBox(20, 20, 30, 30)),
+                    Detection("head", 0.9, BoundingBox(40, 40, 50, 50)),
+                    Detection("head", 0.7, BoundingBox(60, 60, 70, 70)),
+                ),
+            ),
+            "b": det_image("b", [(0.5, (0, 0, 10, 10))], class_name="tail"),
+        }
+        report = mean_average_precision(gt, preds)
+        assert report.matches_per_class == {
+            "head": (
+                MatchResult(
+                    "a",
+                    (
+                        DetectionVerdict(1, 0.9, True, 2, 1.0),
+                        DetectionVerdict(2, 0.7, False, None, 0.0),
+                    ),
+                    2,
+                ),
+                MatchResult("b", (), 0),
+            ),
+            "tail": (
+                MatchResult("a", (DetectionVerdict(0, 0.8, True, 1, 1.0),), 1),
+                MatchResult("b", (DetectionVerdict(0, 0.5, False, None, 0.0),), 0),
+            ),
+        }
+        for name, results in report.matches_per_class.items():
+            total = sum(m.gt_count for m in results)
+            assert report.pr_per_class[name] == average_precision(results, total)
+        assert evaluate(gt, preds).matches_per_class == report.matches_per_class
 
     def test_image_without_prediction_file_counts_as_misses(self):
         gt = Dataset.from_images(

@@ -2,7 +2,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from boxlab.svgplot import Series, fmt, histogram_svg, line_svg, scatter_svg
+from boxlab.reports import fmt_num
+from boxlab.svgplot import Series, histogram_svg, line_svg, scatter_svg
 
 
 def parse_svg(text):
@@ -19,13 +20,13 @@ SCATTER = [
 
 class TestFormatting:
     def test_six_significant_digits(self):
-        assert fmt(0.123456789) == "0.123457"
-        assert fmt(1200.0) == "1200"
-        assert fmt(2 / 3) == "0.666667"
+        assert fmt_num(0.123456789) == "0.123457"
+        assert fmt_num(1200.0) == "1200"
+        assert fmt_num(2 / 3) == "0.666667"
 
     def test_negative_zero_is_normalized(self):
-        assert fmt(-0.0) == "0"
-        assert fmt(-1e-9) == "-1e-09"
+        assert fmt_num(-0.0) == "0"
+        assert fmt_num(-1e-9) == "-1e-09"
 
 
 class TestScatter:
