@@ -278,8 +278,6 @@ def _match_class(ann, pred, gt_index, det_index, iou_threshold: float) -> MatchR
     Subsets keep file order, so the index map is monotone and the AP ranking
     by (confidence, image id, detection index) is the same before and after.
     """
-    if len(gt_index) == len(ann.boxes) and len(det_index) == len(pred.detections):
-        return match_detections(ann, pred, iou_threshold)
     boxes = tuple(ann.boxes[i] for i in gt_index)
     dets = tuple(pred.detections[i] for i in det_index)
     result = match_detections(

@@ -1,6 +1,5 @@
-from pathlib import Path
-
 import argparse
+from pathlib import Path
 
 import pytest
 
@@ -361,7 +360,6 @@ class TestEval:
         assert "R^2 = 1.0000" in stdout
         report = (out / "report.csv").read_text(encoding="utf-8")
         assert "r2_mode,identity" in report
-
 
     def test_byte_order_mark_in_ground_truth_is_skipped(self, tmp_path):
         gt = write_corpus(
