@@ -41,7 +41,6 @@ from .annotations import (
     save_predictions,
 )
 from .datastats import (
-    BoxDims,
     DatasetStats,
     ImageStats,
     StatsError,
@@ -70,7 +69,6 @@ __all__ = [
     "AnchorError",
     "AnchorSet",
     "BoundingBox",
-    "BoxDims",
     "CoverageDiagnostic",
     "DarknetConfigFragment",
     "Dataset",

@@ -10,12 +10,12 @@ width regions where the fit residuals vary the most.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .datastats import BoxDims
+from numpy.typing import ArrayLike
 
 KMEANS_MAX_ITERATIONS = 1000
 DISTANCES = ("euclidean", "one_minus_iou")
@@ -33,8 +33,8 @@ class Anchor:
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise AnchorError(f"non-positive anchor dimensions: {self.width}x{self.height}")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise AnchorError(f"anchor dims must be finite and > 0: {self.width}x{self.height}")
 
     @property
     def area(self) -> float:
@@ -56,7 +56,7 @@ class AnchorSet:
         areas = [a.area for a in self.anchors]
         if any(lo > hi for lo, hi in zip(areas, areas[1:])):
             raise AnchorError("anchors must be sorted by area, ascending")
-        pairs = [(a.width, a.height) for a in self.anchors]
+        pairs = self.pairs()
         if len(set(pairs)) != len(pairs):
             raise AnchorError("anchor set contains exact duplicates")
         seen: set[int] = set()
@@ -119,15 +119,24 @@ class DarknetConfigFragment:
         return (tuple(range(len(self.anchors))),)
 
 
-def centered_iou(a: BoxDims | Anchor, b: BoxDims | Anchor) -> float:
+def centered_iou(a: Anchor, b: Anchor) -> float:
     """IoU of two rectangles sharing a center; depends only on dimensions."""
     inter = min(a.width, b.width) * min(a.height, b.height)
     union = a.width * a.height + b.width * b.height - inter
     return inter / union
 
 
-def _as_array(dims: Sequence[BoxDims | Anchor]) -> np.ndarray:
-    return np.array([(d.width, d.height) for d in dims], dtype=float)
+def _dims_array(dims: ArrayLike) -> np.ndarray:
+    """Box dimensions as an (n, 2) float array; AnchorError unless finite and > 0."""
+    try:
+        points = np.asarray(dims, dtype=float)
+    except (TypeError, ValueError):
+        raise AnchorError("box dimensions must be numeric (width, height) pairs") from None
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise AnchorError(f"box dimensions must have shape (n, 2), got {points.shape}")
+    if not np.all((points > 0) & np.isfinite(points)):
+        raise AnchorError("box dimensions must be finite and positive")
+    return points
 
 
 def centered_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,10 +178,14 @@ def _kmeans_pp_init(points: np.ndarray, k: int, distance: str, rng: np.random.Ge
 
 
 def run_kmeans(
-    dims: Sequence[BoxDims], k: int, distance: str = "one_minus_iou", seed: int = 0
+    dims: ArrayLike, k: int, distance: str = "one_minus_iou", seed: int = 0
 ) -> KMeansRun:
-    """Seeded k-means++ initialization followed by Lloyd iterations.
+    """Seeded k-means++-style initialization followed by Lloyd iterations.
 
+    ``dims`` is any (n, 2) array-like of (width, height). Seeding samples
+    each next centroid with weight cost², where cost is the distance to the
+    nearest chosen centroid: (1 - IoU)² under the IoU distance, and d⁴
+    under squared Euclidean, not the D² of k-means++.
     Assignment always picks the lowest-index centroid among ties. Centroid
     updates take the cluster mean; under the IoU distance the mean is only a
     heuristic minimizer, so an update that would worsen its cluster cost is
@@ -183,7 +196,7 @@ def run_kmeans(
         raise AnchorError(f"unknown distance {distance!r}; expected one of {DISTANCES}")
     if k < 1:
         raise AnchorError(f"k must be >= 1, got {k}")
-    points = _as_array(dims)
+    points = _dims_array(dims)
     if len(points) < k:
         raise AnchorError(f"k={k} exceeds the {len(points)} available dims")
     if len(np.unique(points, axis=0)) < k:
@@ -191,37 +204,39 @@ def run_kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, distance, rng)
+    rows = np.arange(len(points))
+    costs = _point_costs(points, centroids, distance)
     labels = None
     history: list[float] = []
     for _ in range(KMEANS_MAX_ITERATIONS):
-        costs = _point_costs(points, centroids, distance)
         new_labels = np.argmin(costs, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
         for j in range(k):
-            members = points[labels == j]
+            in_cluster = labels == j
+            members = points[in_cluster]
             if len(members) == 0:
                 continue
             candidate = members.mean(axis=0)
             if distance == "one_minus_iou":
-                old_cost = _point_costs(members, centroids[[j]], distance).sum()
+                old_cost = costs[in_cluster, j].sum()
                 new_cost = _point_costs(members, candidate[None, :], distance).sum()
                 if new_cost > old_cost:
                     continue
             centroids[j] = candidate
-        assigned = _point_costs(points, centroids, distance)[np.arange(len(points)), labels]
-        history.append(float(assigned.sum()))
+        # One cost matrix per iteration: this objective and the next assignment.
+        costs = _point_costs(points, centroids, distance)
+        history.append(float(costs[rows, labels].sum()))
     return KMeansRun(centroids=centroids, labels=labels, objective_history=tuple(history))
 
 
 def kmeans_anchors(
-    dims: Sequence[BoxDims], k: int, distance: str = "one_minus_iou", seed: int = 0
+    dims: ArrayLike, k: int, distance: str = "one_minus_iou", seed: int = 0
 ) -> AnchorSet:
     """Cluster box dimensions into k anchors (centroids rounded to 2 decimals)."""
     run = run_kmeans(dims, k, distance=distance, seed=seed)
-    rounded = np.round(run.centroids, 2)
-    return AnchorSet.from_dims((float(w), float(h)) for w, h in rounded)
+    return AnchorSet.from_dims(np.round(run.centroids, 2))
 
 
 def _round_anchor(width: float, height: float) -> tuple[float, float]:
@@ -230,7 +245,7 @@ def _round_anchor(width: float, height: float) -> tuple[float, float]:
 
 
 def linefit_anchors(
-    dims: Sequence[BoxDims],
+    dims: ArrayLike,
     n_line: int = 9,
     floor: Anchor | None = Anchor(10, 10),
     n_total: int = 13,
@@ -252,8 +267,7 @@ def linefit_anchors(
         raise AnchorError(f"n_total must be >= n_line + 1, got {n_total}")
     if variance_bins < 1:
         raise AnchorError(f"variance_bins must be >= 1, got {variance_bins}")
-    widths = np.array([d.width for d in dims], dtype=float)
-    heights = np.array([d.height for d in dims], dtype=float)
+    widths, heights = _dims_array(dims).T.copy()
     if len(widths) < 2 or np.unique(widths).size < 2:
         raise AnchorError(
             "all box widths are equal; the line fit is degenerate, use kmeans_anchors instead"
@@ -301,16 +315,17 @@ def linefit_anchors(
 
 
 def coverage(
-    dims: Sequence[BoxDims], anchors: AnchorSet, threshold_t: float = 0.5
+    dims: ArrayLike, anchors: AnchorSet, threshold_t: float = 0.5
 ) -> CoverageDiagnostic:
     """Assign each box to its best centered-IoU anchor and summarize the fit.
 
     Ties go to the lower anchor index. ``recall_at_t`` is the fraction of
     boxes whose best IoU reaches the threshold.
     """
-    if not dims:
+    points = _dims_array(dims)
+    if len(points) == 0:
         raise AnchorError("no box dimensions to cover")
-    matrix = centered_iou_matrix(_as_array(dims), _as_array(anchors.anchors))
+    matrix = centered_iou_matrix(points, np.array(anchors.pairs(), dtype=float))
     best_index = np.argmax(matrix, axis=1)
     best_iou = matrix[np.arange(len(matrix)), best_index]
     counts = np.bincount(best_index, minlength=len(anchors))

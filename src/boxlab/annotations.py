@@ -336,8 +336,6 @@ def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> D
     seen = set()
     for file in files:
         image_id = file.stem
-        if image_id in seen:
-            raise DatasetError(f"duplicate image id {image_id!r}")
         seen.add(image_id)
         parsed = _parse_file(file, parse_ground_truth)
         if image_id in dims:

@@ -9,6 +9,7 @@ reproduces all other files byte-identically.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -56,11 +57,18 @@ def positive_int(text: str) -> int:
     return value
 
 
-def nonnegative_float(text: str) -> float:
+def finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -75,7 +83,7 @@ def positive_float(text: str) -> float:
 
 def unit_float(text: str) -> float:
     value = nonnegative_float(text)
-    if not value <= 1:
+    if value > 1:
         raise argparse.ArgumentTypeError(f"must be <= 1, got {value}")
     return value
 
@@ -91,13 +99,7 @@ def dimension_pair(text: str) -> tuple[float, float]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
-    try:
-        width, height = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numeric WxH, got {text!r}") from None
-    if width <= 0 or height <= 0:
-        raise argparse.ArgumentTypeError(f"dimensions must be positive, got {text!r}")
-    return width, height
+    return positive_float(parts[0]), positive_float(parts[1])
 
 
 def floor_anchor(text: str) -> tuple[float, float] | None:
@@ -290,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--width-min", type=positive_float, default=8.0, help="smallest box width")
     synth.add_argument("--width-max", type=positive_float, default=90.0, help="largest box width")
     synth.add_argument(
-        "--slope", type=float, default=1.0, help="height = slope * width + intercept"
+        "--slope", type=finite_float, default=1.0, help="height = slope * width + intercept"
     )
-    synth.add_argument("--intercept", type=float, default=0.0)
+    synth.add_argument("--intercept", type=finite_float, default=0.0)
     synth.add_argument(
         "--residual-sd",
         type=nonnegative_float,
@@ -428,7 +430,7 @@ def _auto_layers(n_anchors: int) -> tuple[int, ...]:
 def cmd_anchors(args) -> int:
     dataset = load_dataset(args.gt_dir, args.manifest)
     dims = extract_dims(dataset)
-    if not dims:
+    if len(dims) == 0:
         raise DatasetError("corpus contains no boxes")
 
     floor = None if args.floor is None else Anchor(*args.floor)
@@ -476,15 +478,16 @@ def cmd_anchors(args) -> int:
             for name, d in sorted(diagnostics.items())
         ],
     )
+    box_dims = dims.tolist()
     write_csv(
         out / "dims_anchors.csv",
         ("series", "width", "height"),
-        [("box", d.width, d.height) for d in dims]
+        [("box", w, h) for w, h in box_dims]
         + [("anchor", a.width, a.height) for a in anchor_set.anchors],
     )
     svg = scatter_svg(
         [
-            Series("boxes", tuple((d.width, d.height) for d in dims), "circle"),
+            Series("boxes", box_dims, "circle"),
             Series("anchors", tuple(anchor_set.pairs()), "cross"),
         ],
         x_label="width (px)",

@@ -18,22 +18,6 @@ class StatsError(ValueError):
 
 
 @dataclass(frozen=True)
-class BoxDims:
-    """Width and height of one box, in pixels."""
-
-    width: float
-    height: float
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"non-positive dimensions: {self.width}x{self.height}")
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-
-@dataclass(frozen=True)
 class ImageStats:
     """Per-image head count and coverage figures."""
 
@@ -113,9 +97,10 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
     )
 
 
-def extract_dims(dataset: Dataset) -> list[BoxDims]:
-    """One BoxDims per ground-truth box, in corpus order."""
-    return [BoxDims(gt.box.width, gt.box.height) for ann in dataset for gt in ann.boxes]
+def extract_dims(dataset: Dataset) -> np.ndarray:
+    """(n, 2) float array of ground-truth box (width, height), in corpus order."""
+    pairs = ((gt.box.width, gt.box.height) for ann in dataset for gt in ann.boxes)
+    return np.fromiter(pairs, dtype=(float, 2))
 
 
 def flag_outliers(

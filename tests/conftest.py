@@ -1,12 +1,22 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import boxlab
 from boxlab.annotations import load_dataset, load_predictions_dir
 
 DATA_DIR = Path(__file__).parent / "data"
+# The CLI child imports the same boxlab as the tests, also when only
+# pytest's own ``pythonpath`` setting put it on sys.path.
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(boxlab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(*argv, cwd=None):
@@ -16,6 +26,7 @@ def run_cli(*argv, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=CLI_ENV,
     )
     return result.returncode, result.stdout, result.stderr
 

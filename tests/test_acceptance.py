@@ -21,7 +21,7 @@ from boxlab.anchorlab import (
     run_kmeans,
 )
 from boxlab.annotations import BoundingBox, Dataset, GroundTruthBox, ImageAnnotations
-from boxlab.datastats import BoxDims, compute_stats
+from boxlab.datastats import compute_stats
 from boxlab.evalcore import (
     DetectionVerdict,
     MatchResult,
@@ -151,7 +151,7 @@ def bimodal_dims(seed, n=600):
     w_large = np.clip(rng.normal(80.0, 15.0, n - n_small), 40.0, 140.0)
     widths = np.concatenate([w_small, w_large])
     heights = widths * rng.uniform(0.8, 1.25, n)
-    return [BoxDims(float(w), float(h)) for w, h in zip(widths, heights)]
+    return np.column_stack([widths, heights])
 
 
 def test_criterion_05_linefit_beats_kmeans_on_bimodal_dims():
@@ -219,7 +219,7 @@ def test_criterion_07_generator_calibration_and_scale_equivariance():
 
 
 def test_criterion_08_kmeans_exactness_and_monotonicity():
-    dims = [BoxDims(10.0, 10.0)] * 50 + [BoxDims(80.0, 80.0)] * 50
+    dims = [(10.0, 10.0)] * 50 + [(80.0, 80.0)] * 50
     for distance in ("euclidean", "one_minus_iou"):
         for seed in range(5):
             anchors = kmeans_anchors(dims, k=2, distance=distance, seed=seed)
@@ -229,7 +229,7 @@ def test_criterion_08_kmeans_exactness_and_monotonicity():
             rng = np.random.default_rng([808, seed])
             widths = rng.uniform(5, 120, 150)
             heights = widths * rng.uniform(0.7, 1.4, 150)
-            dims_random = [BoxDims(float(w), float(h)) for w, h in zip(widths, heights)]
+            dims_random = np.column_stack([widths, heights])
             history = run_kmeans(dims_random, k=9, distance=distance, seed=seed).objective_history
             tolerance = 1e-9 * max(1.0, history[0])
             for earlier, later in zip(history, history[1:]):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from boxlab import anchorlab
 from boxlab.anchorlab import (
     Anchor,
     AnchorError,
@@ -17,7 +18,6 @@ from boxlab.anchorlab import (
     parse_darknet_fragment,
     run_kmeans,
 )
-from boxlab.datastats import BoxDims
 from oracles import bin_residual_variances, raster_centered_iou
 
 GOLDEN_ANCHORS = [
@@ -27,23 +27,23 @@ GOLDEN_ANCHORS = [
 
 
 def dims_of(pairs):
-    return [BoxDims(float(w), float(h)) for w, h in pairs]
+    return [(float(w), float(h)) for w, h in pairs]
 
 
 class TestCenteredIou:
     def test_identical_dims_give_exactly_one(self):
-        assert centered_iou(BoxDims(13, 27), BoxDims(13, 27)) == 1.0
+        assert centered_iou(Anchor(13, 27), Anchor(13, 27)) == 1.0
 
     def test_nested_squares(self):
-        assert centered_iou(BoxDims(10, 10), BoxDims(20, 20)) == 0.25
+        assert centered_iou(Anchor(10, 10), Anchor(20, 20)) == 0.25
 
     def test_partial_overlap(self):
-        value = centered_iou(BoxDims(16, 24), BoxDims(24, 20))
+        value = centered_iou(Anchor(16, 24), Anchor(24, 20))
         assert value == pytest.approx(320 / 544, abs=1e-12)
 
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
     def test_matches_pixel_counting(self, wa, ha, wb, hb):
-        exact = centered_iou(BoxDims(wa, ha), BoxDims(wb, hb))
+        exact = centered_iou(Anchor(wa, ha), Anchor(wb, hb))
         assert exact == pytest.approx(raster_centered_iou(wa, ha, wb, hb), abs=1e-9)
 
     @given(
@@ -53,7 +53,7 @@ class TestCenteredIou:
         st.floats(0.5, 100, allow_nan=False),
     )
     def test_symmetric_and_bounded(self, wa, ha, wb, hb):
-        a, b = BoxDims(wa, ha), BoxDims(wb, hb)
+        a, b = Anchor(wa, ha), Anchor(wb, hb)
         value = centered_iou(a, b)
         assert value == centered_iou(b, a)
         assert 0.0 < value <= 1.0
@@ -66,7 +66,7 @@ class TestCenteredIou:
         for i, (wa, ha) in enumerate(a):
             for j, (wb, hb) in enumerate(b):
                 assert matrix[i, j] == pytest.approx(
-                    centered_iou(BoxDims(wa, ha), BoxDims(wb, hb)), abs=1e-12
+                    centered_iou(Anchor(wa, ha), Anchor(wb, hb)), abs=1e-12
                 )
 
 
@@ -102,6 +102,11 @@ class TestAnchorSet:
     def test_non_positive_anchor_rejected(self):
         with pytest.raises(AnchorError):
             Anchor(0, 10)
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
+    def test_non_finite_anchor_rejected(self, width):
+        with pytest.raises(AnchorError):
+            Anchor(width, 10)
 
 
 class TestKMeans:
@@ -144,6 +149,33 @@ class TestKMeans:
             tolerance = 1e-9 * max(1.0, history[0])
             for earlier, later in zip(history, history[1:]):
                 assert later <= earlier + tolerance
+
+    def test_one_full_cost_matrix_per_iteration(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        dims = np.column_stack([rng.uniform(5, 90, 200), rng.uniform(5, 90, 200)])
+        real = anchorlab._point_costs
+        full_size_calls = 0
+
+        def counting(points, centroids, distance):
+            nonlocal full_size_calls
+            full_size_calls += len(points) == len(dims)
+            return real(points, centroids, distance)
+
+        monkeypatch.setattr(anchorlab, "_point_costs", counting)
+        k = 4
+        for distance in ("euclidean", "one_minus_iou"):
+            full_size_calls = 0
+            run = run_kmeans(dims, k=k, distance=distance, seed=2)
+            # k seeding passes, the first assignment, then one per iteration.
+            assert full_size_calls == k + 1 + len(run.objective_history)
+
+    @pytest.mark.parametrize("distance", ["euclidean", "one_minus_iou"])
+    def test_last_objective_is_the_cost_of_the_result(self, distance):
+        rng = np.random.default_rng(8)
+        dims = np.column_stack([rng.uniform(5, 90, 120), rng.uniform(5, 90, 120)])
+        run = run_kmeans(dims, k=5, distance=distance, seed=1)
+        costs = anchorlab._point_costs(dims, run.centroids, distance)
+        assert run.objective_history[-1] == float(costs[np.arange(len(dims)), run.labels].sum())
 
     def test_k_zero_rejected(self):
         with pytest.raises(AnchorError):
@@ -285,6 +317,38 @@ class TestCoverage:
     def test_empty_dims_rejected(self):
         with pytest.raises(AnchorError):
             coverage([], AnchorSet.from_dims([(10, 10)]))
+
+
+class TestDimsInput:
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            [(10.0, 10.0, 1.0), (20.0, 20.0, 1.0)],
+            [10.0, 20.0, 30.0, 40.0],
+            [(10.0, 10.0), (0.0, 20.0)],
+            [(10.0, 10.0), (20.0, -5.0)],
+            [(10.0, 10.0), (float("nan"), 20.0)],
+            [(10.0, 10.0), (float("inf"), 20.0)],
+            [(10.0, "wide"), (20.0, 20.0)],
+        ],
+        ids=["three-columns", "flat", "zero", "negative", "nan", "inf", "text"],
+    )
+    def test_bad_dims_rejected(self, dims):
+        anchors = AnchorSet.from_dims([(10, 10)])
+        with pytest.raises(AnchorError):
+            run_kmeans(dims, k=1)
+        with pytest.raises(AnchorError):
+            linefit_anchors(dims)
+        with pytest.raises(AnchorError):
+            coverage(dims, anchors)
+
+    def test_list_and_array_inputs_agree(self):
+        pairs = [(float(w), float(w) * 1.1) for w in range(10, 60, 3)]
+        array = np.array(pairs)
+        assert kmeans_anchors(pairs, k=3, seed=4) == kmeans_anchors(array, k=3, seed=4)
+        assert linefit_anchors(pairs) == linefit_anchors(array)
+        anchors = AnchorSet.from_dims([(10, 10), (30, 30)])
+        assert coverage(pairs, anchors) == coverage(array, anchors)
 
 
 class TestAssignMasks:

@@ -471,6 +471,25 @@ class TestUnitIntervalFlags:
                 parse(text)
 
 
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", WORKED_GT, "--min-coverage", "nan"),
+            ("synth", "--images", "2", "--slope", "nan"),
+            ("synth", "--images", "2", "--count-sd", "inf"),
+            ("synth", "--images", "2", "--image-width", "inf"),
+            ("anchors", WORKED_GT, "--anchors", "nanx10", "--layers", "1"),
+        ],
+        ids=["min-coverage", "slope", "count-sd", "image-width", "anchors"],
+    )
+    def test_non_finite_is_a_usage_error(self, tmp_path, argv):
+        code, _, err = run_cli(*argv, "--out", tmp_path / "out")
+        assert code == 2
+        assert "must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPipeline:
     def test_synth_stats_anchors_eval_round_trip(self, tmp_path):
         base = tmp_path / "flow"

@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from boxlab.annotations import BoundingBox, Dataset, GroundTruthBox, ImageAnnotations
 from boxlab.datastats import (
-    BoxDims,
     StatsError,
     compute_stats,
     extract_dims,
@@ -165,10 +165,17 @@ class TestExtractDims:
                 ),
             ]
         )
-        assert extract_dims(ds) == [BoxDims(3, 4), BoxDims(5, 2), BoxDims(7, 11)]
+        dims = extract_dims(ds)
+        assert isinstance(dims, np.ndarray)
+        assert dims.dtype == np.float64
+        assert dims.shape == (3, 2)
+        assert dims.tolist() == [[3.0, 4.0], [5.0, 2.0], [7.0, 11.0]]
 
-    def test_area(self):
-        assert BoxDims(4, 5).area == 20
+    def test_boxless_corpus_gives_empty_pairs(self):
+        ds = Dataset.from_images([ImageAnnotations("a", ()), ImageAnnotations("b", ())])
+        dims = extract_dims(ds)
+        assert dims.dtype == np.float64
+        assert dims.shape == (0, 2)
 
 
 class TestFlagOutliers:
