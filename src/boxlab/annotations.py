@@ -9,7 +9,13 @@ Fields are separated by spaces or tabs; blank lines are ignored. A corpus is
 a directory of ``<image_id>.txt`` files plus an optional sidecar manifest
 (CSV with header ``image_id,width,height``) carrying image dimensions.
 Files are read as UTF-8; a leading byte-order mark is skipped.
-All types are immutable after construction.
+
+An image's boxes are stored as columns: a tuple of class names and a
+read-only ``(n, 4)`` float64 array of (left, top, right, bottom) edges, plus
+an ``(n,)`` confidence array for detections, all in file order. The
+per-box records (``GroundTruthBox``, ``Detection``, ``BoundingBox``) are a
+view that ``ImageAnnotations.boxes`` and ``ImageDetections.detections``
+build on request. All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,8 +23,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
+
+EDGE_NAMES = ("left", "top", "right", "bottom")
 
 
 class ParseError(ValueError):
@@ -43,6 +54,34 @@ class DatasetError(ValueError):
     """A corpus-level problem: duplicate ids, manifest mismatches, bounds."""
 
 
+def _box_problem(left, top, right, bottom) -> str | None:
+    """Why four edges do not make a box, or None; the first failed check wins."""
+    for name, value in zip(EDGE_NAMES, (left, top, right, bottom)):
+        if not math.isfinite(value):
+            return f"{name} is not a finite number: {value!r}"
+    if left < 0 or top < 0:
+        return f"negative coordinate in box {(left, top, right, bottom)}"
+    if right <= left:
+        return f"zero-width box: right {right} <= left {left}"
+    if bottom <= top:
+        return f"zero-height box: bottom {bottom} <= top {top}"
+    return None
+
+
+def _class_name_problem(class_name: str) -> str | None:
+    if not class_name:
+        return "empty class name"
+    if any(c.isspace() for c in class_name):
+        return f"class name contains whitespace: {class_name!r}"
+    return None
+
+
+def _confidence_problem(confidence: float) -> str | None:
+    if not math.isfinite(confidence) or not 0.0 <= confidence <= 1.0:
+        return f"confidence out of range [0, 1]: {confidence!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned rectangle in pixel coordinates, edges as continuous values."""
@@ -53,16 +92,9 @@ class BoundingBox:
     bottom: float
 
     def __post_init__(self):
-        for name in ("left", "top", "right", "bottom"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} is not a finite number: {v!r}")
-        if self.left < 0 or self.top < 0:
-            raise ValueError(f"negative coordinate in box {self.as_tuple()}")
-        if self.right <= self.left:
-            raise ValueError(f"zero-width box: right {self.right} <= left {self.left}")
-        if self.bottom <= self.top:
-            raise ValueError(f"zero-height box: bottom {self.bottom} <= top {self.top}")
+        problem = _box_problem(*self.as_tuple())
+        if problem:
+            raise ValueError(problem)
 
     @property
     def width(self) -> float:
@@ -88,10 +120,9 @@ class GroundTruthBox:
     box: BoundingBox
 
     def __post_init__(self):
-        if not self.class_name:
-            raise ValueError("empty class name")
-        if any(c.isspace() for c in self.class_name):
-            raise ValueError(f"class name contains whitespace: {self.class_name!r}")
+        problem = _class_name_problem(self.class_name)
+        if problem:
+            raise ValueError(problem)
 
 
 @dataclass(frozen=True)
@@ -103,54 +134,224 @@ class Detection:
     box: BoundingBox
 
     def __post_init__(self):
-        if not self.class_name:
-            raise ValueError("empty class name")
-        if any(c.isspace() for c in self.class_name):
-            raise ValueError(f"class name contains whitespace: {self.class_name!r}")
-        if not math.isfinite(self.confidence) or not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of range [0, 1]: {self.confidence!r}")
+        problem = _class_name_problem(self.class_name) or _confidence_problem(self.confidence)
+        if problem:
+            raise ValueError(problem)
 
 
-@dataclass(frozen=True)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _checked_columns(class_names, edges, confidences=None) -> list:
+    """Read-only copies of an image's columns, each row checked as its record would be.
+
+    Raises ValueError for a wrong shape, or naming the first row (1-based)
+    whose class name, box or confidence its record would reject.
+    """
+    class_names = tuple(class_names)
+    n = len(class_names)
+    edges = np.array(edges, dtype=np.float64)
+    if edges.size == 0:
+        edges = edges.reshape(0, 4)
+    if edges.shape != (n, 4):
+        raise ValueError(f"edges must have shape ({n}, 4), got {edges.shape}")
+    left, top, right, bottom = edges.T
+    bad = ~np.isfinite(edges).all(axis=1) | (left < 0) | (top < 0)
+    bad |= (right <= left) | (bottom <= top)
+    columns = [class_names, _read_only(edges)]
+    if confidences is not None:
+        confidences = np.array(confidences, dtype=np.float64)
+        if confidences.shape != (n,):
+            raise ValueError(f"confidences must have shape ({n},), got {confidences.shape}")
+        bad |= ~((confidences >= 0.0) & (confidences <= 1.0))
+        columns.append(_read_only(confidences))
+    if bad.any() or any(map(_class_name_problem, set(class_names))):
+        for i, (name, row) in enumerate(zip(class_names, edges.tolist())):
+            problem = _class_name_problem(name) or _box_problem(*row)
+            if problem is None and confidences is not None:
+                problem = _confidence_problem(float(confidences[i]))
+            if problem:
+                raise ValueError(f"box {i + 1}: {problem}")
+    return columns
+
+
+def _set_fields(instance, **values) -> None:
+    for name, value in values.items():
+        object.__setattr__(instance, name, value)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ImageAnnotations:
-    """All ground-truth boxes of one image, with optional pixel dimensions."""
+    """All ground-truth boxes of one image, with optional pixel dimensions.
+
+    ``class_names`` and ``edges`` hold one entry per box in file order;
+    ``edges`` is a read-only ``(n, 4)`` float64 array of (left, top, right,
+    bottom). ``boxes`` builds the per-box records from them on each access.
+    """
 
     image_id: str
-    boxes: tuple[GroundTruthBox, ...]
+    class_names: tuple[str, ...]
+    edges: np.ndarray
     width: float | None = None
     height: float | None = None
     dims_inferred: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        if (self.width is None) != (self.height is None):
-            raise DatasetError(f"image {self.image_id!r}: width and height must be set together")
-        if self.width is not None:
-            if self.width <= 0 or self.height <= 0:
-                raise DatasetError(f"image {self.image_id!r}: non-positive dimensions")
-            for i, gt in enumerate(self.boxes):
-                if gt.box.right > self.width or gt.box.bottom > self.height:
-                    raise DatasetError(
-                        f"image {self.image_id!r}: box {i + 1} {gt.box.as_tuple()} exceeds "
-                        f"image bounds {self.width}x{self.height}"
-                    )
+    def __init__(
+        self,
+        image_id: str,
+        boxes: Sequence[GroundTruthBox] = (),
+        width: float | None = None,
+        height: float | None = None,
+        dims_inferred: bool = False,
+    ):
+        boxes = tuple(boxes)
+        names, edges = _checked_columns(
+            [gt.class_name for gt in boxes], [gt.box.as_tuple() for gt in boxes]
+        )
+        self._store(image_id, names, edges, width, height, dims_inferred)
+
+    @classmethod
+    def from_columns(
+        cls,
+        image_id: str,
+        class_names: Sequence[str],
+        edges,
+        width: float | None = None,
+        height: float | None = None,
+        dims_inferred: bool = False,
+    ) -> "ImageAnnotations":
+        """Build from columns (copied); every row is checked as its record would be."""
+        ann = cls.__new__(cls)
+        ann._store(image_id, *_checked_columns(class_names, edges), width, height, dims_inferred)
+        return ann
+
+    def _store(self, image_id, class_names, edges, width, height, dims_inferred) -> None:
+        if (width is None) != (height is None):
+            raise DatasetError(f"image {image_id!r}: width and height must be set together")
+        if width is not None:
+            if width <= 0 or height <= 0:
+                raise DatasetError(f"image {image_id!r}: non-positive dimensions")
+            outside = np.flatnonzero((edges[:, 2] > width) | (edges[:, 3] > height))
+            if outside.size:
+                i = int(outside[0])
+                raise DatasetError(
+                    f"image {image_id!r}: box {i + 1} {tuple(edges[i].tolist())} exceeds "
+                    f"image bounds {width}x{height}"
+                )
+        _set_fields(
+            self, image_id=image_id, class_names=class_names, edges=edges, width=width,
+            height=height, dims_inferred=dims_inferred,
+        )
+
+    def _with_dims(self, width: float, height: float, dims_inferred: bool) -> "ImageAnnotations":
+        ann = ImageAnnotations.__new__(ImageAnnotations)
+        ann._store(self.image_id, self.class_names, self.edges, width, height, dims_inferred)
+        return ann
+
+    def take(self, indices: Sequence[int]) -> "ImageAnnotations":
+        """The boxes at ``indices``, in that order, with this image's id and dimensions."""
+        ann = ImageAnnotations.__new__(ImageAnnotations)
+        names = tuple(self.class_names[i] for i in indices)
+        edges = _read_only(self.edges[np.asarray(indices, dtype=np.intp)])
+        ann._store(self.image_id, names, edges, self.width, self.height, self.dims_inferred)
+        return ann
+
+    @property
+    def boxes(self) -> tuple[GroundTruthBox, ...]:
+        return tuple(
+            GroundTruthBox(name, BoundingBox(*row))
+            for name, row in zip(self.class_names, self.edges.tolist())
+        )
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.class_names)
+
+    def __eq__(self, other):
+        if not isinstance(other, ImageAnnotations):
+            return NotImplemented
+        return (
+            (self.image_id, self.class_names, self.width, self.height, self.dims_inferred)
+            == (other.image_id, other.class_names, other.width, other.height, other.dims_inferred)
+            and np.array_equal(self.edges, other.edges)
+        )
+
+    def __hash__(self):
+        return hash((self.image_id, self.class_names, self.width, self.height))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ImageDetections:
-    """All detections reported for one image, in file order."""
+    """All detections reported for one image, in file order.
+
+    Columns as in ``ImageAnnotations``, plus ``confidences``, a read-only
+    ``(n,)`` float64 array. ``detections`` builds the per-detection records
+    on each access.
+    """
 
     image_id: str
-    detections: tuple[Detection, ...]
+    class_names: tuple[str, ...]
+    edges: np.ndarray
+    confidences: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "detections", tuple(self.detections))
+    def __init__(self, image_id: str, detections: Sequence[Detection] = ()):
+        detections = tuple(detections)
+        names, edges, confidences = _checked_columns(
+            [d.class_name for d in detections],
+            [d.box.as_tuple() for d in detections],
+            [d.confidence for d in detections],
+        )
+        _set_fields(
+            self, image_id=image_id, class_names=names, edges=edges, confidences=confidences
+        )
+
+    @classmethod
+    def from_columns(
+        cls, image_id: str, class_names: Sequence[str], edges, confidences
+    ) -> "ImageDetections":
+        """Build from columns (copied); every row is checked as its record would be."""
+        names, edges, confidences = _checked_columns(class_names, edges, confidences)
+        dets = cls.__new__(cls)
+        _set_fields(dets, image_id=image_id, class_names=names, edges=edges, confidences=confidences)
+        return dets
+
+    def take(self, indices: Sequence[int]) -> "ImageDetections":
+        """The detections at ``indices``, in that order, with this image's id."""
+        rows = np.asarray(indices, dtype=np.intp)
+        dets = ImageDetections.__new__(ImageDetections)
+        _set_fields(
+            dets,
+            image_id=self.image_id,
+            class_names=tuple(self.class_names[i] for i in indices),
+            edges=_read_only(self.edges[rows]),
+            confidences=_read_only(self.confidences[rows]),
+        )
+        return dets
+
+    @property
+    def detections(self) -> tuple[Detection, ...]:
+        return tuple(
+            Detection(name, confidence, BoundingBox(*row))
+            for name, confidence, row in zip(
+                self.class_names, self.confidences.tolist(), self.edges.tolist()
+            )
+        )
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.class_names)
+
+    def __eq__(self, other):
+        if not isinstance(other, ImageDetections):
+            return NotImplemented
+        return (
+            (self.image_id, self.class_names) == (other.image_id, other.class_names)
+            and np.array_equal(self.edges, other.edges)
+            and np.array_equal(self.confidences, other.confidences)
+        )
+
+    def __hash__(self):
+        return hash((self.image_id, self.class_names))
 
 
 @dataclass(frozen=True)
@@ -194,20 +395,49 @@ def _parse_number(token: str, what: str, line: int) -> float:
     return value
 
 
-def _parse_box(tokens: list[str], line: int) -> BoundingBox:
-    names = ("left", "top", "right", "bottom")
-    coords = [_parse_number(tok, name, line) for tok, name in zip(tokens, names)]
-    try:
-        return BoundingBox(*coords)
-    except ValueError as exc:
-        raise ParseError(str(exc), line) from None
+def _first_bad_line(text_content: str, value_names: tuple[str, ...]) -> ParseError | None:
+    """The error of the first malformed line, or None when every line is well formed.
+
+    A line's checks run in this order: field count, each number in field
+    order, the box's sign and extent, then the confidence range.
+    """
+    n_fields = 1 + len(value_names)
+    for number, raw in enumerate(text_content.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) != n_fields:
+            return ParseError(f"expected {n_fields} fields, found {len(tokens)}", number)
+        try:
+            values = [_parse_number(tok, what, number) for tok, what in zip(tokens[1:], value_names)]
+        except ParseError as exc:
+            return exc
+        problem = _box_problem(*values[-4:])
+        if problem is None and len(values) == 5:
+            problem = _confidence_problem(values[0])
+        if problem:
+            return ParseError(problem, number)
+    return None
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            yield number, line
+def _parse_columns(text_content: str, value_names: tuple[str, ...], build):
+    """Split every non-blank line into a class name and a row of numbers, then ``build``.
+
+    ``build(class_names, values)`` receives an ``(n, len(value_names))``
+    array and validates it; any failure is reported as the ParseError of the
+    first malformed line.
+    """
+    rows = [tokens for tokens in map(str.split, text_content.splitlines()) if tokens]
+    width = len(value_names)
+    failure = None
+    if all(len(tokens) == width + 1 for tokens in rows):
+        try:
+            numbers = map(float, chain.from_iterable(tokens[1:] for tokens in rows))
+            values = np.fromiter(numbers, dtype=np.float64, count=width * len(rows))
+            return build(tuple(tokens[0] for tokens in rows), values.reshape(len(rows), width))
+        except ValueError as exc:
+            failure = exc
+    raise _first_bad_line(text_content, value_names) or failure
 
 
 def parse_ground_truth(text_content: str, image_id: str) -> ImageAnnotations:
@@ -217,33 +447,22 @@ def parse_ground_truth(text_content: str, image_id: str) -> ImageAnnotations:
     ``<class> <left> <top> <right> <bottom>``. Raises ParseError with the
     offending line number on any malformed line.
     """
-    boxes = []
-    for number, line in _content_lines(text_content):
-        tokens = line.split()
-        if len(tokens) != 5:
-            raise ParseError(f"expected 5 fields, found {len(tokens)}", number)
-        box = _parse_box(tokens[1:], number)
-        try:
-            boxes.append(GroundTruthBox(class_name=tokens[0], box=box))
-        except ValueError as exc:
-            raise ParseError(str(exc), number) from None
-    return ImageAnnotations(image_id=image_id, boxes=tuple(boxes))
+    return _parse_columns(
+        text_content,
+        EDGE_NAMES,
+        lambda names, values: ImageAnnotations.from_columns(image_id, names, values),
+    )
 
 
 def parse_predictions(text_content: str, image_id: str) -> ImageDetections:
     """Parse prediction text: ``<class> <confidence> <left> <top> <right> <bottom>``."""
-    detections = []
-    for number, line in _content_lines(text_content):
-        tokens = line.split()
-        if len(tokens) != 6:
-            raise ParseError(f"expected 6 fields, found {len(tokens)}", number)
-        confidence = _parse_number(tokens[1], "confidence", number)
-        box = _parse_box(tokens[2:], number)
-        try:
-            detections.append(Detection(class_name=tokens[0], confidence=confidence, box=box))
-        except ValueError as exc:
-            raise ParseError(str(exc), number) from None
-    return ImageDetections(image_id=image_id, detections=tuple(detections))
+    return _parse_columns(
+        text_content,
+        ("confidence", *EDGE_NAMES),
+        lambda names, values: ImageDetections.from_columns(
+            image_id, names, values[:, 1:], values[:, 0]
+        ),
+    )
 
 
 def format_coordinate(value: float) -> str:
@@ -254,20 +473,20 @@ def format_coordinate(value: float) -> str:
 
 def format_ground_truth(annotations: ImageAnnotations) -> str:
     """Serialize back to the ground-truth text format (round-trips exactly)."""
-    lines = []
-    for gt in annotations.boxes:
-        coords = " ".join(format_coordinate(c) for c in gt.box.as_tuple())
-        lines.append(f"{gt.class_name} {coords}\n")
-    return "".join(lines)
+    return "".join(
+        f"{name} {' '.join(map(format_coordinate, row))}\n"
+        for name, row in zip(annotations.class_names, annotations.edges.tolist())
+    )
 
 
 def format_predictions(detections: ImageDetections) -> str:
     """Serialize back to the prediction text format (round-trips exactly)."""
-    lines = []
-    for det in detections.detections:
-        coords = " ".join(format_coordinate(c) for c in det.box.as_tuple())
-        lines.append(f"{det.class_name} {format_coordinate(det.confidence)} {coords}\n")
-    return "".join(lines)
+    return "".join(
+        f"{name} {format_coordinate(confidence)} {' '.join(map(format_coordinate, row))}\n"
+        for name, confidence, row in zip(
+            detections.class_names, detections.confidences.tolist(), detections.edges.tolist()
+        )
+    )
 
 
 def load_manifest(path: str | Path) -> dict[str, tuple[float, float]]:
@@ -297,12 +516,10 @@ def load_manifest(path: str | Path) -> dict[str, tuple[float, float]]:
     return dims
 
 
-def _inferred_dims(boxes: tuple[GroundTruthBox, ...]) -> tuple[float, float] | None:
-    if not boxes:
+def _inferred_dims(edges: np.ndarray) -> tuple[float, float] | None:
+    if len(edges) == 0:
         return None
-    width = math.ceil(max(gt.box.right for gt in boxes))
-    height = math.ceil(max(gt.box.bottom for gt in boxes))
-    return (float(width), float(height))
+    return (float(math.ceil(edges[:, 2].max())), float(math.ceil(edges[:, 3].max())))
 
 
 def _txt_files(directory: str | Path, what: str) -> list[Path]:
@@ -333,26 +550,15 @@ def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> D
     files = _txt_files(directory, "annotation")
     dims = load_manifest(manifest) if manifest is not None else {}
     images = []
-    seen = set()
     for file in files:
-        image_id = file.stem
-        seen.add(image_id)
         parsed = _parse_file(file, parse_ground_truth)
-        if image_id in dims:
-            width, height = dims[image_id]
-            images.append(
-                ImageAnnotations(image_id, parsed.boxes, width, height, dims_inferred=False)
-            )
+        if parsed.image_id in dims:
+            images.append(parsed._with_dims(*dims[parsed.image_id], dims_inferred=False))
         else:
-            inferred = _inferred_dims(parsed.boxes)
-            if inferred is None:
-                images.append(parsed)
-            else:
-                images.append(
-                    ImageAnnotations(image_id, parsed.boxes, *inferred, dims_inferred=True)
-                )
+            inferred = _inferred_dims(parsed.edges)
+            images.append(parsed if inferred is None else parsed._with_dims(*inferred, True))
 
-    missing = sorted(set(dims) - seen)
+    missing = sorted(set(dims).difference(ann.image_id for ann in images))
     if missing:
         raise DatasetError(f"manifest references missing images: {', '.join(missing)}")
     return Dataset.from_images(images)

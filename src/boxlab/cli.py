@@ -534,12 +534,13 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _overlay_rows(ann, detections, matches):
+def _overlay_rows(ann, pred, matches):
     """Per-image overlay rows: every gt box and detection with its verdict.
 
-    ``matches`` holds this image's MatchResult for each corpus class. A
-    detection whose class has no ground truth in the image stays ``ignored``
-    here, although AP ranks it as a false positive.
+    ``pred`` is the image's ImageDetections, or None without a prediction
+    file. ``matches`` holds this image's MatchResult for each corpus class.
+    A detection whose class has no ground truth in the image stays
+    ``ignored`` here, although AP ranks it as a false positive.
     """
     gt_partner: dict[int, int] = {}
     det_state: dict[int, tuple[str, int | None]] = {}
@@ -553,18 +554,24 @@ def _overlay_rows(ann, detections, matches):
             else:
                 det_state[verdict.det_index] = ("fp", None)
     rows = []
-    for i, b in enumerate(ann.boxes):
+    for i, (name, (left, top, right, bottom)) in enumerate(
+        zip(ann.class_names, ann.edges.tolist())
+    ):
         partner = gt_partner.get(i)
         rows.append(
-            ("gt", b.class_name, "", b.box.left, b.box.top, b.box.right, b.box.bottom,
+            ("gt", name, "", left, top, right, bottom,
              "matched" if partner is not None else "missed",
              "" if partner is None else partner)
         )
-    for i, d in enumerate(detections):
+    if pred is None:
+        return rows
+    for i, (name, confidence, (left, top, right, bottom)) in enumerate(
+        zip(pred.class_names, pred.confidences.tolist(), pred.edges.tolist())
+    ):
         verdict, partner = det_state.get(i, ("ignored", None))
         rows.append(
-            ("pred", d.class_name, d.confidence, d.box.left, d.box.top, d.box.right,
-             d.box.bottom, verdict, "" if partner is None else partner)
+            ("pred", name, confidence, left, top, right, bottom, verdict,
+             "" if partner is None else partner)
         )
     return rows
 
@@ -637,12 +644,11 @@ def cmd_eval(args) -> int:
     overlay_dir = out / "overlays"
     per_image = zip(*report.matches_per_class.values())
     for ann, matches in zip(gt, per_image):
-        pred = predictions.get(ann.image_id)
         write_csv(
             overlay_dir / f"{ann.image_id}.csv",
             ("kind", "class", "confidence", "left", "top", "right", "bottom", "verdict",
              "partner_index"),
-            _overlay_rows(ann, () if pred is None else pred.detections, matches),
+            _overlay_rows(ann, predictions.get(ann.image_id), matches),
         )
 
     manifest = build_run_manifest(

@@ -69,8 +69,10 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
         raise StatsError("dataset is empty")
     per_image = []
     for ann in dataset:
-        total_area = sum(gt.box.area for gt in ann.boxes)
-        if ann.boxes and ann.width is None:
+        edges = ann.edges
+        # A left-to-right Python sum, not ndarray.sum, keeps per_image.csv's last digits.
+        total_area = sum(((edges[:, 2] - edges[:, 0]) * (edges[:, 3] - edges[:, 1])).tolist())
+        if len(ann) and ann.width is None:
             raise StatsError(f"image {ann.image_id!r} has boxes but no dimensions")
         if ann.width is None:
             coverage = 0.0
@@ -79,7 +81,7 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
         per_image.append(
             ImageStats(
                 image_id=ann.image_id,
-                head_count=len(ann.boxes),
+                head_count=len(ann),
                 total_box_area=float(total_area),
                 coverage_fraction=float(coverage),
                 dims_inferred=ann.dims_inferred,
@@ -99,8 +101,8 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
 
 def extract_dims(dataset: Dataset) -> np.ndarray:
     """(n, 2) float array of ground-truth box (width, height), in corpus order."""
-    pairs = ((gt.box.width, gt.box.height) for ann in dataset for gt in ann.boxes)
-    return np.fromiter(pairs, dtype=(float, 2))
+    edges = np.concatenate([np.empty((0, 4)), *(ann.edges for ann in dataset)])
+    return np.column_stack((edges[:, 2] - edges[:, 0], edges[:, 3] - edges[:, 1]))
 
 
 def flag_outliers(

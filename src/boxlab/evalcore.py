@@ -146,18 +146,15 @@ def match_detections(
         raise EvalError(f"image id mismatch: {gt.image_id!r} vs {pred.image_id!r}")
     if not 0.0 < iou_threshold <= 1.0:
         raise EvalError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    n_gt = len(gt.boxes)
-    n_det = len(pred.detections)
+    n_gt = len(gt)
     verdicts = []
-    if n_det:
-        order = sorted(range(n_det), key=lambda i: (-pred.detections[i].confidence, i))
+    if len(pred):
+        confidences = pred.confidences.tolist()
+        order = np.argsort(-pred.confidences, kind="stable").tolist()
         if n_gt:
-            det_edges = np.array([d.box.as_tuple() for d in pred.detections], dtype=float)
-            gt_edges = np.array([g.box.as_tuple() for g in gt.boxes], dtype=float)
-            matrix = iou_matrix(det_edges, gt_edges)
+            matrix = iou_matrix(pred.edges, gt.edges)
             matched = np.zeros(n_gt, dtype=bool)
         for i in order:
-            detection = pred.detections[i]
             best = -1.0
             if n_gt:
                 available = np.where(matched, -1.0, matrix[i])
@@ -165,11 +162,9 @@ def match_detections(
                 best = float(available[j])
             if best >= iou_threshold:
                 matched[j] = True
-                verdicts.append(DetectionVerdict(i, detection.confidence, True, j, best))
+                verdicts.append(DetectionVerdict(i, confidences[i], True, j, best))
             else:
-                verdicts.append(
-                    DetectionVerdict(i, detection.confidence, False, None, max(best, 0.0))
-                )
+                verdicts.append(DetectionVerdict(i, confidences[i], False, None, max(best, 0.0)))
     return MatchResult(image_id=gt.image_id, verdicts=tuple(verdicts), gt_count=n_gt)
 
 
@@ -265,10 +260,10 @@ def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]
     return by_id
 
 
-def _indices_by_class(items) -> dict[str, list[int]]:
+def _indices_by_class(class_names) -> dict[str, list[int]]:
     groups: dict[str, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(item.class_name, []).append(i)
+    for i, name in enumerate(class_names):
+        groups.setdefault(name, []).append(i)
     return groups
 
 
@@ -278,11 +273,7 @@ def _match_class(ann, pred, gt_index, det_index, iou_threshold: float) -> MatchR
     Subsets keep file order, so the index map is monotone and the AP ranking
     by (confidence, image id, detection index) is the same before and after.
     """
-    boxes = tuple(ann.boxes[i] for i in gt_index)
-    dets = tuple(pred.detections[i] for i in det_index)
-    result = match_detections(
-        ImageAnnotations(ann.image_id, boxes), ImageDetections(ann.image_id, dets), iou_threshold
-    )
+    result = match_detections(ann.take(gt_index), pred.take(det_index), iou_threshold)
     verdicts = [
         DetectionVerdict(
             det_index[v.det_index], v.confidence, v.is_tp,
@@ -297,16 +288,16 @@ def _ap_report(
     gt: Dataset, predictions: Mapping[str, ImageDetections], iou_threshold: float
 ) -> EvalReport:
     """Per-class matching and AP over predictions from ``_checked_predictions``."""
-    classes = sorted({b.class_name for ann in gt for b in ann.boxes})
+    classes = sorted(set().union(*(ann.class_names for ann in gt)))
     if not classes:
         raise EvalError("ground truth contains no boxes")
     matches: dict[str, list[MatchResult]] = {name: [] for name in classes}
     for ann in gt:
-        pred = predictions.get(ann.image_id, ImageDetections(ann.image_id, ()))
-        gt_groups = _indices_by_class(ann.boxes)
-        det_groups = _indices_by_class(pred.detections)
+        pred = predictions.get(ann.image_id, ImageDetections(ann.image_id))
+        gt_groups = _indices_by_class(ann.class_names)
+        det_groups = _indices_by_class(pred.class_names)
         for name, results in matches.items():
-            gt_index, det_index = gt_groups.get(name, ()), det_groups.get(name, ())
+            gt_index, det_index = gt_groups.get(name, []), det_groups.get(name, [])
             results.append(_match_class(ann, pred, gt_index, det_index, iou_threshold))
     pr_per_class = {
         name: average_precision(results, sum(m.gt_count for m in results))
@@ -348,8 +339,8 @@ def _count_pairs(
         pred = predictions.get(ann.image_id)
         predicted = 0
         if pred is not None:
-            predicted = sum(1 for d in pred.detections if d.confidence >= confidence_threshold)
-        pairs.append((ann.image_id, len(ann.boxes), predicted))
+            predicted = int(np.count_nonzero(pred.confidences >= confidence_threshold))
+        pairs.append((ann.image_id, len(ann), predicted))
     return tuple(pairs)
 
 
@@ -385,7 +376,10 @@ def count_regression(
     """Per-image (true, predicted) counts and their R².
 
     The predicted count is the number of detections at or above the
-    confidence threshold; an image without predictions counts zero.
+    confidence threshold, whatever their class; an image without
+    predictions counts zero. Detections of a class that has no ground
+    truth anywhere in the corpus are counted here, although
+    ``mean_average_precision`` drops them.
     """
     predictions = _checked_predictions(gt, predictions)
     pairs = _count_pairs(gt, predictions, confidence_threshold)
@@ -400,6 +394,11 @@ def evaluate(
     r2_mode: str = "pearson",
 ) -> EvalReport:
     """Full report: mAP plus count regression in one pass.
+
+    The two halves see different detections: mAP covers only the classes
+    present in the ground truth, while the predicted count behind R² takes
+    every detection at or above ``confidence_threshold``, including those
+    of classes with no ground truth anywhere (see ``count_regression``).
 
     On corpora where the count regression is undefined (a single image, or
     constant true counts) ``r_squared`` is None rather than an error, so the

@@ -10,9 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .reports import fmt_num as fmt
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content.
+
+    The same result as ``xml.sax.saxutils.escape``, without importing it:
+    that module pulls in ``urllib.request`` and the ``http``/``email``
+    packages, which every CLI process would pay for at start-up.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 WIDTH = 640
 HEIGHT = 480

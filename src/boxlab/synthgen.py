@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import (
-    BoundingBox,
-    Dataset,
-    Detection,
-    GroundTruthBox,
-    ImageAnnotations,
-    ImageDetections,
-)
+from .annotations import Dataset, ImageAnnotations, ImageDetections
 
 
 class SynthError(ValueError):
@@ -119,17 +112,13 @@ def generate_dataset(config: SynthConfig) -> Dataset:
         tops = rng.uniform(0.0, config.image_height - heights)
         rights = np.minimum(lefts + widths, config.image_width)
         bottoms = np.minimum(tops + heights, config.image_height)
-        boxes = tuple(
-            GroundTruthBox(config.class_name, BoundingBox(l, t, r, b))
-            for l, t, r, b in zip(lefts, tops, rights, bottoms)
-        )
         images.append(
-            ImageAnnotations(
-                image_id=f"img_{index:04d}",
-                boxes=boxes,
+            ImageAnnotations.from_columns(
+                f"img_{index:04d}",
+                (config.class_name,) * count,
+                np.column_stack((lefts, tops, rights, bottoms)),
                 width=config.image_width,
                 height=config.image_height,
-                dims_inferred=False,
             )
         )
     return Dataset.from_images(images)
@@ -138,23 +127,19 @@ def generate_dataset(config: SynthConfig) -> Dataset:
 def _frame(ann: ImageAnnotations) -> tuple[float, float] | None:
     if ann.width is not None:
         return (ann.width, ann.height)
-    if ann.boxes:
-        return (
-            max(gt.box.right for gt in ann.boxes),
-            max(gt.box.bottom for gt in ann.boxes),
-        )
+    if len(ann):
+        return (float(ann.edges[:, 2].max()), float(ann.edges[:, 3].max()))
     return None
 
 
-def _jittered(box: BoundingBox, offsets: np.ndarray, frame: tuple[float, float]) -> BoundingBox:
-    left = box.left + float(offsets[0])
-    top = box.top + float(offsets[1])
-    right = box.right + float(offsets[2])
-    bottom = box.bottom + float(offsets[3])
+def _jittered(
+    edges: list[float], offsets: np.ndarray, frame: tuple[float, float]
+) -> list[float]:
+    left, top, right, bottom = (e + float(o) for e, o in zip(edges, offsets))
     width, height = frame
     left, right = _valid_span(left, right, width)
     top, bottom = _valid_span(top, bottom, height)
-    return BoundingBox(left, top, right, bottom)
+    return [left, top, right, bottom]
 
 
 def _valid_span(low: float, high: float, limit: float) -> tuple[float, float]:
@@ -178,44 +163,41 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
     uniformly inside the image. Survivors come first, in ground-truth
     order, then the false positives.
     """
-    corpus_dims = [
-        (gt_box.class_name, gt_box.box.width, gt_box.box.height)
-        for ann in gt
-        for gt_box in ann.boxes
-    ]
+    corpus_names = [name for ann in gt for name in ann.class_names]
+    corpus_edges = np.concatenate([np.empty((0, 4)), *(ann.edges for ann in gt)])
+    corpus_widths = (corpus_edges[:, 2] - corpus_edges[:, 0]).tolist()
+    corpus_heights = (corpus_edges[:, 3] - corpus_edges[:, 1]).tolist()
     tp_low, tp_high = noise.tp_confidence
     fp_low, fp_high = noise.fp_confidence
     predictions: dict[str, ImageDetections] = {}
     for index, ann in enumerate(gt):
         rng = np.random.default_rng([noise.seed, index])
         frame = _frame(ann)
-        detections = []
-        survival = rng.random(len(ann.boxes))
-        for gt_box, draw in zip(ann.boxes, survival):
+        names, rows, confidences = [], [], []
+        survival = rng.random(len(ann))
+        for name, row, draw in zip(ann.class_names, ann.edges.tolist(), survival):
             offsets = rng.normal(0.0, noise.jitter_sd, 4)
             confidence = float(rng.uniform(tp_low, tp_high))
             if draw < noise.miss_rate:
                 continue
-            box = gt_box.box
             if np.any(offsets != 0.0):
-                box = _jittered(box, offsets, frame)
-            detections.append(Detection(gt_box.class_name, confidence, box))
+                row = _jittered(row, offsets, frame)
+            names.append(name)
+            rows.append(row)
+            confidences.append(confidence)
         spurious = int(rng.poisson(noise.false_positive_rate))
         for _ in range(spurious):
-            if not corpus_dims or frame is None:
+            if not corpus_names or frame is None:
                 break
-            class_name, width, height = corpus_dims[int(rng.integers(len(corpus_dims)))]
-            width = min(width, frame[0])
-            height = min(height, frame[1])
+            source = int(rng.integers(len(corpus_names)))
+            width = min(corpus_widths[source], frame[0])
+            height = min(corpus_heights[source], frame[1])
             left = float(rng.uniform(0.0, frame[0] - width))
             top = float(rng.uniform(0.0, frame[1] - height))
-            confidence = float(rng.uniform(fp_low, fp_high))
-            detections.append(
-                Detection(
-                    class_name,
-                    confidence,
-                    BoundingBox(left, top, left + width, top + height),
-                )
-            )
-        predictions[ann.image_id] = ImageDetections(ann.image_id, tuple(detections))
+            names.append(corpus_names[source])
+            rows.append([left, top, left + width, top + height])
+            confidences.append(float(rng.uniform(fp_low, fp_high)))
+        predictions[ann.image_id] = ImageDetections.from_columns(
+            ann.image_id, names, rows, confidences
+        )
     return predictions

@@ -2,10 +2,13 @@
 
 Everything here trades speed for obviousness: IoU by literally counting
 pixels on a grid, AP by scanning every confidence cutoff, correlation via
-numpy's own corrcoef. None of it shares code with the package.
+numpy's own corrcoef, annotation files one line and one check at a time.
+None of it shares code with the package.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -83,3 +86,69 @@ def bin_residual_variances(widths, heights, slope, intercept, bins):
     return [
         float(residuals[index == b].var()) if np.any(index == b) else None for b in range(bins)
     ]
+
+
+class ReferenceParseError(ValueError):
+    """The first malformed line of a file: its 1-based number and the reason."""
+
+    def __init__(self, reason: str, line: int):
+        super().__init__(f"line {line}: {reason}")
+        self.reason = reason
+        self.line = line
+
+
+def _reference_number(token: str, what: str, line: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ReferenceParseError(f"non-numeric {what}: {token!r}", line) from None
+    if not math.isfinite(value):
+        raise ReferenceParseError(f"non-finite {what}: {token!r}", line)
+    return value
+
+
+def _reference_box(tokens: list[str], line: int) -> tuple[float, float, float, float]:
+    names = ("left", "top", "right", "bottom")
+    left, top, right, bottom = (
+        _reference_number(tok, name, line) for tok, name in zip(tokens, names)
+    )
+    if left < 0 or top < 0:
+        raise ReferenceParseError(
+            f"negative coordinate in box {(left, top, right, bottom)}", line
+        )
+    if right <= left:
+        raise ReferenceParseError(f"zero-width box: right {right} <= left {left}", line)
+    if bottom <= top:
+        raise ReferenceParseError(f"zero-height box: bottom {bottom} <= top {top}", line)
+    return (left, top, right, bottom)
+
+
+def _reference_lines(text: str):
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line:
+            yield number, line.split()
+
+
+def reference_parse_ground_truth(text: str) -> list[tuple[str, float, float, float, float]]:
+    """(class, left, top, right, bottom) per non-blank line, checked line by line."""
+    rows = []
+    for number, tokens in _reference_lines(text):
+        if len(tokens) != 5:
+            raise ReferenceParseError(f"expected 5 fields, found {len(tokens)}", number)
+        rows.append((tokens[0], *_reference_box(tokens[1:], number)))
+    return rows
+
+
+def reference_parse_predictions(text: str) -> list[tuple[str, float, float, float, float, float]]:
+    """(class, confidence, left, top, right, bottom) per non-blank line, checked line by line."""
+    rows = []
+    for number, tokens in _reference_lines(text):
+        if len(tokens) != 6:
+            raise ReferenceParseError(f"expected 6 fields, found {len(tokens)}", number)
+        confidence = _reference_number(tokens[1], "confidence", number)
+        box = _reference_box(tokens[2:], number)
+        if not 0.0 <= confidence <= 1.0:
+            raise ReferenceParseError(f"confidence out of range [0, 1]: {confidence!r}", number)
+        rows.append((tokens[0], confidence, *box))
+    return rows

@@ -1,7 +1,8 @@
 import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from boxlab.annotations import (
     BoundingBox,
@@ -23,6 +24,11 @@ from boxlab.annotations import (
     save_predictions,
 )
 from conftest import write_corpus
+from oracles import (
+    ReferenceParseError,
+    reference_parse_ground_truth,
+    reference_parse_predictions,
+)
 
 
 class TestBoundingBox:
@@ -333,3 +339,235 @@ class TestImmutability:
         box = BoundingBox(0, 0, 1, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             box.left = 5
+
+
+class TestColumns:
+    def test_parsed_columns(self):
+        ann = parse_ground_truth("a 0 0 1 2\nb 1.5 1 4 3\n", "img")
+        assert ann.class_names == ("a", "b")
+        assert ann.edges.dtype == np.float64
+        assert ann.edges.tolist() == [[0.0, 0.0, 1.0, 2.0], [1.5, 1.0, 4.0, 3.0]]
+        dets = parse_predictions("a 0.25 0 0 1 2\n", "img")
+        assert dets.confidences.tolist() == [0.25]
+        assert dets.edges.shape == (1, 4)
+
+    def test_empty_columns_keep_their_shape(self):
+        assert parse_ground_truth("", "img").edges.shape == (0, 4)
+        dets = parse_predictions("\n\n", "img")
+        assert dets.edges.shape == (0, 4) and dets.confidences.shape == (0,)
+
+    def test_columns_are_read_only(self):
+        ann = parse_ground_truth("a 0 0 1 1", "img")
+        with pytest.raises(ValueError):
+            ann.edges[0, 0] = 5.0
+        dets = parse_predictions("a 0.5 0 0 1 1", "img")
+        with pytest.raises(ValueError):
+            dets.confidences[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ann.edges = np.zeros((1, 4))
+
+    def test_from_columns_copies_its_input(self):
+        edges = np.array([[0.0, 0.0, 1.0, 1.0]])
+        ann = ImageAnnotations.from_columns("img", ["a"], edges)
+        edges[0, 0] = 0.5
+        assert ann.edges[0, 0] == 0.0
+
+    def test_records_and_columns_agree(self):
+        records = (
+            GroundTruthBox("a", BoundingBox(0, 0, 1, 2)),
+            GroundTruthBox("b", BoundingBox(0.5, 1, 3, 4)),
+        )
+        ann = ImageAnnotations("img", records, width=10, height=10)
+        same = ImageAnnotations.from_columns(
+            "img", ["a", "b"], [[0, 0, 1, 2], [0.5, 1, 3, 4]], width=10, height=10
+        )
+        assert ann == same and ann.boxes == records
+        dets = ImageDetections("img", (Detection("a", 0.5, BoundingBox(0, 0, 1, 2)),))
+        assert dets == ImageDetections.from_columns("img", ["a"], [[0, 0, 1, 2]], [0.5])
+        assert dets != ImageDetections.from_columns("img", ["a"], [[0, 0, 1, 2]], [0.75])
+
+    @pytest.mark.parametrize(
+        "names, edges, message",
+        [
+            (["a"], [[0, 0, 0, 1]], "box 1: zero-width box"),
+            (["a", "b"], [[0, 0, 1, 1], [-1, 0, 1, 1]], "box 2: negative coordinate"),
+            (["a"], [[0, 0, np.nan, 1]], "box 1: right is not a finite number"),
+            (["a b"], [[0, 0, 1, 1]], "box 1: class name contains whitespace"),
+            ([""], [[0, 0, 1, 1]], "box 1: empty class name"),
+            (["a"], [[0, 0, 1]], "edges must have shape (1, 4)"),
+            (["a", "b"], [[0, 0, 1, 1]], "edges must have shape (2, 4)"),
+        ],
+    )
+    def test_from_columns_checks_every_row(self, names, edges, message):
+        with pytest.raises(ValueError) as excinfo:
+            ImageAnnotations.from_columns("img", names, edges)
+        assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "confidences, message",
+        [([1.5], "box 1: confidence out of range"), ([0.5, 0.5], "confidences must have shape")],
+    )
+    def test_detection_columns_check_confidences(self, confidences, message):
+        with pytest.raises(ValueError) as excinfo:
+            ImageDetections.from_columns("img", ["a"], [[0, 0, 1, 1]], confidences)
+        assert message in str(excinfo.value)
+
+    def test_from_columns_checks_image_bounds(self):
+        with pytest.raises(DatasetError) as excinfo:
+            ImageAnnotations.from_columns("img", ["a"], [[0, 0, 500, 10]], 400, 400)
+        assert "box 1 (0.0, 0.0, 500.0, 10.0) exceeds image bounds 400x400" in str(excinfo.value)
+
+    def test_take_selects_rows_in_order(self):
+        ann = parse_ground_truth("a 0 0 1 1\nb 1 1 2 2\na 2 2 3 3\n", "img")
+        subset = ann.take([2, 0])
+        assert subset.class_names == ("a", "a")
+        assert subset.edges.tolist() == [[2.0, 2.0, 3.0, 3.0], [0.0, 0.0, 1.0, 1.0]]
+        assert ann.take([]).edges.shape == (0, 4)
+        dets = parse_predictions("a 0.1 0 0 1 1\nb 0.9 1 1 2 2\n", "img")
+        assert dets.take([1]) == parse_predictions("b 0.9 1 1 2 2", "img")
+
+
+def _outcome(parse, text):
+    try:
+        parsed = parse(text, "img")
+    except ParseError as exc:
+        return ("error", exc.line, exc.reason)
+    values = parsed.edges.tolist()
+    if isinstance(parsed, ImageDetections):
+        values = [[c, *row] for c, row in zip(parsed.confidences.tolist(), values)]
+    return ("ok", [[name, *row] for name, row in zip(parsed.class_names, values)])
+
+
+def _reference_outcome(parse, text):
+    try:
+        rows = parse(text)
+    except ReferenceParseError as exc:
+        return ("error", exc.line, exc.reason)
+    return ("ok", [list(row) for row in rows])
+
+
+ODD_NUMBERS = [
+    "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1E3",
+    "2.5e+1", "+5", "-0.0", "-0", "1_0", "0x10", "1e", ".5", "5.", "three", "١٢", "½",
+]
+# Characters that str.split or str.splitlines treat specially, plus a BOM.
+ODD_CHARS = ["\ufeff", "\u00a0", "\u2009", "\u3000", "\x85", "\u2028", "\x0b", "\x1c", "é"]
+
+
+@st.composite
+def number_tokens(draw):
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.sampled_from(ODD_NUMBERS))
+    value = draw(st.floats(min_value=-5, max_value=2000, allow_nan=False))
+    return draw(st.sampled_from([repr(value), f"{value:e}", f"{value:.0f}", f"{value:.2E}"]))
+
+
+@st.composite
+def box_tokens(draw):
+    """Four edge tokens, usually a valid box, sometimes anything."""
+    if draw(st.integers(0, 5)) == 0:
+        return [draw(number_tokens()) for _ in range(4)]
+    left = draw(st.floats(min_value=0, max_value=1000, allow_nan=False))
+    top = draw(st.floats(min_value=0, max_value=1000, allow_nan=False))
+    right = left + draw(st.floats(min_value=0.5, max_value=200, allow_nan=False))
+    bottom = top + draw(st.floats(min_value=0.5, max_value=200, allow_nan=False))
+    return [draw(st.sampled_from([repr(v), f"{v:e}"])) for v in (left, top, right, bottom)]
+
+
+@st.composite
+def annotation_texts(draw, with_confidence):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\u3000"])))
+            continue
+        name = draw(st.text(st.sampled_from("head_7"), min_size=1, max_size=6))
+        if draw(st.integers(0, 4)) == 0:
+            at = draw(st.integers(0, len(name)))
+            name = name[:at] + draw(st.sampled_from(ODD_CHARS)) + name[at:]
+        tokens = [name]
+        if with_confidence:
+            confidence = draw(st.floats(min_value=-0.1, max_value=1.1, allow_nan=False))
+            tokens.append(draw(st.sampled_from([repr(confidence), f"{confidence:e}"])))
+            if draw(st.integers(0, 9)) == 0:
+                tokens[-1] = draw(number_tokens())
+        tokens += draw(box_tokens())
+        if draw(st.integers(0, 19)) == 0:
+            del tokens[-1]
+        elif draw(st.integers(0, 19)) == 0:
+            tokens.append("0")
+        separator = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        trailing = draw(st.sampled_from(["", " ", "\t", " \u00a0"]))
+        lines.append(separator.join(tokens) + trailing)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + draw(st.sampled_from(["", ending]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestAgainstReferenceParser:
+    """The column parsers give the per-line reference parser's rows, or its first error."""
+
+    @FUZZ
+    @given(annotation_texts(with_confidence=False))
+    def test_ground_truth(self, text):
+        assert _outcome(parse_ground_truth, text) == _reference_outcome(
+            reference_parse_ground_truth, text
+        )
+
+    @FUZZ
+    @given(annotation_texts(with_confidence=True))
+    def test_predictions(self, text):
+        assert _outcome(parse_predictions, text) == _reference_outcome(
+            reference_parse_predictions, text
+        )
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("c 5 5 5 9", 1, "zero-width box: right 5.0 <= left 5.0"),
+            ("c 0 0 1 1\nc 1 2 three 4", 2, "non-numeric right: 'three'"),
+            ("c 1 2 3", 1, "expected 5 fields, found 4"),
+            ("c 1 2 3 4 5", 1, "expected 5 fields, found 6"),
+            ("1 2 3 4", 1, "expected 5 fields, found 4"),
+            ("c 0 0 1 1\n\nc 5 5 9 5\nc 1 2 3\n", 3, "zero-height box: bottom 5.0 <= top 5.0"),
+            ("c -1 nan 1 1\nc 1 1", 1, "non-finite top: 'nan'"),
+            ("c 1e400 0 1 1", 1, "non-finite left: '1e400'"),
+            ("c -1 0 1 1", 1, "negative coordinate in box (-1.0, 0.0, 1.0, 1.0)"),
+        ],
+    )
+    def test_ground_truth_errors(self, text, line, reason):
+        assert _outcome(parse_ground_truth, text) == ("error", line, reason)
+        assert _reference_outcome(reference_parse_ground_truth, text) == ("error", line, reason)
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("c 1.5 0 0 1 1", 1, "confidence out of range [0, 1]: 1.5"),
+            ("c 0 0 1 1", 1, "expected 6 fields, found 5"),
+            ("c 0.5 0 0 1 1\nc 2 0 0 0 1\nc x 0 0 1 1", 2, "zero-width box: right 0.0 <= left 0.0"),
+            ("c x 0 0 0 1", 1, "non-numeric confidence: 'x'"),
+            ("c inf 0 0 1 1", 1, "non-finite confidence: 'inf'"),
+        ],
+    )
+    def test_prediction_errors(self, text, line, reason):
+        assert _outcome(parse_predictions, text) == ("error", line, reason)
+        assert _reference_outcome(reference_parse_predictions, text) == ("error", line, reason)
+
+    @settings(max_examples=40, deadline=None)
+    @given(annotation_texts(with_confidence=False))
+    def test_files_on_disk(self, tmp_path_factory, text):
+        directory = tmp_path_factory.mktemp("gt")
+        (directory / "img.txt").write_bytes(text.encode("utf-8"))
+        expected = _reference_outcome(reference_parse_ground_truth, text.removeprefix("\ufeff"))
+        try:
+            loaded = load_dataset(directory).images["img"]
+        except ParseError as exc:
+            assert ("error", exc.line, exc.reason) == expected
+            assert exc.source == str(directory / "img.txt")
+        else:
+            assert expected == ("ok", [[name, *row] for name, row in zip(
+                loaded.class_names, loaded.edges.tolist())])

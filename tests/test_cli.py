@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from boxlab import cli, evalcore
+from boxlab import annotations, cli, evalcore
 from conftest import DATA_DIR, run_cli, write_corpus
 
 GOLDEN_ANCHOR_FLAG = (
@@ -439,6 +439,44 @@ class TestEval:
         assert overlays["c"] == header + "pred,head,0.4,0,0,10,10,ignored,\n"
         # One matching pass: 3 images x 2 ground-truth classes.
         assert len(calls) == 6
+
+
+class TestNoPerBoxRecords:
+    """The commands read the corpus columns and never build a per-box record."""
+
+    def test_commands_run_with_record_construction_refused(self, tmp_path, monkeypatch):
+        def refuse(record):
+            raise AssertionError(f"{type(record).__name__} built on a command path")
+
+        for record in (annotations.BoundingBox, annotations.GroundTruthBox, annotations.Detection):
+            monkeypatch.setattr(record, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            annotations.BoundingBox(0, 0, 1, 1)
+
+        synth = tmp_path / "synth"
+        mixed_gt = write_corpus(
+            tmp_path / "mixed_gt",
+            {"a": "head 0 0 10 10\nleaf 20 20 30 30\nhead 40 40 50 50\n", "b": "leaf 1 1 5 5\n",
+             "c": ""},
+        )
+        (tmp_path / "manifest.csv").write_text("image_id,width,height\na,60,60\nb,8,8\n")
+        mixed_pred = write_corpus(
+            tmp_path / "mixed_pred",
+            {"a": "leaf 0.9 20 20 30 30\nstem 0.6 0 0 10 10\nhead 0.5 30 0 40 10\n",
+             "c": "head 0.4 0 0 10 10\n"},
+        )
+        runs = [
+            ["synth", "--images", "6", "--seed", "3", "--simulate", "--miss-rate", "0.2",
+             "--fp-rate", "2", "--jitter", "1", "--out", synth],
+            ["stats", synth / "gt", "--out", tmp_path / "stats"],
+            ["anchors", synth / "gt", "--compare", "--emit-darknet", "--out", tmp_path / "anchors"],
+            ["eval", synth / "gt", synth / "pred", "--out", tmp_path / "eval"],
+            ["stats", mixed_gt, "--manifest", tmp_path / "manifest.csv", "--out", tmp_path / "s2"],
+            ["eval", mixed_gt, mixed_pred, "--manifest", tmp_path / "manifest.csv",
+             "--out", tmp_path / "e2"],
+        ]
+        for argv in runs:
+            assert cli.main([str(arg) for arg in argv] + ["--quiet"]) == 0, argv
 
 
 class TestUnitIntervalFlags:

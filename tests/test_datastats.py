@@ -68,6 +68,18 @@ class TestComputeStats:
         assert by_id["empty"].total_box_area == 0.0
         assert stats.total_heads == 4
 
+    def test_box_areas_are_summed_in_file_order(self):
+        """The per-image area is the running sum over boxes in file order, bit for bit."""
+        rng = np.random.default_rng(0)
+        corners = rng.uniform(0, 50, (200, 2))
+        edges = np.column_stack([corners, corners + rng.uniform(0.5, 40, (200, 2))])
+        ann = ImageAnnotations.from_columns("a", ["h"] * 200, edges, width=100.0, height=100.0)
+        expected = 0.0
+        for gt in ann.boxes:
+            expected += gt.box.area
+        stats = compute_stats(Dataset.from_images([ann]))
+        assert stats.per_image[0].total_box_area == expected
+
     def test_boxes_without_dims_is_an_error(self):
         ann = ImageAnnotations("a", (GroundTruthBox("h", BoundingBox(0, 0, 1, 1)),))
         with pytest.raises(StatsError) as excinfo:

@@ -1,9 +1,14 @@
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import given, strategies as st
 
 from boxlab.reports import fmt_num
-from boxlab.svgplot import Series, histogram_svg, line_svg, scatter_svg
+from boxlab.svgplot import Series, escape, histogram_svg, line_svg, scatter_svg
+from conftest import CLI_ENV
 
 
 def parse_svg(text):
@@ -27,6 +32,30 @@ class TestFormatting:
     def test_negative_zero_is_normalized(self):
         assert fmt_num(-0.0) == "0"
         assert fmt_num(-1e-9) == "-1e-09"
+
+
+class TestEscape:
+    @pytest.mark.parametrize(
+        "text", ["", "plain", "a & b", "<tag>", "&amp;", "\"quoted\" 'single'", "&<>\"'&&<<>>"]
+    )
+    def test_matches_saxutils(self, text):
+        assert escape(text) == sax_escape(text)
+
+    @given(st.text(alphabet=st.sampled_from("&<>\"'a; #x")))
+    def test_matches_saxutils_on_markup_characters(self, text):
+        assert escape(text) == sax_escape(text)
+
+    def test_labels_are_escaped(self):
+        svg = scatter_svg(SCATTER, "w < 5 & h > 2", "height", title="a<b")
+        assert "w &lt; 5 &amp; h &gt; 2" in svg
+        parse_svg(svg)
+
+    def test_cli_import_leaves_out_the_url_stack(self):
+        probe = "import sys, boxlab.cli; print('urllib.request' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=CLI_ENV, check=True
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestScatter:
