@@ -250,14 +250,6 @@ class ImageAnnotations:
         ann._store(self.image_id, self.class_names, self.edges, width, height, dims_inferred)
         return ann
 
-    def take(self, indices: Sequence[int]) -> "ImageAnnotations":
-        """The boxes at ``indices``, in that order, with this image's id and dimensions."""
-        ann = ImageAnnotations.__new__(ImageAnnotations)
-        names = tuple(self.class_names[i] for i in indices)
-        edges = _read_only(self.edges[np.asarray(indices, dtype=np.intp)])
-        ann._store(self.image_id, names, edges, self.width, self.height, self.dims_inferred)
-        return ann
-
     @property
     def boxes(self) -> tuple[GroundTruthBox, ...]:
         return tuple(
@@ -314,19 +306,6 @@ class ImageDetections:
         names, edges, confidences = _checked_columns(class_names, edges, confidences)
         dets = cls.__new__(cls)
         _set_fields(dets, image_id=image_id, class_names=names, edges=edges, confidences=confidences)
-        return dets
-
-    def take(self, indices: Sequence[int]) -> "ImageDetections":
-        """The detections at ``indices``, in that order, with this image's id."""
-        rows = np.asarray(indices, dtype=np.intp)
-        dets = ImageDetections.__new__(ImageDetections)
-        _set_fields(
-            dets,
-            image_id=self.image_id,
-            class_names=tuple(self.class_names[i] for i in indices),
-            edges=_read_only(self.edges[rows]),
-            confidences=_read_only(self.confidences[rows]),
-        )
         return dets
 
     @property

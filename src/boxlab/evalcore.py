@@ -1,8 +1,8 @@
 """Detection evaluation: IoU, greedy matching, PR curves, AP/mAP, count R².
 
 The matcher is the usual greedy one: detections in descending confidence
-order each claim the unmatched ground-truth box they overlap best, provided
-that IoU reaches the threshold. AP is the area under the monotone precision
+order each claim the unmatched ground-truth box of their class they overlap
+best, provided that IoU reaches the threshold. AP is the area under the monotone precision
 envelope over all ranks (all-point interpolation). Count agreement is the
 squared Pearson correlation between per-image true and predicted counts;
 an identity-line variant (1 - SSres/SStot about y = x) is available since
@@ -12,6 +12,7 @@ an R² printed on a scatter plot can mean either.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -97,8 +98,9 @@ class EvalReport:
     ``r_squared`` is None when the count regression is undefined for the
     corpus (fewer than two images, or constant true counts).
     ``matches_per_class`` holds, per class, one MatchResult per ground-truth
-    image in corpus order; verdict indices refer to the image's full box and
-    detection sequences, not to the class's subset.
+    image in corpus order: that image's verdicts for detections of the class
+    and its count of boxes of the class. Verdict indices refer to the image's
+    full box and detection sequences.
     """
 
     ap_per_class: dict[str, float]
@@ -137,10 +139,11 @@ def match_detections(
     """Greedily match detections to ground truth at an IoU threshold.
 
     Detections are processed in descending confidence (ties keep file
-    order); each claims the unmatched ground-truth box of highest IoU when
-    that IoU reaches the threshold, otherwise it is an FP. IoU ties between
-    ground-truth boxes resolve to the lower index. The matcher is
-    class-blind: filter both sides per class before calling for mAP.
+    order); each claims the unmatched ground-truth box of its own class with
+    the highest IoU when that IoU reaches the threshold, otherwise it is an
+    FP. IoU ties between ground-truth boxes resolve to the lower index. A
+    box of another class is never available, so an FP's ``iou_value`` is
+    its best IoU with an unmatched box of its class (0.0 when none is left).
     """
     if gt.image_id != pred.image_id:
         raise EvalError(f"image id mismatch: {gt.image_id!r} vs {pred.image_id!r}")
@@ -152,7 +155,8 @@ def match_detections(
         confidences = pred.confidences.tolist()
         order = np.argsort(-pred.confidences, kind="stable").tolist()
         if n_gt:
-            matrix = iou_matrix(pred.edges, gt.edges)
+            same_class = np.array(pred.class_names)[:, None] == np.array(gt.class_names)
+            matrix = np.where(same_class, iou_matrix(pred.edges, gt.edges), -1.0)
             matched = np.zeros(n_gt, dtype=bool)
         for i in order:
             best = -1.0
@@ -260,45 +264,24 @@ def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]
     return by_id
 
 
-def _indices_by_class(class_names) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {}
-    for i, name in enumerate(class_names):
-        groups.setdefault(name, []).append(i)
-    return groups
-
-
-def _match_class(ann, pred, gt_index, det_index, iou_threshold: float) -> MatchResult:
-    """Match one class's subset of an image; verdicts keep the image's own indices.
-
-    Subsets keep file order, so the index map is monotone and the AP ranking
-    by (confidence, image id, detection index) is the same before and after.
-    """
-    result = match_detections(ann.take(gt_index), pred.take(det_index), iou_threshold)
-    verdicts = [
-        DetectionVerdict(
-            det_index[v.det_index], v.confidence, v.is_tp,
-            gt_index[v.matched_gt_index] if v.is_tp else None, v.iou_value,
-        )
-        for v in result.verdicts
-    ]
-    return MatchResult(ann.image_id, verdicts, result.gt_count)
-
-
 def _ap_report(
     gt: Dataset, predictions: Mapping[str, ImageDetections], iou_threshold: float
 ) -> EvalReport:
-    """Per-class matching and AP over predictions from ``_checked_predictions``."""
+    """Per-class AP from one matching pass per image over ``_checked_predictions``."""
     classes = sorted(set().union(*(ann.class_names for ann in gt)))
     if not classes:
         raise EvalError("ground truth contains no boxes")
     matches: dict[str, list[MatchResult]] = {name: [] for name in classes}
     for ann in gt:
         pred = predictions.get(ann.image_id, ImageDetections(ann.image_id))
-        gt_groups = _indices_by_class(ann.class_names)
-        det_groups = _indices_by_class(pred.class_names)
+        verdicts: dict[str, list[DetectionVerdict]] = {name: [] for name in classes}
+        for verdict in match_detections(ann, pred, iou_threshold).verdicts:
+            name = pred.class_names[verdict.det_index]
+            if name in verdicts:
+                verdicts[name].append(verdict)
+        gt_counts = Counter(ann.class_names)
         for name, results in matches.items():
-            gt_index, det_index = gt_groups.get(name, []), det_groups.get(name, [])
-            results.append(_match_class(ann, pred, gt_index, det_index, iou_threshold))
+            results.append(MatchResult(ann.image_id, verdicts[name], gt_counts[name]))
     pr_per_class = {
         name: average_precision(results, sum(m.gt_count for m in results))
         for name, results in matches.items()
@@ -322,10 +305,11 @@ def mean_average_precision(
     """Per-class AP and their mean.
 
     Classes are those present in the ground truth; detections of any other
-    class are ignored. An image with no prediction file contributes only
-    false negatives. The returned report carries the AP fields and the
-    per-class match results; count pairs and R² are left empty (see
-    ``evaluate`` for the full report).
+    class are ignored. Each image is matched once with ``match_detections``,
+    whose verdicts are then split by the detection's class. An image with no
+    prediction file contributes only false negatives. The returned report
+    carries the AP fields and the per-class match results; count pairs and
+    R² are left empty (see ``evaluate`` for the full report).
     """
     predictions = _checked_predictions(gt, predictions)
     return _ap_report(gt, predictions, iou_threshold)
@@ -334,6 +318,8 @@ def mean_average_precision(
 def _count_pairs(
     gt: Dataset, predictions: Mapping[str, ImageDetections], confidence_threshold: float
 ) -> tuple[tuple[str, int, int], ...]:
+    if not 0.0 <= confidence_threshold <= 1.0:
+        raise EvalError(f"confidence_threshold must be in [0, 1], got {confidence_threshold}")
     pairs = []
     for ann in gt:
         pred = predictions.get(ann.image_id)
@@ -379,7 +365,8 @@ def count_regression(
     confidence threshold, whatever their class; an image without
     predictions counts zero. Detections of a class that has no ground
     truth anywhere in the corpus are counted here, although
-    ``mean_average_precision`` drops them.
+    ``mean_average_precision`` drops them. A threshold outside [0, 1], or
+    NaN, is an EvalError.
     """
     predictions = _checked_predictions(gt, predictions)
     pairs = _count_pairs(gt, predictions, confidence_threshold)
@@ -407,8 +394,8 @@ def evaluate(
     if r2_mode not in R2_MODES:
         raise EvalError(f"unknown R² mode {r2_mode!r}; expected one of {R2_MODES}")
     predictions = _checked_predictions(gt, predictions)
-    report = _ap_report(gt, predictions, iou_threshold)
     pairs = _count_pairs(gt, predictions, confidence_threshold)
+    report = _ap_report(gt, predictions, iou_threshold)
     try:
         r_squared = _r_squared(pairs, r2_mode)
     except EvalError:

@@ -71,6 +71,68 @@ def cutoff_scan_ap(ranked: list[tuple[float, str, int, bool]], total_gt: int) ->
     return ap
 
 
+def _box_iou(a, b) -> float:
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / ((a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter)
+
+
+def _class_blind_greedy(gt_boxes, dets, iou_threshold):
+    """Greedy match of (confidence, box) detections to boxes, ignoring classes.
+
+    Detections go in descending confidence (ties keep input order); each
+    takes the first unmatched box of highest IoU if it reaches the threshold.
+    Yields (det, confidence, is_tp, box or None, iou) in that order.
+    """
+    matched = [False] * len(gt_boxes)
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i][0]):
+        confidence, box = dets[i]
+        best, best_j = -1.0, None
+        for j, gt_box in enumerate(gt_boxes):
+            value = _box_iou(box, gt_box)
+            if not matched[j] and value > best:
+                best, best_j = value, j
+        if best >= iou_threshold:
+            matched[best_j] = True
+            yield i, confidence, True, best_j, best
+        else:
+            yield i, confidence, False, None, max(best, 0.0)
+
+
+def reference_class_matches(images, iou_threshold):
+    """Per-class matching by subsetting each image per class.
+
+    ``images`` holds (image_id, gt_rows, det_rows) with rows as returned by
+    the reference parsers below. Classes are those with ground truth
+    anywhere. Returns {class: [(image_id, gt_count, verdicts), ...]} in
+    image order, where each verdict is (det_index, confidence, is_tp,
+    gt_index or None, iou) with indices into the whole image, not the subset.
+    """
+    classes = sorted({row[0] for _, gt_rows, _ in images for row in gt_rows})
+    result = {name: [] for name in classes}
+    for image_id, gt_rows, det_rows in images:
+        for name in classes:
+            gt_index = [i for i, row in enumerate(gt_rows) if row[0] == name]
+            det_index = [i for i, row in enumerate(det_rows) if row[0] == name]
+            verdicts = _class_blind_greedy(
+                [gt_rows[i][1:] for i in gt_index],
+                [(det_rows[i][1], det_rows[i][2:]) for i in det_index],
+                iou_threshold,
+            )
+            result[name].append((
+                image_id,
+                len(gt_index),
+                [
+                    (det_index[d], c, tp, None if g is None else gt_index[g], value)
+                    for d, c, tp, g, value in verdicts
+                ],
+            ))
+    return result
+
+
 def pearson_r_squared(true_counts, predicted_counts) -> float:
     """Squared correlation straight from numpy's corrcoef."""
     r = np.corrcoef(np.asarray(true_counts, float), np.asarray(predicted_counts, float))[0, 1]

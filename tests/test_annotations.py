@@ -417,15 +417,6 @@ class TestColumns:
             ImageAnnotations.from_columns("img", ["a"], [[0, 0, 500, 10]], 400, 400)
         assert "box 1 (0.0, 0.0, 500.0, 10.0) exceeds image bounds 400x400" in str(excinfo.value)
 
-    def test_take_selects_rows_in_order(self):
-        ann = parse_ground_truth("a 0 0 1 1\nb 1 1 2 2\na 2 2 3 3\n", "img")
-        subset = ann.take([2, 0])
-        assert subset.class_names == ("a", "a")
-        assert subset.edges.tolist() == [[2.0, 2.0, 3.0, 3.0], [0.0, 0.0, 1.0, 1.0]]
-        assert ann.take([]).edges.shape == (0, 4)
-        dets = parse_predictions("a 0.1 0 0 1 1\nb 0.9 1 1 2 2\n", "img")
-        assert dets.take([1]) == parse_predictions("b 0.9 1 1 2 2", "img")
-
 
 def _outcome(parse, text):
     try:

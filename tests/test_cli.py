@@ -437,8 +437,8 @@ class TestEval:
             "leaf,2,0.8,0.5,1",
         ]
         assert overlays["c"] == header + "pred,head,0.4,0,0,10,10,ignored,\n"
-        # One matching pass: 3 images x 2 ground-truth classes.
-        assert len(calls) == 6
+        # One class-aware matching pass: one call per ground-truth image.
+        assert len(calls) == 3
 
 
 class TestNoPerBoxRecords:

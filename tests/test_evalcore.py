@@ -1,6 +1,8 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from boxlab.annotations import (
     BoundingBox,
@@ -23,7 +25,7 @@ from boxlab.evalcore import (
     match_detections,
     mean_average_precision,
 )
-from oracles import cutoff_scan_ap, pearson_r_squared, raster_iou
+from oracles import cutoff_scan_ap, pearson_r_squared, raster_iou, reference_class_matches
 
 
 def gt_image(image_id, boxes, class_name="head"):
@@ -156,6 +158,19 @@ class TestMatchDetections:
         )
         assert [v.is_tp for v in result.verdicts] == [False]
         assert result.verdicts[0].iou_value == 0.0
+
+    def test_other_class_detection_cannot_claim_a_box(self):
+        gt = gt_image("a", [(0, 0, 10, 10)])
+        pred = ImageDetections(
+            "a",
+            (
+                Detection("leaf", 0.9, BoundingBox(0, 0, 10, 10)),
+                Detection("head", 0.6, BoundingBox(0, 0, 10, 10)),
+            ),
+        )
+        leaf, head = match_detections(gt, pred).verdicts
+        assert (leaf.det_index, leaf.is_tp, leaf.iou_value) == (0, False, 0.0)
+        assert (head.det_index, head.is_tp, head.matched_gt_index) == (1, True, 0)
 
     def test_image_id_mismatch_rejected(self):
         with pytest.raises(EvalError):
@@ -361,6 +376,26 @@ class TestPRCurveValidation:
             PRCurve(points=((0.5, 1.0), (0.4, 0.5)), confidences=(0.9, 0.8), ap=0.5)
 
 
+# Few coordinates and confidences, so IoU and confidence ties are common;
+# 'stem' has ground truth only, 'weed' detections only.
+BOXES = st.builds(
+    lambda left, top, w, h: (left, top, left + w, top + h),
+    st.sampled_from([0.0, 2.5, 5.0]),
+    st.sampled_from([0.0, 2.5, 5.0]),
+    st.sampled_from([5.0, 7.5, 10.0]),
+    st.sampled_from([5.0, 7.5, 10.0]),
+)
+GT_ROWS = st.builds(
+    lambda name, box: (name, *box), st.sampled_from(["head", "leaf", "stem"]), BOXES
+)
+DET_ROWS = st.builds(
+    lambda name, confidence, box: (name, confidence, *box),
+    st.sampled_from(["head", "leaf", "weed"]),
+    st.sampled_from([0.2, 0.5, 0.9]),
+    BOXES,
+)
+
+
 class TestMeanAveragePrecision:
     def two_class_corpus(self):
         gt = Dataset.from_images(
@@ -462,6 +497,49 @@ class TestMeanAveragePrecision:
             total = sum(m.gt_count for m in results)
             assert report.pr_per_class[name] == average_precision(results, total)
         assert evaluate(gt, preds).matches_per_class == report.matches_per_class
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(GT_ROWS, max_size=6), st.none() | st.lists(DET_ROWS, max_size=6)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([0.1, 0.3, 0.5, 0.7]),
+    )
+    def test_matches_the_per_class_subset_reference(self, images, iou_threshold):
+        # A None prediction list means the image has no prediction file.
+        assume(any(gt_rows for gt_rows, _ in images))
+        corpus = [(f"img_{i}", gt_rows, det_rows) for i, (gt_rows, det_rows) in enumerate(images)]
+        gt = Dataset.from_images(
+            ImageAnnotations.from_columns(image_id, [r[0] for r in rows], [r[1:] for r in rows])
+            for image_id, rows, _ in corpus
+        )
+        preds = [
+            ImageDetections.from_columns(
+                image_id, [r[0] for r in rows], [r[2:] for r in rows], [r[1] for r in rows]
+            )
+            for image_id, _, rows in corpus
+            if rows is not None
+        ]
+        report = mean_average_precision(gt, preds, iou_threshold)
+        expected = reference_class_matches(
+            [(image_id, gt_rows, det_rows or []) for image_id, gt_rows, det_rows in corpus],
+            iou_threshold,
+        )
+        assert {
+            name: [(m.image_id, m.gt_count, [astuple(v) for v in m.verdicts]) for m in results]
+            for name, results in report.matches_per_class.items()
+        } == expected
+        expected_pr = {
+            name: average_precision(
+                [MatchResult(i, [DetectionVerdict(*v) for v in vs], n) for i, n, vs in rows],
+                sum(n for _, n, _ in rows),
+            )
+            for name, rows in expected.items()
+        }
+        assert report.pr_per_class == expected_pr
 
     def test_image_without_prediction_file_counts_as_misses(self):
         gt = Dataset.from_images(
@@ -603,6 +681,17 @@ class TestCountRegression:
         with pytest.raises(EvalError):
             count_regression(gt, preds, mode="spearman")
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -2.0, 1.5])
+    def test_bad_confidence_threshold_rejected(self, threshold):
+        gt, preds = counting_corpus([3, 5], [3, 5])
+        with pytest.raises(EvalError, match="confidence_threshold"):
+            count_regression(gt, preds, confidence_threshold=threshold)
+
+    def test_threshold_bounds_are_accepted(self):
+        gt, preds = counting_corpus([3, 5], [3, 5], confidence=1.0)
+        assert count_regression(gt, preds, confidence_threshold=1.0)[1] == 1.0
+        assert count_regression(gt, preds, confidence_threshold=0.0)[1] == 1.0
+
 
 class TestEvaluate:
     def test_composes_map_and_counts(self):
@@ -625,3 +714,9 @@ class TestEvaluate:
         gt, preds = counting_corpus([3, 5], [3, 5])
         with pytest.raises(EvalError):
             evaluate(gt, preds, r2_mode="spearman")
+
+    @pytest.mark.parametrize("threshold", [np.nan, -np.inf, -2.0, 1.5])
+    def test_bad_confidence_threshold_rejected(self, threshold):
+        gt, preds = counting_corpus([3, 5], [3, 5])
+        with pytest.raises(EvalError, match="confidence_threshold"):
+            evaluate(gt, preds, confidence_threshold=threshold)
