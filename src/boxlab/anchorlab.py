@@ -196,6 +196,8 @@ def run_kmeans(
         raise AnchorError(f"unknown distance {distance!r}; expected one of {DISTANCES}")
     if k < 1:
         raise AnchorError(f"k must be >= 1, got {k}")
+    if seed < 0:
+        raise AnchorError(f"seed must be >= 0, got {seed}")
     points = _dims_array(dims)
     if len(points) < k:
         raise AnchorError(f"k={k} exceeds the {len(points)} available dims")

@@ -47,13 +47,20 @@ class UsageError(Exception):
     """Flag combinations that argparse types alone cannot reject."""
 
 
-def positive_int(text: str) -> int:
+def nonnegative_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = nonnegative_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be >= 1, got 0")
     return value
 
 
@@ -187,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="one_minus_iou",
         help="kmeans: point-to-centroid distance",
     )
-    anchors.add_argument("--seed", type=int, default=0, help="kmeans: initialization seed")
+    anchors.add_argument(
+        "--seed", type=nonnegative_int, default=0, help="kmeans: initialization seed"
+    )
     anchors.add_argument(
         "--n-line", type=positive_int, default=9, help="linefit: anchors sampled along the fit"
     )
@@ -302,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="spread of heights about the line",
     )
     synth.add_argument("--class-name", default="object", help="label written for every box")
-    synth.add_argument("--seed", type=int, default=0, help="generator seed")
+    synth.add_argument("--seed", type=nonnegative_int, default=0, help="generator seed")
     synth.add_argument(
         "--simulate", action="store_true", help="also write simulated detector output"
     )
@@ -340,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("LOW", "HIGH"),
         help="simulate: confidence range for false positives",
     )
-    synth.add_argument("--noise-seed", type=int, default=1, help="simulate: detector seed")
+    synth.add_argument(
+        "--noise-seed", type=nonnegative_int, default=1, help="simulate: detector seed"
+    )
     synth.set_defaults(func=cmd_synth)
 
     return parser

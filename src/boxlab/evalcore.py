@@ -144,32 +144,40 @@ def match_detections(
     FP. IoU ties between ground-truth boxes resolve to the lower index. A
     box of another class is never available, so an FP's ``iou_value`` is
     its best IoU with an unmatched box of its class (0.0 when none is left).
+
+    Only pairs of the same class with IoU > 0 are candidates, listed per
+    detection in ground-truth order; the greedy loop walks those lists.
+    This is exact: the threshold is above 0, so a pair with IoU 0 can
+    never match.
     """
     if gt.image_id != pred.image_id:
         raise EvalError(f"image id mismatch: {gt.image_id!r} vs {pred.image_id!r}")
     if not 0.0 < iou_threshold <= 1.0:
         raise EvalError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    n_gt = len(gt)
+    codes: dict[str, int] = {}
+    gt_codes = np.array([codes.setdefault(name, len(codes)) for name in gt.class_names], int)
+    pred_codes = np.array([codes.get(name, -1) for name in pred.class_names], int)
+    matrix = iou_matrix(pred.edges, gt.edges)
+    # Row-major: detection i's candidates are [bounds[i], bounds[i + 1]), by ascending box index.
+    rows, cols = np.nonzero((matrix > 0.0) & (pred_codes[:, None] == gt_codes))
+    candidates = cols.tolist()
+    values = matrix[rows, cols].tolist()
+    bounds = np.searchsorted(rows, np.arange(len(pred) + 1)).tolist()
+    confidences = pred.confidences.tolist()
+    matched = [False] * len(gt)
     verdicts = []
-    if len(pred):
-        confidences = pred.confidences.tolist()
-        order = np.argsort(-pred.confidences, kind="stable").tolist()
-        if n_gt:
-            same_class = np.array(pred.class_names)[:, None] == np.array(gt.class_names)
-            matrix = np.where(same_class, iou_matrix(pred.edges, gt.edges), -1.0)
-            matched = np.zeros(n_gt, dtype=bool)
-        for i in order:
-            best = -1.0
-            if n_gt:
-                available = np.where(matched, -1.0, matrix[i])
-                j = int(np.argmax(available))
-                best = float(available[j])
-            if best >= iou_threshold:
-                matched[j] = True
-                verdicts.append(DetectionVerdict(i, confidences[i], True, j, best))
-            else:
-                verdicts.append(DetectionVerdict(i, confidences[i], False, None, max(best, 0.0)))
-    return MatchResult(image_id=gt.image_id, verdicts=tuple(verdicts), gt_count=n_gt)
+    for i in np.argsort(-pred.confidences, kind="stable").tolist():
+        best, best_j = 0.0, None
+        for k in range(bounds[i], bounds[i + 1]):
+            j = candidates[k]
+            if values[k] > best and not matched[j]:
+                best, best_j = values[k], j
+        if best >= iou_threshold:
+            matched[best_j] = True
+            verdicts.append(DetectionVerdict(i, confidences[i], True, best_j, best))
+        else:
+            verdicts.append(DetectionVerdict(i, confidences[i], False, None, best))
+    return MatchResult(image_id=gt.image_id, verdicts=tuple(verdicts), gt_count=len(gt))
 
 
 def _precision_envelope(points: Sequence[tuple[float, float]]) -> list[float]:

@@ -53,12 +53,37 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+# ``%.6g`` and ``%d`` render as ``fmt_num`` and ``str`` do, except for "-0".
+_CELL_FORMATS = {float: "%.6g", int: "%d", str: "%s"}
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV with the shared cell formatting and LF line endings."""
+    """CSV with the shared cell formatting and LF line endings.
+
+    Cells render as ``render_cell`` does, with ``csv.writer``'s minimal
+    quoting. A row of plain float, int and str cells is formatted with one
+    %-template per combination of cell types; the line is kept when it has
+    no comma inside a cell, no quote, line break or "-0". Any other row goes
+    through ``csv.writer`` and ``render_cell``.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(header))
+    templates: dict[tuple[type, ...], str] = {}
     for row in rows:
+        row = tuple(row)
+        key = tuple(map(type, row))
+        template = templates.get(key)
+        if template is None:
+            formats = [_CELL_FORMATS.get(t) for t in key]
+            template = templates[key] = "" if None in formats else ",".join(formats)
+        if template:
+            line = template % row
+            if line and line.count(",") == len(row) - 1 and not (
+                '"' in line or "\n" in line or "\r" in line or "-0" in line
+            ):
+                buffer.write(line + "\n")
+                continue
         writer.writerow([render_cell(cell) for cell in row])
     atomic_write(path, buffer.getvalue())
 

@@ -44,6 +44,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_images < 1:
             raise SynthError(f"n_images must be >= 1, got {self.n_images}")
+        if self.seed < 0:
+            raise SynthError(f"seed must be >= 0, got {self.seed}")
         if self.image_width <= 0 or self.image_height <= 0:
             raise SynthError("image dimensions must be positive")
         if self.count_mean <= 0:
@@ -81,6 +83,8 @@ class DetectorNoise:
             raise SynthError(f"false_positive_rate must be >= 0, got {self.false_positive_rate}")
         if self.jitter_sd < 0:
             raise SynthError(f"jitter_sd must be >= 0, got {self.jitter_sd}")
+        if self.seed < 0:
+            raise SynthError(f"seed must be >= 0, got {self.seed}")
         for name, (low, high) in (
             ("tp_confidence", self.tp_confidence),
             ("fp_confidence", self.fp_confidence),

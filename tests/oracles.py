@@ -2,13 +2,17 @@
 
 Everything here trades speed for obviousness: IoU by literally counting
 pixels on a grid, AP by scanning every confidence cutoff, correlation via
-numpy's own corrcoef, annotation files one line and one check at a time.
+numpy's own corrcoef, annotation files one line and one check at a time,
+CSV reports one cell at a time through ``csv.writer``.
 None of it shares code with the package.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -214,3 +218,31 @@ def reference_parse_predictions(text: str) -> list[tuple[str, float, float, floa
             raise ReferenceParseError(f"confidence out of range [0, 1]: {confidence!r}", number)
         rows.append((tokens[0], confidence, *box))
     return rows
+
+
+def _reference_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        text = format(float(value), ".6g")
+        return "0" if text == "-0" else text
+    if value is None:
+        return ""
+    return str(value)
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """The report CSV writer: each cell formatted on its own, then ``csv.writer``.
+
+    Floats take 6 significant digits with "-0" written as "0", bools
+    ``true``/``false``, None an empty field; anything else goes through
+    ``str``. Fields are quoted minimally, and lines end in LF.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([_reference_cell(cell) for cell in row])
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="\n")

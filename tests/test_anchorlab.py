@@ -181,6 +181,10 @@ class TestKMeans:
         with pytest.raises(AnchorError):
             run_kmeans(dims_of([(10, 10)]), k=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(AnchorError, match="seed"):
+            run_kmeans(dims_of([(10, 10), (20, 20)]), k=1, seed=-1)
+
     def test_k_above_point_count_rejected(self):
         with pytest.raises(AnchorError):
             run_kmeans(dims_of([(10, 10), (20, 20)]), k=3)

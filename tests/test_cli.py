@@ -1,4 +1,5 @@
 import argparse
+import csv
 from pathlib import Path
 
 import pytest
@@ -439,6 +440,72 @@ class TestEval:
         assert overlays["c"] == header + "pred,head,0.4,0,0,10,10,ignored,\n"
         # One class-aware matching pass: one call per ground-truth image.
         assert len(calls) == 3
+
+    def test_class_names_with_a_quote_and_a_comma_round_trip(self, tmp_path):
+        name = 'he"ad,x'
+        gt = write_corpus(
+            tmp_path / "gt",
+            {
+                "a": f"{name} 0 0 10 10\nleaf 20 20 30 30\n",
+                "b": f"leaf 0 0 10 10\n{name} 40 40 50 50\n",
+            },
+        )
+        pred = write_corpus(
+            tmp_path / "pred",
+            {
+                "a": f"{name} 0.9 0 0 10 10\nleaf 0.4 20 20 30 30\n",
+                "b": f"{name} 0.8 40 40 50 52\n",
+            },
+        )
+        out = tmp_path / "out"
+        code, _, _ = run_cli("eval", gt, pred, "--out", out, "--quiet")
+        assert code == 0
+
+        def rows(path):
+            with open(out / path, encoding="utf-8", newline="") as fh:
+                return list(csv.reader(fh))
+
+        report = rows("report.csv")
+        assert report[:4] == [["metric", "value"], ["map", "0.75"], [f"ap.{name}", "1"],
+                              ["ap.leaf", "0.5"]]
+        assert '"ap.he""ad,x",1\n' in (out / "report.csv").read_text(encoding="utf-8")
+        assert rows("pr_curve.csv") == [
+            ["class", "rank", "confidence", "precision", "recall"],
+            [name, "1", "0.9", "1", "0.5"],
+            [name, "2", "0.8", "1", "1"],
+            ["leaf", "1", "0.4", "1", "0.5"],
+        ]
+        assert rows("overlays/a.csv")[1:] == [
+            ["gt", name, "", "0", "0", "10", "10", "matched", "0"],
+            ["gt", "leaf", "", "20", "20", "30", "30", "matched", "1"],
+            ["pred", name, "0.9", "0", "0", "10", "10", "tp", "0"],
+            ["pred", "leaf", "0.4", "20", "20", "30", "30", "tp", "1"],
+        ]
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("anchors", WORKED_GT, "--method", "kmeans", "--k", "1", "--layers", "1",
+             "--seed", "-1"),
+            ("synth", "--images", "2", "--seed", "-1"),
+            ("synth", "--images", "2", "--simulate", "--noise-seed", "-3"),
+        ],
+        ids=["anchors-seed", "synth-seed", "synth-noise-seed"],
+    )
+    def test_negative_seed_is_a_usage_error(self, tmp_path, argv):
+        code, _, err = run_cli(*argv, "--out", tmp_path / "out")
+        assert code == 2
+        assert "must be >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonnegative_int_bounds(self):
+        assert cli.nonnegative_int("0") == 0
+        for text in ("-1", "1.5", "x"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                cli.nonnegative_int(text)
 
 
 class TestNoPerBoxRecords:

@@ -2,7 +2,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from boxlab.annotations import (
     BoundingBox,
@@ -222,6 +222,55 @@ class TestMatchDetections:
             for v in match_detections(gt, det_image("a", dets[::-1])).verdicts
         }
         assert outcome_a == outcome_b
+
+
+# Whole-pixel corners on a small grid: boxes often touch (IoU exactly 0),
+# repeat (IoU ties) or nest; three confidences make confidence ties common.
+GRID_BOXES = st.builds(
+    lambda left, top, w, h: (float(left), float(top), float(left + w), float(top + h)),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+
+
+class TestMatchDetectionsAgainstReference:
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["head", "leaf"]), GRID_BOXES), max_size=8),
+        st.lists(
+            st.tuples(st.sampled_from(["head", "leaf", "weed"]), st.sampled_from([0.3, 0.6, 0.9]),
+                      GRID_BOXES),
+            max_size=8,
+        ),
+        st.sampled_from([1e-9, 0.5, 1.0]),
+    )
+    @example([("head", (0.0, 0.0, 2.0, 2.0))], [("head", 0.5, (2.0, 0.0, 4.0, 2.0))], 1e-9)
+    @example(
+        [("head", (0.0, 0.0, 2.0, 2.0)), ("head", (0.0, 0.0, 2.0, 2.0))],
+        [("head", 0.5, (0.0, 0.0, 2.0, 2.0)), ("head", 0.5, (0.0, 0.0, 2.0, 2.0))],
+        1.0,
+    )
+    def test_one_image_matches_the_per_class_reference(self, gt_boxes, detections, threshold):
+        gt_rows = [(name, *box) for name, box in gt_boxes]
+        det_rows = [(name, confidence, *box) for name, confidence, box in detections]
+        gt = ImageAnnotations.from_columns("a", [r[0] for r in gt_rows], [r[1:] for r in gt_rows])
+        pred = ImageDetections.from_columns(
+            "a", [r[0] for r in det_rows], [r[2:] for r in det_rows], [r[1] for r in det_rows]
+        )
+        result = match_detections(gt, pred, threshold)
+
+        expected = {}
+        reference = reference_class_matches([("a", gt_rows, det_rows)], threshold)
+        for [(_, _, verdicts)] in reference.values():
+            expected.update((verdict[0], verdict) for verdict in verdicts)
+        # A detection whose class has no box in the image is an FP with IoU 0.
+        for i, row in enumerate(det_rows):
+            expected.setdefault(i, (i, row[1], False, None, 0.0))
+        order = sorted(range(len(det_rows)), key=lambda i: -det_rows[i][1])
+        assert result.gt_count == len(gt_rows)
+        assert [astuple(v) for v in result.verdicts] == [expected[i] for i in order]
 
 
 class TestMatchResultValidation:

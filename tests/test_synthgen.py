@@ -60,6 +60,16 @@ class TestSynthConfigValidation:
             )
 
 
+class TestNegativeSeeds:
+    def test_generator_seed_rejected(self):
+        with pytest.raises(SynthError, match="seed"):
+            SynthConfig(n_images=1, seed=-1)
+
+    def test_detector_seed_rejected(self):
+        with pytest.raises(SynthError, match="seed"):
+            DetectorNoise(seed=-3)
+
+
 class TestGenerateDataset:
     def test_deterministic_in_memory(self):
         config = small_config()
