@@ -120,10 +120,9 @@ class DarknetConfigFragment:
 
 
 def centered_iou(a: Anchor, b: Anchor) -> float:
-    """IoU of two rectangles sharing a center; depends only on dimensions."""
-    inter = min(a.width, b.width) * min(a.height, b.height)
-    union = a.width * a.height + b.width * b.height - inter
-    return inter / union
+    """IoU of two rectangles sharing a center; one cell of ``centered_iou_matrix``."""
+    dims = np.array([[a.width, a.height], [b.width, b.height]], dtype=float)
+    return float(centered_iou_matrix(dims[:1], dims[1:])[0, 0])
 
 
 def _dims_array(dims: ArrayLike) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 data error (unreadable/invalid inputs), 2 usage
 error (bad flags). Every command writes a ``run_manifest.txt`` beside its
-outputs recording the resolved parameters; re-running with those values
-reproduces all other files byte-identically.
+outputs. Each ``param.<name>`` line holds a value that ``--<name>`` accepts
+(``true`` for a bare flag, empty or ``false`` for one left out), floats are
+written losslessly, and the inputs and seeds are recorded too, so re-running
+with those values reproduces all other files byte-identically.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .annotations import (
     Dataset,
     DatasetError,
     ParseError,
+    format_coordinate,
     load_dataset,
     load_predictions_dir,
     save_dataset,
@@ -36,7 +39,7 @@ from .annotations import (
 )
 from .datastats import StatsError, compute_stats, extract_dims, flag_outliers, histogram
 from .evalcore import EvalError, evaluate
-from .reports import atomic_write, build_run_manifest, fmt_num, write_csv, write_run_manifest
+from .reports import atomic_write, fmt_num, write_csv, write_run_manifest
 from .svgplot import Series, histogram_svg, line_svg, scatter_svg
 from .synthgen import DetectorNoise, SynthConfig, SynthError, generate_dataset, simulate_detector
 
@@ -122,6 +125,11 @@ def anchor_list(text: str) -> tuple[tuple[float, float], ...]:
     return pairs
 
 
+def _format_pairs(pairs) -> str:
+    """``WxH,...`` text that ``anchor_list`` (or ``floor_anchor``) reads back exactly."""
+    return ",".join(f"{format_coordinate(w)}x{format_coordinate(h)}" for w, h in pairs)
+
+
 def layer_spec(text: str) -> tuple[int, ...] | None:
     if text.lower() == "auto":
         return None
@@ -148,18 +156,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--quiet", action="store_true", help="suppress stdout summary lines")
 
-    stats = subparsers.add_parser(
-        "stats",
-        parents=[common],
-        help="per-image counts, coverage, histograms, outlier flags",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    stats.add_argument("gt_dir", type=Path, help="directory of <image_id>.txt ground-truth files")
-    stats.add_argument(
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("gt_dir", type=Path, help="directory of <image_id>.txt ground-truth files")
+    corpus.add_argument(
         "--manifest",
         type=Path,
         default=None,
         help="CSV of image_id,width,height; without it dims are inferred from box extents",
+    )
+
+    stats = subparsers.add_parser(
+        "stats",
+        parents=[common, corpus],
+        help="per-image counts, coverage, histograms, outlier flags",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     stats.add_argument(
         "--min-count", type=int, default=3, help="flag images with fewer heads than this"
@@ -175,12 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     anchors = subparsers.add_parser(
         "anchors",
-        parents=[common],
+        parents=[common, corpus],
         help="select anchor boxes and report how well they cover the corpus",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    anchors.add_argument("gt_dir", type=Path, help="directory of <image_id>.txt ground-truth files")
-    anchors.add_argument("--manifest", type=Path, default=None, help="CSV of image_id,width,height")
     anchors.add_argument(
         "--method",
         choices=("kmeans", "linefit"),
@@ -252,16 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate_cmd = subparsers.add_parser(
         "eval",
-        parents=[common],
+        parents=[common, corpus],
         help="match predictions against ground truth; AP, mAP, count R²",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    evaluate_cmd.add_argument("gt_dir", type=Path, help="ground-truth directory")
     evaluate_cmd.add_argument(
         "pred_dir", type=Path, help="directory of <image_id>.txt prediction files"
-    )
-    evaluate_cmd.add_argument(
-        "--manifest", type=Path, default=None, help="CSV of image_id,width,height"
     )
     evaluate_cmd.add_argument(
         "--iou-threshold",
@@ -409,17 +413,16 @@ def cmd_stats(args) -> int:
         svg = histogram_svg(rows, x_label=label, y_label="images", title=f"{label} distribution")
         atomic_write(out / f"{name}.svg", svg)
 
-    manifest = build_run_manifest(
+    write_run_manifest(
+        out,
         "stats",
-        __version__,
         parameters={
             "min_count": args.min_count,
             "min_coverage": args.min_coverage,
             "bins": args.bins,
         },
-        inputs={"gt_dir": args.gt_dir, "manifest": args.manifest or ""},
+        inputs={"gt_dir": args.gt_dir, "manifest": args.manifest},
     )
-    write_run_manifest(out / "run_manifest.txt", manifest)
 
     _say(args, f"images = {stats.image_count}")
     _say(args, f"total heads = {stats.total_heads}")
@@ -439,6 +442,12 @@ def _auto_layers(n_anchors: int) -> tuple[int, ...]:
 
 
 def cmd_anchors(args) -> int:
+    runs_linefit = args.compare or (args.anchors is None and args.method == "linefit")
+    if runs_linefit and args.n_total < args.n_line + 1:
+        raise UsageError(
+            f"--n-total must be >= --n-line + 1, got --n-line {args.n_line} "
+            f"--n-total {args.n_total}"
+        )
     dataset = load_dataset(args.gt_dir, args.manifest)
     dims = extract_dims(dataset)
     if len(dims) == 0:
@@ -453,7 +462,7 @@ def cmd_anchors(args) -> int:
         method = args.method
     if args.compare or method == "kmeans":
         selected.setdefault("kmeans", kmeans_anchors(dims, args.k, args.distance, args.seed))
-    if args.compare or method == "linefit":
+    if runs_linefit:
         selected.setdefault(
             "linefit",
             linefit_anchors(dims, args.n_line, floor, args.n_total, args.variance_bins),
@@ -511,16 +520,17 @@ def cmd_anchors(args) -> int:
         fragment = DarknetConfigFragment(anchors=anchor_set, classes=args.classes)
         atomic_write(out / "darknet.cfg", emit_darknet_fragment(fragment))
 
-    manifest = build_run_manifest(
+    write_run_manifest(
+        out,
         "anchors",
-        __version__,
         parameters={
-            "method": method,
+            "method": args.method,
+            "anchors": _format_pairs(args.anchors or ()),
             "k": args.k,
             "distance": args.distance,
             "n_line": args.n_line,
             "n_total": args.n_total,
-            "floor": "none" if floor is None else f"{fmt_num(floor.width)}x{fmt_num(floor.height)}",
+            "floor": "none" if args.floor is None else _format_pairs([args.floor]),
             "variance_bins": args.variance_bins,
             "recall_threshold": args.recall_threshold,
             "layers": ",".join(map(str, layers)),
@@ -528,10 +538,9 @@ def cmd_anchors(args) -> int:
             "emit_darknet": args.emit_darknet,
             "classes": args.classes,
         },
-        inputs={"gt_dir": args.gt_dir, "manifest": args.manifest or ""},
+        inputs={"gt_dir": args.gt_dir, "manifest": args.manifest},
         seeds=(args.seed,),
     )
-    write_run_manifest(out / "run_manifest.txt", manifest)
 
     rendered = ", ".join(f"{fmt_num(a.width)}x{fmt_num(a.height)}" for a in anchor_set.anchors)
     _say(args, f"anchors ({method}) = {rendered}")
@@ -662,9 +671,9 @@ def cmd_eval(args) -> int:
             _overlay_rows(ann, predictions.get(ann.image_id), matches),
         )
 
-    manifest = build_run_manifest(
+    write_run_manifest(
+        out,
         "eval",
-        __version__,
         parameters={
             "iou_threshold": args.iou_threshold,
             "confidence_threshold": args.confidence_threshold,
@@ -673,10 +682,9 @@ def cmd_eval(args) -> int:
         inputs={
             "gt_dir": args.gt_dir,
             "pred_dir": args.pred_dir,
-            "manifest": args.manifest or "",
+            "manifest": args.manifest,
         },
     )
-    write_run_manifest(out / "run_manifest.txt", manifest)
 
     _say(args, f"mAP = {report.map_score:.4f}")
     _say(args, f"R^2 = {r2_text}")
@@ -737,16 +745,13 @@ def cmd_synth(args) -> int:
                 "miss_rate": args.miss_rate,
                 "fp_rate": args.fp_rate,
                 "jitter": args.jitter,
-                "tp_conf": f"{fmt_num(noise.tp_confidence[0])},{fmt_num(noise.tp_confidence[1])}",
-                "fp_conf": f"{fmt_num(noise.fp_confidence[0])},{fmt_num(noise.fp_confidence[1])}",
+                "tp_conf": ",".join(map(format_coordinate, noise.tp_confidence)),
+                "fp_conf": ",".join(map(format_coordinate, noise.fp_confidence)),
             }
         )
         seeds.append(args.noise_seed)
         _say(args, f"wrote {total} detections to {out / 'pred'}")
-    manifest = build_run_manifest(
-        "synth", __version__, parameters=parameters, inputs={}, seeds=seeds
-    )
-    write_run_manifest(out / "run_manifest.txt", manifest)
+    write_run_manifest(out, "synth", parameters=parameters, inputs={}, seeds=seeds)
     return 0
 
 

@@ -114,13 +114,10 @@ class EvalReport:
 
 
 def iou(a, b) -> float:
-    """Intersection over union of two boxes; 0.0 when disjoint."""
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    """Intersection over union of two boxes; 0.0 when disjoint. One cell of ``iou_matrix``."""
+    edges = [[box.left, box.top, box.right, box.bottom] for box in (a, b)]
+    rows = np.array(edges, dtype=float)
+    return float(iou_matrix(rows[:1], rows[1:])[0, 0])
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Deterministic report files: CSV tables, run manifests, atomic writes.
 
-Every writer produces byte-stable output for the same data: floats are
-formatted with 6 significant digits and a '.' separator, line endings are
-LF, and files land via a temp-file rename so interrupted runs never leave
-a partial report behind.
+CSV output is byte-stable for the same data: floats are formatted with 6
+significant digits and a '.' separator. The run manifest writes floats
+losslessly and carries a timestamp, its one line that differs between
+identical runs. Line endings are LF, and files land via a temp-file rename
+so interrupted runs never leave a partial report behind.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import csv
 import io
 import os
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+from . import __version__
+from .annotations import format_coordinate
 
 
 def fmt_num(value: float) -> str:
@@ -88,53 +91,30 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     atomic_write(path, buffer.getvalue())
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced an output directory: command, parameters, inputs, seeds.
-
-    Re-running the command with these parameters reproduces every other
-    output byte-identically; the timestamp line is the one exception.
-    """
-
-    command: str
-    version: str
-    timestamp: str
-    seeds: tuple[int, ...]
-    parameters: tuple[tuple[str, str], ...]
-    inputs: tuple[tuple[str, str], ...]
-
-    def render(self) -> str:
-        lines = [
-            f"command = {self.command}",
-            f"version = {self.version}",
-            f"timestamp = {self.timestamp}",
-            f"seeds = {','.join(str(s) for s in self.seeds)}",
-        ]
-        lines.extend(f"input.{key} = {value}" for key, value in sorted(self.inputs))
-        lines.extend(f"param.{key} = {value}" for key, value in sorted(self.parameters))
-        return "\n".join(lines) + "\n"
-
-
-def build_run_manifest(
+def write_run_manifest(
+    directory: str | Path,
     command: str,
-    version: str,
     parameters: Mapping[str, object],
     inputs: Mapping[str, object],
     seeds: Sequence[int] = (),
-    timestamp: str | None = None,
-) -> RunManifest:
-    """Assemble a RunManifest, rendering every value through the shared formatting."""
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return RunManifest(
-        command=command,
-        version=version,
-        timestamp=timestamp,
-        seeds=tuple(int(s) for s in seeds),
-        parameters=tuple((key, render_cell(value)) for key, value in parameters.items()),
-        inputs=tuple((key, render_cell(value)) for key, value in inputs.items()),
-    )
+) -> None:
+    """Write ``directory/run_manifest.txt``: what produced that directory.
 
+    Lines: command, version, UTC timestamp, seeds, then ``input.*`` and
+    ``param.*`` sorted by key. Floats are written losslessly, so re-running
+    the command with these values reproduces every other output byte for
+    byte; the timestamp is the one line that changes.
+    """
 
-def write_run_manifest(path: str | Path, manifest: RunManifest) -> None:
-    atomic_write(path, manifest.render())
+    def render(value) -> str:
+        return format_coordinate(value) if isinstance(value, float) else render_cell(value)
+
+    lines = [
+        f"command = {command}",
+        f"version = {__version__}",
+        f"timestamp = {datetime.now(timezone.utc).isoformat(timespec='seconds')}",
+        f"seeds = {','.join(str(int(s)) for s in seeds)}",
+    ]
+    lines += [f"input.{key} = {render(inputs[key])}" for key in sorted(inputs)]
+    lines += [f"param.{key} = {render(parameters[key])}" for key in sorted(parameters)]
+    atomic_write(Path(directory) / "run_manifest.txt", "\n".join(lines) + "\n")

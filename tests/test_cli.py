@@ -262,6 +262,21 @@ class TestAnchors:
         assert code == 2
         assert "must be >= 1" in err
 
+    def test_n_total_not_above_n_line_is_a_usage_error(self, tmp_path):
+        gt = self.corpus(tmp_path)
+        code, _, err = run_cli(
+            "anchors", gt, "--n-line", "9", "--n-total", "9", "--out", tmp_path / "out"
+        )
+        assert code == 2
+        assert "usage error" in err
+        assert "--n-total must be >= --n-line + 1" in err
+        assert not (tmp_path / "out").exists()
+        code, _, err = run_cli(
+            "anchors", gt, "--method", "kmeans", "--n-line", "9", "--n-total", "9",
+            "--out", tmp_path / "kmeans",
+        )
+        assert code == 0, err
+
     def test_boxless_corpus_is_a_data_error(self, tmp_path):
         gt = write_corpus(tmp_path / "gt", {"a": ""})
         code, _, err = run_cli("anchors", gt, "--out", tmp_path / "out")
@@ -481,6 +496,84 @@ class TestEval:
             ["pred", name, "0.9", "0", "0", "10", "10", "tp", "0"],
             ["pred", "leaf", "0.4", "20", "20", "30", "30", "tp", "1"],
         ]
+
+
+def replay_argv(manifest: Path) -> list[str]:
+    """Rebuild a command line from ``run_manifest.txt`` by the README's replay rule."""
+    entries = dict(
+        line.split(" = ", 1) for line in manifest.read_text(encoding="utf-8").splitlines()
+    )
+    argv = [entries["command"]]
+    argv += [entries[key] for key in ("input.gt_dir", "input.pred_dir") if key in entries]
+    if entries.get("input.manifest"):
+        argv += ["--manifest", entries["input.manifest"]]
+    seeds = entries["seeds"].split(",") if entries["seeds"] else []
+    for flag, seed in zip(("--seed", "--noise-seed"), seeds):
+        argv += [flag, seed]
+    for key, value in entries.items():
+        if not key.startswith("param."):
+            continue
+        name = key[len("param."):]
+        flag = "--" + name.replace("_", "-")
+        if value == "true":
+            argv.append(flag)
+        elif value and value != "false":
+            argv += [flag, *(value.split(",") if name in ("tp_conf", "fp_conf") else [value])]
+    return argv
+
+
+class TestManifestReplay:
+    """Re-running a command from its manifest reproduces every other file."""
+
+    def assert_replays(self, tmp_path, *argv):
+        first, second = tmp_path / "first", tmp_path / "second"
+        code, _, err = run_cli(*argv, "--out", first)
+        assert code == 0, err
+        code, _, err = run_cli(*replay_argv(first / "run_manifest.txt"), "--out", second)
+        assert code == 0, err
+        assert manifest_lines_without_timestamp(
+            first / "run_manifest.txt"
+        ) == manifest_lines_without_timestamp(second / "run_manifest.txt")
+        one, two = tree_bytes(first), tree_bytes(second)
+        del one["run_manifest.txt"], two["run_manifest.txt"]
+        assert one == two
+
+    def test_synth(self, tmp_path):
+        self.assert_replays(
+            tmp_path, "synth", "--images", "3", "--count-mean", "8", "--count-sd", "2",
+            "--seed", "4", "--simulate", "--noise-seed", "9", "--width-min", "8.1234567",
+            "--tp-conf", "0.51234567", "1", "--jitter", "1.5", "--fp-rate", "2",
+        )
+
+    def test_anchors_given_verbatim(self, tmp_path):
+        gt = TestAnchors().corpus(tmp_path)
+        self.assert_replays(
+            tmp_path, "anchors", gt, "--anchors", "10x10,20.1234567x22.5,40x41", "--emit-darknet"
+        )
+
+    def test_anchors_compared_with_a_precise_floor(self, tmp_path):
+        # The config fragment writes anchors to 6 decimals, so a floor rounded
+        # to 6 significant digits shows there.
+        gt = TestAnchors().corpus(tmp_path)
+        self.assert_replays(
+            tmp_path, "anchors", gt, "--floor", "10.1234567x10", "--compare", "--k", "5",
+            "--seed", "3", "--emit-darknet",
+        )
+
+    def test_stats(self, tmp_path):
+        gt = TestStats().corpus(tmp_path)
+        manifest = tmp_path / "dims.csv"
+        manifest.write_text("image_id,width,height\na,100,100\nb,100,100\n")
+        self.assert_replays(
+            tmp_path, "stats", gt, "--manifest", manifest, "--min-count", "2",
+            "--min-coverage", "0.123456789", "--bins", "7",
+        )
+
+    def test_eval(self, tmp_path):
+        self.assert_replays(
+            tmp_path, "eval", WORKED_GT, WORKED_PRED, "--iou-threshold", "0.512345678",
+            "--confidence-threshold", "0.312345678", "--r2-mode", "identity",
+        )
 
 
 class TestNegativeSeeds:
