@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 data error (unreadable/invalid inputs), 2 usage
 error (bad flags). Every command writes a ``run_manifest.txt`` beside its
 outputs. Each ``param.<name>`` line holds a value that ``--<name>`` accepts
 (``true`` for a bare flag, empty or ``false`` for one left out), floats are
-written losslessly, and the inputs and seeds are recorded too, so re-running
-with those values reproduces all other files byte-identically.
+written losslessly, and the inputs (as absolute paths) and seeds are recorded
+too, so re-running with those values, from any directory, reproduces all
+other files byte-identically.
 """
 
 from __future__ import annotations
@@ -366,6 +367,12 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _input_paths(args, *names: str) -> dict[str, Path | None]:
+    """The named path arguments made absolute, so the manifest replays from any directory."""
+    paths = {name: getattr(args, name) for name in names}
+    return {name: None if path is None else path.absolute() for name, path in paths.items()}
+
+
 def cmd_stats(args) -> int:
     dataset = load_dataset(args.gt_dir, args.manifest)
     stats = compute_stats(dataset)
@@ -421,7 +428,7 @@ def cmd_stats(args) -> int:
             "min_coverage": args.min_coverage,
             "bins": args.bins,
         },
-        inputs={"gt_dir": args.gt_dir, "manifest": args.manifest},
+        inputs=_input_paths(args, "gt_dir", "manifest"),
     )
 
     _say(args, f"images = {stats.image_count}")
@@ -538,7 +545,7 @@ def cmd_anchors(args) -> int:
             "emit_darknet": args.emit_darknet,
             "classes": args.classes,
         },
-        inputs={"gt_dir": args.gt_dir, "manifest": args.manifest},
+        inputs=_input_paths(args, "gt_dir", "manifest"),
         seeds=(args.seed,),
     )
 
@@ -679,11 +686,7 @@ def cmd_eval(args) -> int:
             "confidence_threshold": args.confidence_threshold,
             "r2_mode": args.r2_mode,
         },
-        inputs={
-            "gt_dir": args.gt_dir,
-            "pred_dir": args.pred_dir,
-            "manifest": args.manifest,
-        },
+        inputs=_input_paths(args, "gt_dir", "pred_dir", "manifest"),
     )
 
     _say(args, f"mAP = {report.map_score:.4f}")

@@ -3,7 +3,8 @@
 Everything here trades speed for obviousness: IoU by literally counting
 pixels on a grid, AP by scanning every confidence cutoff, correlation via
 numpy's own corrcoef, annotation files one line and one check at a time,
-CSV reports one cell at a time through ``csv.writer``.
+CSV reports one cell at a time through ``csv.writer``, k-means with a full
+cost matrix on every iteration.
 None of it shares code with the package.
 """
 
@@ -152,6 +153,60 @@ def bin_residual_variances(widths, heights, slope, intercept, bins):
     return [
         float(residuals[index == b].var()) if np.any(index == b) else None for b in range(bins)
     ]
+
+
+def _reference_costs(points, centroids, distance):
+    """Full (n, k) cost matrix: squared Euclidean, or 1 - centred IoU."""
+    if distance == "euclidean":
+        deltas = points[:, None, :] - centroids[None, :, :]
+        return np.sum(deltas * deltas, axis=2)
+    a, b = points, centroids
+    inter = np.minimum(a[:, None, 0], b[None, :, 0]) * np.minimum(a[:, None, 1], b[None, :, 1])
+    union = (a[:, 0] * a[:, 1])[:, None] + (b[:, 0] * b[:, 1])[None, :] - inter
+    return 1.0 - inter / union
+
+
+def reference_run_kmeans(dims, k, distance, seed, max_iterations=1000):
+    """The plain Lloyd loop: every point-centroid cost on every iteration.
+
+    Seeding draws each next centroid with weight cost², as the package does.
+    Returns (centroids, labels, objective_history).
+    """
+    points = np.asarray(dims, dtype=float)
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(len(points)))]
+    nearest = _reference_costs(points, points[chosen], distance)[:, 0]
+    while len(chosen) < k:
+        weights = nearest * nearest
+        chosen.append(int(rng.choice(len(points), p=weights / weights.sum())))
+        nearest = np.minimum(nearest, _reference_costs(points, points[chosen[-1:]], distance)[:, 0])
+    centroids = points[chosen].copy()
+
+    rows = np.arange(len(points))
+    costs = _reference_costs(points, centroids, distance)
+    labels = None
+    history: list[float] = []
+    for _ in range(max_iterations):
+        new_labels = np.argmin(costs, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            in_cluster = labels == j
+            members = points[in_cluster]
+            if len(members) == 0:
+                continue
+            candidate = members.mean(axis=0)
+            if distance == "one_minus_iou":
+                old_cost = costs[in_cluster, j].sum()
+                new_cost = _reference_costs(members, candidate[None, :], distance).sum()
+                if new_cost > old_cost:
+                    continue
+            centroids[j] = candidate
+        # One cost matrix per iteration: this objective and the next assignment.
+        costs = _reference_costs(points, centroids, distance)
+        history.append(float(costs[rows, labels].sum()))
+    return centroids, labels, tuple(history)
 
 
 class ReferenceParseError(ValueError):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boxlab import anchorlab
 from boxlab.anchorlab import (
+    DISTANCES,
+    KMEANS_MAX_ITERATIONS,
     Anchor,
     AnchorError,
     AnchorSet,
@@ -18,7 +20,9 @@ from boxlab.anchorlab import (
     parse_darknet_fragment,
     run_kmeans,
 )
-from oracles import bin_residual_variances, raster_centered_iou
+from boxlab.datastats import extract_dims
+from boxlab.synthgen import SynthConfig, generate_dataset
+from oracles import bin_residual_variances, raster_centered_iou, reference_run_kmeans
 
 GOLDEN_ANCHORS = [
     (10, 10), (16, 16), (19, 19), (16, 24), (24, 20), (23, 24), (28, 27),
@@ -151,23 +155,50 @@ class TestKMeans:
                 assert later <= earlier + tolerance
 
     def test_one_full_cost_matrix_per_iteration(self, monkeypatch):
+        # At most: the bounds only ever skip rows of the full matrix.
         rng = np.random.default_rng(21)
         dims = np.column_stack([rng.uniform(5, 90, 200), rng.uniform(5, 90, 200)])
-        real = anchorlab._point_costs
+        real_point_costs, real_pair_costs = anchorlab._point_costs, anchorlab._pair_costs
         full_size_calls = 0
 
-        def counting(points, centroids, distance):
+        def counting_point_costs(points, centroids, distance):
             nonlocal full_size_calls
             full_size_calls += len(points) == len(dims)
-            return real(points, centroids, distance)
+            return real_point_costs(points, centroids, distance)
 
-        monkeypatch.setattr(anchorlab, "_point_costs", counting)
+        def counting_pair_costs(*columns):
+            nonlocal full_size_calls
+            costs = real_pair_costs(*columns)
+            full_size_calls += costs.shape == (len(dims), k)
+            return costs
+
+        monkeypatch.setattr(anchorlab, "_point_costs", counting_point_costs)
+        monkeypatch.setattr(anchorlab, "_pair_costs", counting_pair_costs)
         k = 4
         for distance in ("euclidean", "one_minus_iou"):
             full_size_calls = 0
             run = run_kmeans(dims, k=k, distance=distance, seed=2)
             # k seeding passes, the first assignment, then one per iteration.
-            assert full_size_calls == k + 1 + len(run.objective_history)
+            assert full_size_calls <= k + 1 + len(run.objective_history)
+
+    @pytest.mark.parametrize("distance", ["euclidean", "one_minus_iou"])
+    def test_bounds_skip_most_point_centroid_costs(self, monkeypatch, distance):
+        rng = np.random.default_rng(5)
+        centres = rng.uniform(10, 200, size=(8, 2))
+        dims = np.repeat(centres, 250, axis=0) * rng.uniform(0.9, 1.1, size=(2000, 2))
+        real = anchorlab._pair_costs
+        evaluated = 0
+
+        def counting(*columns):
+            nonlocal evaluated
+            costs = real(*columns)
+            evaluated += costs.size
+            return costs
+
+        monkeypatch.setattr(anchorlab, "_pair_costs", counting)
+        k = 8
+        run = run_kmeans(dims, k=k, distance=distance, seed=0)
+        assert evaluated < len(dims) * k * len(run.objective_history)
 
     @pytest.mark.parametrize("distance", ["euclidean", "one_minus_iou"])
     def test_last_objective_is_the_cost_of_the_result(self, distance):
@@ -189,14 +220,71 @@ class TestKMeans:
         with pytest.raises(AnchorError):
             run_kmeans(dims_of([(10, 10), (20, 20)]), k=3)
 
-    def test_k_above_distinct_count_rejected(self):
+    @pytest.mark.parametrize("distance", ["one_minus_iou", "euclidean"])
+    def test_k_above_distinct_count_rejected(self, distance):
         with pytest.raises(AnchorError) as excinfo:
-            run_kmeans(dims_of([(10, 10)] * 5), k=2)
+            run_kmeans(dims_of([(10, 10)] * 5), k=2, distance=distance)
         assert "distinct" in str(excinfo.value)
+
+    @pytest.mark.parametrize("distance", ["one_minus_iou", "euclidean"])
+    def test_k_equal_to_distinct_count_with_duplicates(self, distance):
+        dims = dims_of([(10, 10)] * 4 + [(30, 12)] * 3 + [(12, 30)] * 2)
+        for seed in range(10):
+            run = run_kmeans(dims, k=3, distance=distance, seed=seed)
+            assert sorted(map(tuple, run.centroids)) == [(10, 10), (12, 30), (30, 12)]
 
     def test_unknown_distance_rejected(self):
         with pytest.raises(AnchorError):
             run_kmeans(dims_of([(10, 10), (20, 20)]), k=1, distance="manhattan")
+
+
+# Whole-pixel dims on a small grid, optionally scaled: duplicates and exact
+# cost ties are common.
+GRID_DIMS = st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=40)
+
+
+class TestKMeansAgainstPlainLoop:
+    """The bounded loop returns bit for bit what the plain Lloyd loop returns."""
+
+    @staticmethod
+    def assert_same_run(dims, k, distance, seed, max_iterations=KMEANS_MAX_ITERATIONS):
+        centroids, labels, history = reference_run_kmeans(dims, k, distance, seed, max_iterations)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anchorlab, "KMEANS_MAX_ITERATIONS", max_iterations)
+            run = run_kmeans(dims, k, distance=distance, seed=seed)
+        assert np.array_equal(run.centroids, centroids)
+        assert np.array_equal(run.labels, labels)
+        assert run.objective_history == history
+        return labels
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        GRID_DIMS,
+        st.sampled_from([1.0, 0.1, 7.3]),
+        st.sampled_from(DISTANCES),
+        st.integers(0, 2**16),
+        st.sampled_from([1, 2, 3, KMEANS_MAX_ITERATIONS]),
+        st.data(),
+    )
+    def test_matches_the_plain_loop(self, grid, scale, distance, seed, max_iterations, data):
+        k = data.draw(st.integers(1, len(set(grid))), label="k")
+        self.assert_same_run(np.array(grid, dtype=float) * scale, k, distance, seed, max_iterations)
+
+    @pytest.mark.parametrize(
+        "sides, distance, seed",
+        [
+            ([4, 14, 14, 14, 14, 15, 25, 29, 29, 29, 32], "euclidean", 40),
+            ([11.4, 22.1, 23.1, 21.1, 21.4, 24.0, 46.2, 61.2, 63.1, 62.9, 77.0],
+             "one_minus_iou", 12),
+        ],
+    )
+    def test_matches_when_a_cluster_empties(self, sides, distance, seed):
+        labels = self.assert_same_run(dims_of(zip(sides, sides)), 3, distance, seed)
+        assert len(np.unique(labels)) == 2
+
+    def test_matches_on_the_baseline_corpus(self):
+        dims = extract_dims(generate_dataset(SynthConfig(n_images=1000, seed=42)))
+        self.assert_same_run(dims, 9, "one_minus_iou", 0)
 
 
 class TestLineFit:

@@ -569,6 +569,26 @@ class TestManifestReplay:
             "--min-coverage", "0.123456789", "--bins", "7",
         )
 
+    def test_relative_inputs_replay_from_another_directory(self, tmp_path):
+        TestStats().corpus(tmp_path / "corpus")
+        dims = tmp_path / "corpus" / "dims.csv"
+        dims.write_text("image_id,width,height\na,100,100\nb,100,100\n")
+        code, _, err = run_cli(
+            "stats", Path("corpus", "gt"), "--manifest", Path("corpus", "dims.csv"),
+            "--out", "first", cwd=tmp_path,
+        )
+        assert code == 0, err
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        code, _, err = run_cli(
+            *replay_argv(tmp_path / "first" / "run_manifest.txt"), "--out", tmp_path / "second",
+            cwd=elsewhere,
+        )
+        assert code == 0, err
+        one, two = tree_bytes(tmp_path / "first"), tree_bytes(tmp_path / "second")
+        del one["run_manifest.txt"], two["run_manifest.txt"]
+        assert one == two
+
     def test_eval(self, tmp_path):
         self.assert_replays(
             tmp_path, "eval", WORKED_GT, WORKED_PRED, "--iou-threshold", "0.512345678",
