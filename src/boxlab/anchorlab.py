@@ -126,7 +126,10 @@ def centered_iou(a: Anchor, b: Anchor) -> float:
 
 
 def _dims_array(dims: ArrayLike) -> np.ndarray:
-    """Box dimensions as an (n, 2) float array; AnchorError unless finite and > 0."""
+    """Box dimensions as an (n, 2) float array; AnchorError unless finite and > 0.
+
+    A width times height that overflows is rejected too, as in a box file.
+    """
     try:
         points = np.asarray(dims, dtype=float)
     except (TypeError, ValueError):
@@ -135,6 +138,9 @@ def _dims_array(dims: ArrayLike) -> np.ndarray:
         raise AnchorError(f"box dimensions must have shape (n, 2), got {points.shape}")
     if not np.all((points > 0) & np.isfinite(points)):
         raise AnchorError("box dimensions must be finite and positive")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(points[:, 0] * points[:, 1])):
+            raise AnchorError("box dimensions must have a finite area")
     return points
 
 
@@ -143,14 +149,6 @@ def centered_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter = np.minimum(a[:, None, 0], b[None, :, 0]) * np.minimum(a[:, None, 1], b[None, :, 1])
     union = (a[:, 0] * a[:, 1])[:, None] + (b[:, 0] * b[:, 1])[None, :] - inter
     return inter / union
-
-
-def _point_costs(points: np.ndarray, centroids: np.ndarray, distance: str) -> np.ndarray:
-    """Per-point, per-centroid cost; squared Euclidean or 1 - centered IoU."""
-    if distance == "euclidean":
-        deltas = points[:, None, :] - centroids[None, :, :]
-        return np.sum(deltas * deltas, axis=2)
-    return 1.0 - centered_iou_matrix(points, centroids)
 
 
 @dataclass(frozen=True)
@@ -162,24 +160,31 @@ class KMeansRun:
     objective_history: tuple[float, ...]
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, distance: str, rng: np.random.Generator):
-    chosen = [int(rng.integers(len(points)))]
-    costs = _point_costs(points, points[chosen], distance)[:, 0]
+def _kmeans_pp_init(w, h, area, k: int, distance: str, rng: np.random.Generator) -> list[int]:
+    """Indices of k seed points: the first uniform, each next with weight cost²."""
+    index = int(rng.integers(len(w)))
+    chosen = [index]
+    costs = _pair_costs(w, h, area, w[index], h[index], area[index], distance)
     while len(chosen) < k:
-        weights = costs * costs
-        total = weights.sum()
+        with np.errstate(over="ignore"):
+            weights = costs * costs
+            total = weights.sum()
+        if not np.isfinite(total):
+            raise AnchorError("box dimensions too large: k-means seeding weights overflow")
         if total == 0:
             raise AnchorError("k exceeds the number of distinct dims")
-        index = int(rng.choice(len(points), p=weights / total))
+        index = int(rng.choice(len(w), p=weights / total))
         chosen.append(index)
-        costs = np.minimum(costs, _point_costs(points, points[[index]], distance)[:, 0])
-    return points[chosen].copy()
+        added = _pair_costs(w, h, area, w[index], h[index], area[index], distance)
+        costs = np.minimum(costs, added)
+    return chosen
 
 
 def _pair_costs(w, h, area, cw, ch, carea, distance: str) -> np.ndarray:
     """Costs between broadcastable width, height and area columns.
 
-    The per-element operations of ``_point_costs``, so the same floats.
+    Squared Euclidean, or 1 - centred IoU with the per-element operations
+    of ``centered_iou_matrix``, so the same floats.
     """
     if distance == "euclidean":
         dw = w - cw
@@ -233,14 +238,13 @@ def run_kmeans(
     if len(points) < k:
         raise AnchorError(f"k={k} exceeds the {len(points)} available dims")
 
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(points, k, distance, rng)
+    w, h = points.T.copy()
+    area = w * h
+    centroids = points[_kmeans_pp_init(w, h, area, k, distance, np.random.default_rng(seed))]
     euclidean = distance == "euclidean"
     # 1 - IoU is already a distance; the Euclidean cost is its square.
     to_distance = np.sqrt if euclidean else np.asarray
     margin = 1e-9 * (float(points.max()) if euclidean else 1.0)
-    w, h = points.T.copy()
-    area = w * h
     n = len(points)
     labels = np.zeros(n, dtype=np.intp)
     own = np.zeros(n)

@@ -65,6 +65,8 @@ def _box_problem(left, top, right, bottom) -> str | None:
         return f"zero-width box: right {right} <= left {left}"
     if bottom <= top:
         return f"zero-height box: bottom {bottom} <= top {top}"
+    if not math.isfinite((right - left) * (bottom - top)):
+        return f"box area overflows: width {right - left} x height {bottom - top}"
     return None
 
 
@@ -158,8 +160,10 @@ def _checked_columns(class_names, edges, confidences=None) -> list:
     if edges.shape != (n, 4):
         raise ValueError(f"edges must have shape ({n}, 4), got {edges.shape}")
     left, top, right, bottom = edges.T
-    bad = ~np.isfinite(edges).all(axis=1) | (left < 0) | (top < 0)
-    bad |= (right <= left) | (bottom <= top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Not finite when an edge is not, or when the area overflows.
+        area = (right - left) * (bottom - top)
+    bad = ~np.isfinite(area) | (left < 0) | (top < 0) | (right <= left) | (bottom <= top)
     columns = [class_names, _read_only(edges)]
     if confidences is not None:
         confidences = np.array(confidences, dtype=np.float64)

@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     stats.add_argument(
-        "--min-count", type=int, default=3, help="flag images with fewer heads than this"
+        "--min-count", type=nonnegative_int, default=3, help="flag images with fewer heads than this"
     )
     stats.add_argument(
         "--min-coverage",

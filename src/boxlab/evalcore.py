@@ -3,7 +3,7 @@
 The matcher is the usual greedy one: detections in descending confidence
 order each claim the unmatched ground-truth box of their class they overlap
 best, provided that IoU reaches the threshold. AP is the area under the monotone precision
-envelope over all ranks (all-point interpolation). Count agreement is the
+envelope over all ranks (all-point interpolation only). Count agreement is the
 squared Pearson correlation between per-image true and predicted counts;
 an identity-line variant (1 - SSres/SStot about y = x) is available since
 an R² printed on a scatter plot can mean either.
@@ -177,79 +177,32 @@ def match_detections(
     return MatchResult(image_id=gt.image_id, verdicts=tuple(verdicts), gt_count=len(gt))
 
 
-def _precision_envelope(points: Sequence[tuple[float, float]]) -> list[float]:
-    """Running maximum of precision from the last rank back to the first."""
-    envelope = [0.0] * len(points)
-    running = 0.0
-    for i in range(len(points) - 1, -1, -1):
-        running = max(running, points[i][1])
-        envelope[i] = running
-    return envelope
-
-
-def _envelope_area(points: Sequence[tuple[float, float]]) -> float:
-    """Area under the monotone non-increasing precision envelope."""
-    terms = []
-    previous_recall = 0.0
-    for (recall, _), precision in zip(points, _precision_envelope(points)):
-        if recall > previous_recall:
-            terms.append((recall - previous_recall) * precision)
-            previous_recall = recall
-    return math.fsum(terms)
-
-
-def _eleven_point_ap(points: Sequence[tuple[float, float]]) -> float:
-    """Mean of the precision envelope sampled at recalls 0.0, 0.1, ..., 1.0."""
-    envelope = _precision_envelope(points)
-    terms = []
-    for step in range(11):
-        target = step / 10.0
-        value = 0.0
-        for (recall, _), precision in zip(points, envelope):
-            if recall >= target:
-                value = precision
-                break
-        terms.append(value)
-    return math.fsum(terms) / 11.0
-
-
-AP_INTERPOLATIONS = ("all_point", "eleven_point")
-
-
-def average_precision(
-    matches: Iterable[MatchResult], total_gt: int, interpolation: str = "all_point"
-) -> PRCurve:
-    """PR curve over the global detection ranking, and its AP.
+def average_precision(matches: Iterable[MatchResult], total_gt: int) -> PRCurve:
+    """PR curve over the global detection ranking, and its all-point AP.
 
     The ranking merges all images by (confidence descending, image id,
-    detection index), so results are independent of input order. The
-    default AP integrates the full monotone precision envelope;
-    ``interpolation="eleven_point"`` instead averages the envelope at the
-    eleven recall levels 0.0, 0.1, ..., 1.0 for comparison with tools that
-    use that convention. The stored PR points are the same either way.
+    detection index), so results are independent of input order; verdicts
+    equal on that whole key keep their input order. AP is the area under
+    the monotone precision envelope, integrated at every rank that adds
+    recall (the PASCAL VOC definition since 2010).
+
+    Each point is an integer true division, which numpy and Python both
+    round correctly, and a rank that adds no recall adds an exact 0.0 to
+    a ``math.fsum``, so the curve and AP equal a rank-by-rank loop's.
     """
     if total_gt < 1:
         raise EvalError(f"total_gt must be >= 1, got {total_gt}")
-    if interpolation not in AP_INTERPOLATIONS:
-        raise EvalError(
-            f"unknown interpolation {interpolation!r}; expected one of {AP_INTERPOLATIONS}"
-        )
     ranked = sorted(
         ((v, m.image_id) for m in matches for v in m.verdicts),
         key=lambda item: (-item[0].confidence, item[1], item[0].det_index),
     )
-    points = []
-    confidences = []
-    true_positives = 0
-    for rank, (verdict, _) in enumerate(ranked, start=1):
-        true_positives += verdict.is_tp
-        points.append((true_positives / total_gt, true_positives / rank))
-        confidences.append(verdict.confidence)
-    if interpolation == "eleven_point":
-        ap = _eleven_point_ap(points)
-    else:
-        ap = _envelope_area(points)
-    return PRCurve(tuple(points), tuple(confidences), ap)
+    true_positives = np.cumsum([v.is_tp for v, _ in ranked], dtype=np.int64)
+    recall = true_positives / total_gt
+    precision = true_positives / np.arange(1, len(ranked) + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = math.fsum((np.diff(recall, prepend=0.0) * envelope).tolist())
+    points = tuple(zip(recall.tolist(), precision.tolist()))
+    return PRCurve(points, tuple(v.confidence for v, _ in ranked), ap)
 
 
 def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]:
@@ -269,10 +222,19 @@ def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]
     return by_id
 
 
-def _ap_report(
-    gt: Dataset, predictions: Mapping[str, ImageDetections], iou_threshold: float
+def mean_average_precision(
+    gt: Dataset, predictions, iou_threshold: float = 0.70
 ) -> EvalReport:
-    """Per-class AP from one matching pass per image over ``_checked_predictions``."""
+    """Per-class AP and their mean.
+
+    Classes are those present in the ground truth; detections of any other
+    class are ignored. Each image is matched once with ``match_detections``,
+    whose verdicts are then split by the detection's class. An image with no
+    prediction file contributes only false negatives. The returned report
+    carries the AP fields and the per-class match results; count pairs and
+    R² are left empty (see ``evaluate`` for the full report).
+    """
+    predictions = _checked_predictions(gt, predictions)
     classes = sorted(set().union(*(ann.class_names for ann in gt)))
     if not classes:
         raise EvalError("ground truth contains no boxes")
@@ -302,22 +264,6 @@ def _ap_report(
         confidence_threshold=None,
         matches_per_class={name: tuple(results) for name, results in matches.items()},
     )
-
-
-def mean_average_precision(
-    gt: Dataset, predictions, iou_threshold: float = 0.70
-) -> EvalReport:
-    """Per-class AP and their mean.
-
-    Classes are those present in the ground truth; detections of any other
-    class are ignored. Each image is matched once with ``match_detections``,
-    whose verdicts are then split by the detection's class. An image with no
-    prediction file contributes only false negatives. The returned report
-    carries the AP fields and the per-class match results; count pairs and
-    R² are left empty (see ``evaluate`` for the full report).
-    """
-    predictions = _checked_predictions(gt, predictions)
-    return _ap_report(gt, predictions, iou_threshold)
 
 
 def _count_pairs(
@@ -400,7 +346,7 @@ def evaluate(
         raise EvalError(f"unknown R² mode {r2_mode!r}; expected one of {R2_MODES}")
     predictions = _checked_predictions(gt, predictions)
     pairs = _count_pairs(gt, predictions, confidence_threshold)
-    report = _ap_report(gt, predictions, iou_threshold)
+    report = mean_average_precision(gt, predictions, iou_threshold)
     try:
         r_squared = _r_squared(pairs, r2_mode)
     except EvalError:

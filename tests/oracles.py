@@ -1,10 +1,10 @@
 """Independent reference implementations the fast code is checked against.
 
 Everything here trades speed for obviousness: IoU by literally counting
-pixels on a grid, AP by scanning every confidence cutoff, correlation via
-numpy's own corrcoef, annotation files one line and one check at a time,
-CSV reports one cell at a time through ``csv.writer``, k-means with a full
-cost matrix on every iteration.
+pixels on a grid, AP by scanning every confidence cutoff or by a
+rank-by-rank loop, correlation via numpy's own corrcoef, annotation files
+one line and one check at a time, CSV reports one cell at a time through
+``csv.writer``, k-means with a full cost matrix on every iteration.
 None of it shares code with the package.
 """
 
@@ -74,6 +74,40 @@ def cutoff_scan_ap(ranked: list[tuple[float, str, int, bool]], total_gt: int) ->
             best_precision = max(tp_at[j] / (j + 1) for j in range(k, n))
             ap += best_precision / total_gt
     return ap
+
+
+def reference_average_precision(matches, total_gt: int):
+    """(points, confidences, ap) from one rank-by-rank loop over the sorted verdicts.
+
+    ``matches`` holds objects with ``image_id`` and ``verdicts`` (each with
+    ``confidence``, ``det_index`` and ``is_tp``). The ranking is a stable
+    sort by (confidence descending, image id, detection index); each rank
+    appends (recall, precision), and AP sums the recall steps times the
+    running maximum of precision taken from the last rank back.
+    """
+    ranked = sorted(
+        ((v, m.image_id) for m in matches for v in m.verdicts),
+        key=lambda item: (-item[0].confidence, item[1], item[0].det_index),
+    )
+    points = []
+    confidences = []
+    true_positives = 0
+    for rank, (verdict, _) in enumerate(ranked, start=1):
+        true_positives += verdict.is_tp
+        points.append((true_positives / total_gt, true_positives / rank))
+        confidences.append(verdict.confidence)
+    envelope = [0.0] * len(points)
+    running = 0.0
+    for i in range(len(points) - 1, -1, -1):
+        running = max(running, points[i][1])
+        envelope[i] = running
+    terms = []
+    previous_recall = 0.0
+    for (recall, _), precision in zip(points, envelope):
+        if recall > previous_recall:
+            terms.append((recall - previous_recall) * precision)
+            previous_recall = recall
+    return tuple(points), tuple(confidences), math.fsum(terms)
 
 
 def _box_iou(a, b) -> float:
@@ -241,6 +275,9 @@ def _reference_box(tokens: list[str], line: int) -> tuple[float, float, float, f
         raise ReferenceParseError(f"zero-width box: right {right} <= left {left}", line)
     if bottom <= top:
         raise ReferenceParseError(f"zero-height box: bottom {bottom} <= top {top}", line)
+    width, height = right - left, bottom - top
+    if width * height == math.inf:
+        raise ReferenceParseError(f"box area overflows: width {width} x height {height}", line)
     return (left, top, right, bottom)
 
 

@@ -22,7 +22,12 @@ from boxlab.anchorlab import (
 )
 from boxlab.datastats import extract_dims
 from boxlab.synthgen import SynthConfig, generate_dataset
-from oracles import bin_residual_variances, raster_centered_iou, reference_run_kmeans
+from oracles import (
+    _reference_costs,
+    bin_residual_variances,
+    raster_centered_iou,
+    reference_run_kmeans,
+)
 
 GOLDEN_ANCHORS = [
     (10, 10), (16, 16), (19, 19), (16, 24), (24, 20), (23, 24), (28, 27),
@@ -158,21 +163,15 @@ class TestKMeans:
         # At most: the bounds only ever skip rows of the full matrix.
         rng = np.random.default_rng(21)
         dims = np.column_stack([rng.uniform(5, 90, 200), rng.uniform(5, 90, 200)])
-        real_point_costs, real_pair_costs = anchorlab._point_costs, anchorlab._pair_costs
+        real_pair_costs = anchorlab._pair_costs
         full_size_calls = 0
-
-        def counting_point_costs(points, centroids, distance):
-            nonlocal full_size_calls
-            full_size_calls += len(points) == len(dims)
-            return real_point_costs(points, centroids, distance)
 
         def counting_pair_costs(*columns):
             nonlocal full_size_calls
             costs = real_pair_costs(*columns)
-            full_size_calls += costs.shape == (len(dims), k)
+            full_size_calls += costs.shape[0] == len(dims)
             return costs
 
-        monkeypatch.setattr(anchorlab, "_point_costs", counting_point_costs)
         monkeypatch.setattr(anchorlab, "_pair_costs", counting_pair_costs)
         k = 4
         for distance in ("euclidean", "one_minus_iou"):
@@ -205,7 +204,7 @@ class TestKMeans:
         rng = np.random.default_rng(8)
         dims = np.column_stack([rng.uniform(5, 90, 120), rng.uniform(5, 90, 120)])
         run = run_kmeans(dims, k=5, distance=distance, seed=1)
-        costs = anchorlab._point_costs(dims, run.centroids, distance)
+        costs = _reference_costs(dims, run.centroids, distance)
         assert run.objective_history[-1] == float(costs[np.arange(len(dims)), run.labels].sum())
 
     def test_k_zero_rejected(self):
@@ -236,6 +235,22 @@ class TestKMeans:
     def test_unknown_distance_rejected(self):
         with pytest.raises(AnchorError):
             run_kmeans(dims_of([(10, 10), (20, 20)]), k=1, distance="manhattan")
+
+    @pytest.mark.parametrize("distance", ["one_minus_iou", "euclidean"])
+    def test_overflowing_area_rejected(self, distance):
+        dims = dims_of([(1e200, 1e200), (2e200, 1e200), (3e200, 1e200)])
+        with pytest.raises(AnchorError, match="finite area"):
+            run_kmeans(dims, k=2, distance=distance)
+        with pytest.raises(AnchorError, match="finite area"):
+            linefit_anchors(dims)
+        with pytest.raises(AnchorError, match="finite area"):
+            coverage(dims, AnchorSet.from_dims([(10, 10)]))
+
+    def test_overflowing_seeding_weights_rejected(self):
+        # Finite areas, but squared costs of about 1e200 square past the float range.
+        dims = dims_of([(1e100, 1e100), (2e100, 1e100), (3e100, 1e100)])
+        with pytest.raises(AnchorError, match="overflow"):
+            run_kmeans(dims, k=2, distance="euclidean")
 
 
 # Whole-pixel dims on a small grid, optionally scaled: duplicates and exact

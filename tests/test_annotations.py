@@ -438,7 +438,7 @@ def _reference_outcome(parse, text):
 
 
 ODD_NUMBERS = [
-    "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1E3",
+    "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1e200", "1E3",
     "2.5e+1", "+5", "-0.0", "-0", "1_0", "0x10", "1e", ".5", "5.", "three", "١٢", "½",
 ]
 # Characters that str.split or str.splitlines treat specially, plus a BOM.
@@ -547,6 +547,19 @@ class TestAgainstReferenceParser:
     def test_prediction_errors(self, text, line, reason):
         assert _outcome(parse_predictions, text) == ("error", line, reason)
         assert _reference_outcome(reference_parse_predictions, text) == ("error", line, reason)
+
+    def test_box_area_overflow_is_malformed(self):
+        reason = "box area overflows: width 1e+200 x height 1e+200"
+        gt_text = "head 0 0 1 1\nhead 0 0 1e200 1e200"
+        assert _outcome(parse_ground_truth, gt_text) == ("error", 2, reason)
+        assert _reference_outcome(reference_parse_ground_truth, gt_text) == ("error", 2, reason)
+        pred_text = "head 0.5 0 0 1e200 1e200"
+        assert _outcome(parse_predictions, pred_text) == ("error", 1, reason)
+        assert _reference_outcome(reference_parse_predictions, pred_text) == ("error", 1, reason)
+        with pytest.raises(ValueError, match="area overflows"):
+            BoundingBox(0, 0, 1e200, 1e200)
+        with pytest.raises(ValueError, match="box 2: box area overflows"):
+            ImageAnnotations.from_columns("img", ["head"] * 2, [[0, 0, 1, 1], [0, 0, 1e200, 1e200]])
 
     @settings(max_examples=40, deadline=None)
     @given(annotation_texts(with_confidence=False))

@@ -190,6 +190,13 @@ class TestStats:
         assert code == 1
         assert "not a directory" in err
 
+    def test_negative_min_count_is_a_usage_error(self, tmp_path):
+        gt = self.corpus(tmp_path)
+        code, _, err = run_cli("stats", gt, "--min-count", "-3", "--out", tmp_path / "out")
+        assert code == 2
+        assert "must be >= 0" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAnchors:
     def corpus(self, tmp_path):
@@ -619,6 +626,39 @@ class TestNegativeSeeds:
         for text in ("-1", "1.5", "x"):
             with pytest.raises(argparse.ArgumentTypeError):
                 cli.nonnegative_int(text)
+
+
+class TestOverflowingBoxArea:
+    """A box whose width times height overflows a float is a malformed line."""
+
+    GT = "head 0 0 1e200 1e200\nhead 0 0 2e200 1e200\nhead 0 0 3e200 1e200\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "{pred}"),
+            ("stats",),
+            ("anchors", "--method", "kmeans", "--k", "2", "--layers", "2"),
+            ("anchors", "--method", "kmeans", "--k", "2", "--layers", "2",
+             "--distance", "euclidean"),
+            ("anchors", "--method", "kmeans", "--k", "1", "--layers", "1"),
+            ("anchors", "--method", "linefit"),
+        ],
+        ids=["eval", "stats", "kmeans-iou", "kmeans-euclidean", "kmeans-k1", "linefit"],
+    )
+    def test_is_a_data_error_naming_file_and_line(self, tmp_path, argv):
+        gt = write_corpus(tmp_path / "gt", {"img": self.GT})
+        pred = write_corpus(
+            tmp_path / "pred", {"img": "head 0.9 0 0 1e200 1e200\nhead 0.8 0 0 2e200 1e200\n"}
+        )
+        command, *rest = (str(a).format(pred=pred) for a in argv)
+        code, _, err = run_cli(command, gt, *rest, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ")
+        assert "img.txt: line 1: box area overflows" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestNoPerBoxRecords:

@@ -25,7 +25,13 @@ from boxlab.evalcore import (
     match_detections,
     mean_average_precision,
 )
-from oracles import cutoff_scan_ap, pearson_r_squared, raster_iou, reference_class_matches
+from oracles import (
+    cutoff_scan_ap,
+    pearson_r_squared,
+    raster_iou,
+    reference_average_precision,
+    reference_class_matches,
+)
 
 
 def gt_image(image_id, boxes, class_name="head"):
@@ -380,39 +386,65 @@ class TestAveragePrecision:
             average_precision(relabeled, total_gt).ap, abs=1e-12
         )
 
-    def test_eleven_point_worked_example(self, worked_example):
-        # Envelope precision is 1.0 for recall <= 0.5 (6 levels) and 2/3
-        # above it (5 levels): (6 + 5 * 2/3) / 11 = 28/33.
+
+def _verdict(det_index, confidence, is_tp, gt_index=None):
+    return DetectionVerdict(det_index, confidence, is_tp, gt_index, 1.0 if is_tp else 0.0)
+
+
+@st.composite
+def match_result_lists(draw):
+    """Few image ids, confidences and detection indices, so whole-key ties are common."""
+    rows = st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.booleans()),
+        max_size=8,
+    )
+    results = []
+    for _ in range(draw(st.integers(0, 5))):
+        verdicts = []
+        for det_index, confidence, is_tp in draw(rows):
+            tp_so_far = sum(v.is_tp for v in verdicts)
+            verdicts.append(_verdict(det_index, confidence, is_tp, tp_so_far if is_tp else None))
+        gt_count = sum(v.is_tp for v in verdicts) + draw(st.integers(0, 3))
+        results.append(MatchResult(draw(st.sampled_from("abc")), tuple(verdicts), gt_count))
+    return results, max(1, sum(m.gt_count for m in results))
+
+
+def _tied_verdicts_that_differ_in_is_tp():
+    # Equal (confidence, image id, det_index): only input order ranks the TP first.
+    return [
+        MatchResult("a", (_verdict(0, 0.5, True, 0),), 1),
+        MatchResult("a", (_verdict(0, 0.5, False),), 0),
+    ], 1
+
+
+class TestAveragePrecisionAgainstReference:
+    """The cumulative-sum AP equals the rank-by-rank loop exactly, not approximately."""
+
+    @staticmethod
+    def assert_same(results, total_gt):
+        curve = average_precision(results, total_gt)
+        points, confidences, ap = reference_average_precision(results, total_gt)
+        assert curve.points == points
+        assert curve.confidences == confidences
+        assert curve.ap == ap
+
+    @settings(max_examples=300, deadline=None)
+    @given(match_result_lists())
+    @example(([], 1))
+    @example(([MatchResult("a", (_verdict(0, 0.9, False), _verdict(1, 0.4, False)), 1)], 1))
+    def test_generated_rankings(self, case):
+        self.assert_same(*case)
+
+    def test_worked_example(self, worked_example):
         gt, preds = worked_example
         result = match_detections(gt.images["img_0"], preds["img_0"])
-        curve = average_precision([result], total_gt=2, interpolation="eleven_point")
-        assert curve.ap == pytest.approx(28 / 33, abs=1e-12)
-        assert curve.points == ((0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3))
+        self.assert_same([result], 2)
 
-    def test_eleven_point_perfect_detector_scores_one(self):
-        gt = gt_image("a", [(0, 0, 10, 10), (30, 30, 40, 40)])
-        pred = det_image("a", [(0.9, (0, 0, 10, 10)), (0.8, (30, 30, 40, 40))])
-        result = match_detections(gt, pred)
-        assert average_precision([result], 2, interpolation="eleven_point").ap == 1.0
-
-    def test_eleven_point_never_exceeds_all_point_by_much(self):
-        # Both integrate the same envelope; they differ only in sampling,
-        # so the gap is bounded by the envelope's variation over one step.
-        for seed in range(20):
-            results, total_gt = random_match_results(seed)
-            if total_gt == 0:
-                continue
-            full = average_precision(results, total_gt).ap
-            coarse = average_precision(results, total_gt, interpolation="eleven_point").ap
-            assert 0.0 <= coarse <= 1.0
-            assert abs(coarse - full) <= 0.5
-
-    def test_unknown_interpolation_rejected(self):
-        gt = gt_image("a", [(0, 0, 10, 10)])
-        pred = det_image("a", [(0.9, (0, 0, 10, 10))])
-        result = match_detections(gt, pred)
-        with pytest.raises(EvalError, match="interpolation"):
-            average_precision([result], 1, interpolation="five_point")
+    def test_whole_key_ties_keep_input_order(self):
+        results, total_gt = _tied_verdicts_that_differ_in_is_tp()
+        self.assert_same(results, total_gt)
+        assert average_precision(results, total_gt).points == ((1.0, 1.0), (1.0, 0.5))
+        assert average_precision(results[::-1], total_gt).points == ((0.0, 0.0), (1.0, 0.5))
 
 
 class TestPRCurveValidation:
