@@ -21,15 +21,18 @@ build on request. All types are immutable after construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
 EDGE_NAMES = ("left", "top", "right", "bottom")
+PREDICTION_FIELDS = ("confidence", *EDGE_NAMES)
 
 
 class ParseError(ValueError):
@@ -181,62 +184,34 @@ def _checked_columns(class_names, edges, confidences=None) -> list:
     return columns
 
 
-def _set_fields(instance, **values) -> None:
-    for name, value in values.items():
-        object.__setattr__(instance, name, value)
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ImageAnnotations:
     """All ground-truth boxes of one image, with optional pixel dimensions.
 
-    ``class_names`` and ``edges`` hold one entry per box in file order;
-    ``edges`` is a read-only ``(n, 4)`` float64 array of (left, top, right,
-    bottom). ``boxes`` builds the per-box records from them on each access.
+    ``class_names`` and ``edges`` hold one entry per box in file order and
+    are stored as checked copies; ``edges`` is a read-only ``(n, 4)``
+    float64 array of (left, top, right, bottom). Set dimensions must be
+    positive, finite and hold every box. ``boxes`` builds the per-box
+    records from the columns on each access.
     """
 
     image_id: str
-    class_names: tuple[str, ...]
-    edges: np.ndarray
+    class_names: tuple[str, ...] = ()
+    edges: np.ndarray = ()
     width: float | None = None
     height: float | None = None
     dims_inferred: bool = False
 
-    def __init__(
-        self,
-        image_id: str,
-        boxes: Sequence[GroundTruthBox] = (),
-        width: float | None = None,
-        height: float | None = None,
-        dims_inferred: bool = False,
-    ):
-        boxes = tuple(boxes)
-        names, edges = _checked_columns(
-            [gt.class_name for gt in boxes], [gt.box.as_tuple() for gt in boxes]
-        )
-        self._store(image_id, names, edges, width, height, dims_inferred)
-
-    @classmethod
-    def from_columns(
-        cls,
-        image_id: str,
-        class_names: Sequence[str],
-        edges,
-        width: float | None = None,
-        height: float | None = None,
-        dims_inferred: bool = False,
-    ) -> "ImageAnnotations":
-        """Build from columns (copied); every row is checked as its record would be."""
-        ann = cls.__new__(cls)
-        ann._store(image_id, *_checked_columns(class_names, edges), width, height, dims_inferred)
-        return ann
-
-    def _store(self, image_id, class_names, edges, width, height, dims_inferred) -> None:
+    def __post_init__(self):
+        names, edges = _checked_columns(self.class_names, self.edges)
+        # A frozen dataclass stores its checked copies through __dict__.
+        self.__dict__.update(class_names=names, edges=edges)
+        image_id, width, height = self.image_id, self.width, self.height
         if (width is None) != (height is None):
             raise DatasetError(f"image {image_id!r}: width and height must be set together")
         if width is not None:
-            if width <= 0 or height <= 0:
-                raise DatasetError(f"image {image_id!r}: non-positive dimensions")
+            if not (0 < width < math.inf and 0 < height < math.inf):
+                raise DatasetError(f"image {image_id!r}: dimensions must be positive and finite")
             outside = np.flatnonzero((edges[:, 2] > width) | (edges[:, 3] > height))
             if outside.size:
                 i = int(outside[0])
@@ -244,15 +219,6 @@ class ImageAnnotations:
                     f"image {image_id!r}: box {i + 1} {tuple(edges[i].tolist())} exceeds "
                     f"image bounds {width}x{height}"
                 )
-        _set_fields(
-            self, image_id=image_id, class_names=class_names, edges=edges, width=width,
-            height=height, dims_inferred=dims_inferred,
-        )
-
-    def _with_dims(self, width: float, height: float, dims_inferred: bool) -> "ImageAnnotations":
-        ann = ImageAnnotations.__new__(ImageAnnotations)
-        ann._store(self.image_id, self.class_names, self.edges, width, height, dims_inferred)
-        return ann
 
     @property
     def boxes(self) -> tuple[GroundTruthBox, ...]:
@@ -277,7 +243,7 @@ class ImageAnnotations:
         return hash((self.image_id, self.class_names, self.width, self.height))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ImageDetections:
     """All detections reported for one image, in file order.
 
@@ -287,30 +253,13 @@ class ImageDetections:
     """
 
     image_id: str
-    class_names: tuple[str, ...]
-    edges: np.ndarray
-    confidences: np.ndarray
+    class_names: tuple[str, ...] = ()
+    edges: np.ndarray = ()
+    confidences: np.ndarray = ()
 
-    def __init__(self, image_id: str, detections: Sequence[Detection] = ()):
-        detections = tuple(detections)
-        names, edges, confidences = _checked_columns(
-            [d.class_name for d in detections],
-            [d.box.as_tuple() for d in detections],
-            [d.confidence for d in detections],
-        )
-        _set_fields(
-            self, image_id=image_id, class_names=names, edges=edges, confidences=confidences
-        )
-
-    @classmethod
-    def from_columns(
-        cls, image_id: str, class_names: Sequence[str], edges, confidences
-    ) -> "ImageDetections":
-        """Build from columns (copied); every row is checked as its record would be."""
-        names, edges, confidences = _checked_columns(class_names, edges, confidences)
-        dets = cls.__new__(cls)
-        _set_fields(dets, image_id=image_id, class_names=names, edges=edges, confidences=confidences)
-        return dets
+    def __post_init__(self):
+        names, edges, confidences = _checked_columns(self.class_names, self.edges, self.confidences)
+        self.__dict__.update(class_names=names, edges=edges, confidences=confidences)
 
     @property
     def detections(self) -> tuple[Detection, ...]:
@@ -430,22 +379,16 @@ def parse_ground_truth(text_content: str, image_id: str) -> ImageAnnotations:
     ``<class> <left> <top> <right> <bottom>``. Raises ParseError with the
     offending line number on any malformed line.
     """
-    return _parse_columns(
-        text_content,
-        EDGE_NAMES,
-        lambda names, values: ImageAnnotations.from_columns(image_id, names, values),
-    )
+    return _parse_columns(text_content, EDGE_NAMES, partial(ImageAnnotations, image_id))
+
+
+def _detections(image_id: str, class_names, values: np.ndarray) -> ImageDetections:
+    return ImageDetections(image_id, class_names, values[:, 1:], values[:, 0])
 
 
 def parse_predictions(text_content: str, image_id: str) -> ImageDetections:
     """Parse prediction text: ``<class> <confidence> <left> <top> <right> <bottom>``."""
-    return _parse_columns(
-        text_content,
-        ("confidence", *EDGE_NAMES),
-        lambda names, values: ImageDetections.from_columns(
-            image_id, names, values[:, 1:], values[:, 0]
-        ),
-    )
+    return _parse_columns(text_content, PREDICTION_FIELDS, partial(_detections, image_id))
 
 
 def format_coordinate(value: float) -> str:
@@ -475,34 +418,31 @@ def format_predictions(detections: ImageDetections) -> str:
 def load_manifest(path: str | Path) -> dict[str, tuple[float, float]]:
     """Read a dimensions manifest: CSV with header ``image_id,width,height``."""
     path = Path(path)
+    try:
+        text = _read_text(path)
+    except ParseError as exc:
+        raise DatasetError(str(exc)) from None
     dims: dict[str, tuple[float, float]] = {}
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["image_id", "width", "height"]:
-            raise DatasetError(f"{path}: manifest header must be 'image_id,width,height'")
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise DatasetError(f"{path}: row {row_number}: expected 3 columns")
-            image_id = row[0].strip()
-            if image_id in dims:
-                raise DatasetError(f"{path}: duplicate manifest row for {image_id!r}")
-            try:
-                width, height = float(row[1]), float(row[2])
-            except ValueError:
-                raise DatasetError(f"{path}: row {row_number}: non-numeric dimensions") from None
-            if not (math.isfinite(width) and math.isfinite(height)) or width <= 0 or height <= 0:
-                raise DatasetError(f"{path}: row {row_number}: dimensions must be positive")
-            dims[image_id] = (width, height)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["image_id", "width", "height"]:
+        raise DatasetError(f"{path}: manifest header must be 'image_id,width,height'")
+    for row_number, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise DatasetError(f"{path}: row {row_number}: expected 3 columns")
+        image_id = row[0].strip()
+        if image_id in dims:
+            raise DatasetError(f"{path}: duplicate manifest row for {image_id!r}")
+        try:
+            width, height = float(row[1]), float(row[2])
+        except ValueError:
+            raise DatasetError(f"{path}: row {row_number}: non-numeric dimensions") from None
+        if not (math.isfinite(width) and math.isfinite(height)) or width <= 0 or height <= 0:
+            raise DatasetError(f"{path}: row {row_number}: dimensions must be positive")
+        dims[image_id] = (width, height)
     return dims
-
-
-def _inferred_dims(edges: np.ndarray) -> tuple[float, float] | None:
-    if len(edges) == 0:
-        return None
-    return (float(math.ceil(edges[:, 2].max())), float(math.ceil(edges[:, 3].max())))
 
 
 def _txt_files(directory: str | Path, what: str) -> list[Path]:
@@ -515,9 +455,22 @@ def _txt_files(directory: str | Path, what: str) -> list[Path]:
     return files
 
 
-def _parse_file(file: Path, parse):
+def _read_text(path: Path) -> str:
+    """A file decoded as UTF-8, a leading byte-order mark skipped; ParseError names a bad byte."""
+    data = path.read_bytes()
     try:
-        return parse(file.read_text(encoding="utf-8-sig"), file.stem)
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # Everything before the bad byte decodes; number its lines as the parsers do.
+        line = len((data[: exc.start].decode("utf-8-sig") + "x").splitlines())
+        raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line, str(path)) from None
+
+
+def _parse_file(file: Path, value_names: tuple[str, ...], build):
+    """Parse a file, its stem as the image id, with ``build(image_id, class_names, values)``."""
+    text = _read_text(file)
+    try:
+        return _parse_columns(text, value_names, partial(build, file.stem))
     except ParseError as exc:
         raise exc.with_source(str(file)) from None
 
@@ -532,15 +485,17 @@ def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> D
     """
     files = _txt_files(directory, "annotation")
     dims = load_manifest(manifest) if manifest is not None else {}
-    images = []
-    for file in files:
-        parsed = _parse_file(file, parse_ground_truth)
-        if parsed.image_id in dims:
-            images.append(parsed._with_dims(*dims[parsed.image_id], dims_inferred=False))
-        else:
-            inferred = _inferred_dims(parsed.edges)
-            images.append(parsed if inferred is None else parsed._with_dims(*inferred, True))
 
+    def with_dims(image_id: str, class_names, edges: np.ndarray) -> ImageAnnotations:
+        if image_id in dims:
+            return ImageAnnotations(image_id, class_names, edges, *dims[image_id])
+        if len(edges) == 0:
+            return ImageAnnotations(image_id, class_names, edges)
+        # Unchecked edges: a NaN or inf here makes the constructor reject its row.
+        width, height = np.ceil(edges[:, 2:].max(axis=0)).tolist()
+        return ImageAnnotations(image_id, class_names, edges, width, height, dims_inferred=True)
+
+    images = [_parse_file(file, EDGE_NAMES, with_dims) for file in files]
     missing = sorted(set(dims).difference(ann.image_id for ann in images))
     if missing:
         raise DatasetError(f"manifest references missing images: {', '.join(missing)}")
@@ -576,7 +531,7 @@ def save_dataset(
 def load_predictions_dir(directory: str | Path) -> dict[str, ImageDetections]:
     """Load every ``<image_id>.txt`` prediction file in a directory (at least one)."""
     files = _txt_files(directory, "prediction")
-    return {file.stem: _parse_file(file, parse_predictions) for file in files}
+    return {file.stem: _parse_file(file, PREDICTION_FIELDS, _detections) for file in files}
 
 
 def save_predictions(predictions: Mapping[str, ImageDetections], directory: str | Path) -> None:

@@ -6,6 +6,7 @@ are double counted, so values above 1 are possible by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +75,18 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
         total_area = sum(((edges[:, 2] - edges[:, 0]) * (edges[:, 3] - edges[:, 1])).tolist())
         if len(ann) and ann.width is None:
             raise StatsError(f"image {ann.image_id!r} has boxes but no dimensions")
+        if not math.isfinite(total_area):
+            raise StatsError(f"image {ann.image_id!r}: summed box area overflows")
         if ann.width is None:
             coverage = 0.0
         else:
-            coverage = total_area / (ann.width * ann.height)
+            image_area = ann.width * ann.height
+            if not 0 < image_area < math.inf:
+                raise StatsError(
+                    f"image {ann.image_id!r}: image area {ann.width}x{ann.height} "
+                    "is not a positive finite number"
+                )
+            coverage = total_area / image_area
         per_image.append(
             ImageStats(
                 image_id=ann.image_id,

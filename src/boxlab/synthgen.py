@@ -25,6 +25,10 @@ class SynthError(ValueError):
     """Raised for invalid generator or simulator configurations."""
 
 
+# Up to twice this side, floats still resolve half a pixel, which box edges need.
+MAX_IMAGE_SIDE = 2.0**50
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters of the ground-truth generator."""
@@ -46,8 +50,8 @@ class SynthConfig:
             raise SynthError(f"n_images must be >= 1, got {self.n_images}")
         if self.seed < 0:
             raise SynthError(f"seed must be >= 0, got {self.seed}")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise SynthError("image dimensions must be positive")
+        if not all(0 < side <= MAX_IMAGE_SIDE for side in (self.image_width, self.image_height)):
+            raise SynthError("image dimensions must be positive and at most 2**50 px")
         if self.count_mean <= 0:
             raise SynthError(f"count_mean must be positive, got {self.count_mean}")
         if self.count_sd < 0 or self.residual_sd < 0:
@@ -117,7 +121,7 @@ def generate_dataset(config: SynthConfig) -> Dataset:
         rights = np.minimum(lefts + widths, config.image_width)
         bottoms = np.minimum(tops + heights, config.image_height)
         images.append(
-            ImageAnnotations.from_columns(
+            ImageAnnotations(
                 f"img_{index:04d}",
                 (config.class_name,) * count,
                 np.column_stack((lefts, tops, rights, bottoms)),
@@ -139,7 +143,7 @@ def _frame(ann: ImageAnnotations) -> tuple[float, float] | None:
 def _jittered(
     edges: list[float], offsets: np.ndarray, frame: tuple[float, float]
 ) -> list[float]:
-    left, top, right, bottom = (e + float(o) for e, o in zip(edges, offsets))
+    left, top, right, bottom = (e + o for e, o in zip(edges, offsets.tolist()))
     width, height = frame
     left, right = _valid_span(left, right, width)
     top, bottom = _valid_span(top, bottom, height)
@@ -147,7 +151,14 @@ def _jittered(
 
 
 def _valid_span(low: float, high: float, limit: float) -> tuple[float, float]:
-    """Restore a jittered edge pair: inside [0, limit], at least 1px when inverted."""
+    """Restore a jittered edge pair: inside [0, limit], at least 1px when inverted.
+
+    Edges beyond [-limit, 2 * limit] are first clipped to it. That changes
+    nothing unless an offset is at least as large as the frame, and keeps
+    the half-pixel steps below representable for any offset.
+    """
+    if not (-limit <= low <= 2 * limit and -limit <= high <= 2 * limit):
+        low, high = (min(max(edge, -limit), 2 * limit) for edge in (low, high))
     if high <= low:
         center = (low + high) / 2.0
         low, high = center - 0.5, center + 0.5
@@ -201,7 +212,5 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
             names.append(corpus_names[source])
             rows.append([left, top, left + width, top + height])
             confidences.append(float(rng.uniform(fp_low, fp_high)))
-        predictions[ann.image_id] = ImageDetections.from_columns(
-            ann.image_id, names, rows, confidences
-        )
+        predictions[ann.image_id] = ImageDetections(ann.image_id, names, rows, confidences)
     return predictions

@@ -20,7 +20,7 @@ from boxlab.anchorlab import (
     linefit_anchors,
     run_kmeans,
 )
-from boxlab.annotations import BoundingBox, Dataset, GroundTruthBox, ImageAnnotations
+from boxlab.annotations import BoundingBox, Dataset, ImageAnnotations
 from boxlab.datastats import compute_stats
 from boxlab.evalcore import (
     DetectionVerdict,
@@ -188,22 +188,12 @@ def test_criterion_06_darknet_golden_file(data_dir):
 
 
 def scaled_twice(dataset):
-    images = []
-    for ann in dataset:
-        boxes = tuple(
-            GroundTruthBox(
-                gt.class_name,
-                BoundingBox(
-                    2.0 * gt.box.left, 2.0 * gt.box.top,
-                    2.0 * gt.box.right, 2.0 * gt.box.bottom,
-                ),
-            )
-            for gt in ann.boxes
+    return Dataset.from_images(
+        ImageAnnotations(
+            ann.image_id, ann.class_names, 2.0 * ann.edges, 2.0 * ann.width, 2.0 * ann.height
         )
-        images.append(
-            ImageAnnotations(ann.image_id, boxes, 2.0 * ann.width, 2.0 * ann.height)
-        )
-    return Dataset.from_images(images)
+        for ann in dataset
+    )
 
 
 def test_criterion_07_generator_calibration_and_scale_equivariance():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from boxlab import annotations
 from boxlab.annotations import (
     BoundingBox,
     Dataset,
@@ -137,7 +138,7 @@ class TestRoundTrip:
     @given(st.lists(st.tuples(class_names, boxes()), max_size=8))
     def test_ground_truth_round_trip(self, items):
         ann = ImageAnnotations(
-            "img", tuple(GroundTruthBox(name, box) for name, box in items)
+            "img", [name for name, _ in items], [box.as_tuple() for _, box in items]
         )
         assert parse_ground_truth(format_ground_truth(ann), "img") == ann
 
@@ -153,7 +154,10 @@ class TestRoundTrip:
     )
     def test_predictions_round_trip(self, items):
         dets = ImageDetections(
-            "img", tuple(Detection(name, conf, box) for name, conf, box in items)
+            "img",
+            [name for name, _, _ in items],
+            [box.as_tuple() for _, _, box in items],
+            [conf for _, conf, _ in items],
         )
         assert parse_predictions(format_predictions(dets), "img") == dets
 
@@ -164,15 +168,40 @@ class TestImageAnnotations:
             ImageAnnotations("img", (), width=100, height=None)
 
     def test_box_must_fit_inside_dims(self):
-        gt = GroundTruthBox("c", BoundingBox(0, 0, 500, 10))
         with pytest.raises(DatasetError) as excinfo:
-            ImageAnnotations("img", (gt,), width=400, height=400)
+            ImageAnnotations("img", ["c"], [(0, 0, 500, 10)], width=400, height=400)
         assert "exceeds" in str(excinfo.value)
 
     def test_box_on_the_edge_is_fine(self):
-        gt = GroundTruthBox("c", BoundingBox(0, 0, 400, 400))
-        ann = ImageAnnotations("img", (gt,), width=400, height=400)
+        ann = ImageAnnotations("img", ["c"], [(0, 0, 400, 400)], width=400, height=400)
         assert len(ann) == 1
+
+    @pytest.mark.parametrize(
+        "width, height",
+        [(float("nan"), 5.0), (5.0, float("nan")), (float("inf"), 5.0), (5.0, float("inf")),
+         (0.0, 5.0), (5.0, -1.0)],
+    )
+    def test_dims_must_be_positive_and_finite(self, width, height):
+        with pytest.raises(DatasetError, match="dimensions must be positive and finite"):
+            ImageAnnotations("img", ["h"], [(0, 0, 1, 1)], width=width, height=height)
+
+    def test_replace_builds_a_checked_image(self):
+        ann = ImageAnnotations("img", ["c"], [(0, 0, 30, 40)], width=50.0, height=50.0)
+        wider = dataclasses.replace(ann, width=60.0)
+        assert wider == ImageAnnotations("img", ["c"], [(0, 0, 30, 40)], width=60.0, height=50.0)
+        assert not wider.edges.flags.writeable
+        with pytest.raises(DatasetError, match="box 1 .* exceeds image bounds 20.0x50.0"):
+            dataclasses.replace(ann, width=20.0)
+        with pytest.raises(DatasetError, match="positive and finite"):
+            dataclasses.replace(ann, height=float("nan"))
+        with pytest.raises(ValueError, match="box 1: zero-width box"):
+            dataclasses.replace(ann, edges=[(5, 0, 5, 1)])
+
+    def test_replace_rechecks_detections(self):
+        dets = ImageDetections("img", ["c"], [(0, 0, 1, 1)], [0.5])
+        assert dataclasses.replace(dets, confidences=[0.75]).confidences.tolist() == [0.75]
+        with pytest.raises(ValueError, match="box 1: confidence out of range"):
+            dataclasses.replace(dets, confidences=[1.5])
 
 
 class TestDataset:
@@ -260,10 +289,7 @@ class TestLoadDataset:
 class TestSaveLoad:
     def test_dataset_round_trip(self, tmp_path):
         ann_explicit = ImageAnnotations(
-            "a",
-            (GroundTruthBox("c", BoundingBox(0.5, 1.25, 10, 20)),),
-            width=100.0,
-            height=100.0,
+            "a", ["c"], [(0.5, 1.25, 10, 20)], width=100.0, height=100.0
         )
         ann_none = ImageAnnotations("b", ())
         ds = Dataset.from_images([ann_explicit, ann_none])
@@ -287,9 +313,7 @@ class TestSaveLoad:
         assert "no prediction files found" in str(excinfo.value)
 
     def test_predictions_round_trip(self, tmp_path):
-        dets = ImageDetections(
-            "a", (Detection("c", 0.981597, BoundingBox(26, 448, 58, 477)),)
-        )
+        dets = ImageDetections("a", ["c"], [(26, 448, 58, 477)], [0.981597])
         save_predictions({"a": dets}, tmp_path / "pred")
         assert load_predictions_dir(tmp_path / "pred") == {"a": dets}
 
@@ -312,6 +336,29 @@ class TestLoadManifest:
         path = tmp_path / "m.csv"
         path.write_text(f"image_id,width,height\n{row}\n")
         with pytest.raises(DatasetError):
+            load_manifest(path)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is reported with its file and line, in every input."""
+
+    def test_ground_truth_file(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"head 0 0 1 1\r\nh\xffad 0 0 10 10\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(tmp_path)
+        assert (excinfo.value.line, excinfo.value.source) == (2, str(tmp_path / "a.txt"))
+        assert excinfo.value.reason == "not UTF-8 text: byte 0xff"
+
+    def test_prediction_file(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"\xef\xbb\xbfhead 0.5 0 0 1 1\xc3\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_predictions_dir(tmp_path)
+        assert (excinfo.value.line, excinfo.value.source) == (1, str(tmp_path / "a.txt"))
+
+    def test_manifest(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"image_id,width,height\na,1,1\n\xff,2,2\n")
+        with pytest.raises(DatasetError, match="m.csv: line 3: not UTF-8 text: byte 0xff"):
             load_manifest(path)
 
 
@@ -356,6 +403,25 @@ class TestColumns:
         dets = parse_predictions("\n\n", "img")
         assert dets.edges.shape == (0, 4) and dets.confidences.shape == (0,)
 
+    def test_loading_checks_each_image_once(self, tmp_path, monkeypatch):
+        checked = []
+        original = annotations._checked_columns
+
+        def counting(*columns):
+            checked.append(columns[0])
+            return original(*columns)
+
+        monkeypatch.setattr(annotations, "_checked_columns", counting)
+        gt_dir = write_corpus(
+            tmp_path / "gt", {"a": "c 0 0 1 1\n", "b": "c 0 0 2 2\nc 1 1 3 3\n", "e": ""}
+        )
+        (tmp_path / "m.csv").write_text("image_id,width,height\na,5,5\n")
+        ds = load_dataset(gt_dir, tmp_path / "m.csv")
+        assert len(checked) == 3
+        assert [(ann.width, ann.dims_inferred) for ann in ds] == [
+            (5.0, False), (3.0, True), (None, False)
+        ]
+
     def test_columns_are_read_only(self):
         ann = parse_ground_truth("a 0 0 1 1", "img")
         with pytest.raises(ValueError):
@@ -368,23 +434,32 @@ class TestColumns:
 
     def test_from_columns_copies_its_input(self):
         edges = np.array([[0.0, 0.0, 1.0, 1.0]])
-        ann = ImageAnnotations.from_columns("img", ["a"], edges)
+        ann = ImageAnnotations("img", ["a"], edges)
         edges[0, 0] = 0.5
         assert ann.edges[0, 0] == 0.0
 
-    def test_records_and_columns_agree(self):
-        records = (
-            GroundTruthBox("a", BoundingBox(0, 0, 1, 2)),
-            GroundTruthBox("b", BoundingBox(0.5, 1, 3, 4)),
+    @given(
+        st.lists(
+            st.tuples(class_names, st.floats(min_value=0, max_value=1), boxes()), max_size=8
         )
-        ann = ImageAnnotations("img", records, width=10, height=10)
-        same = ImageAnnotations.from_columns(
-            "img", ["a", "b"], [[0, 0, 1, 2], [0.5, 1, 3, 4]], width=10, height=10
+    )
+    def test_records_and_columns_agree(self, items):
+        """Records taken apart into columns come back unchanged as the view."""
+        ground_truth = tuple(GroundTruthBox(name, box) for name, _, box in items)
+        ann = ImageAnnotations(
+            "img",
+            [gt.class_name for gt in ground_truth],
+            [gt.box.as_tuple() for gt in ground_truth],
         )
-        assert ann == same and ann.boxes == records
-        dets = ImageDetections("img", (Detection("a", 0.5, BoundingBox(0, 0, 1, 2)),))
-        assert dets == ImageDetections.from_columns("img", ["a"], [[0, 0, 1, 2]], [0.5])
-        assert dets != ImageDetections.from_columns("img", ["a"], [[0, 0, 1, 2]], [0.75])
+        assert ann.boxes == ground_truth
+        detections = tuple(Detection(name, conf, box) for name, conf, box in items)
+        dets = ImageDetections(
+            "img",
+            [d.class_name for d in detections],
+            [d.box.as_tuple() for d in detections],
+            [d.confidence for d in detections],
+        )
+        assert dets.detections == detections
 
     @pytest.mark.parametrize(
         "names, edges, message",
@@ -400,7 +475,7 @@ class TestColumns:
     )
     def test_from_columns_checks_every_row(self, names, edges, message):
         with pytest.raises(ValueError) as excinfo:
-            ImageAnnotations.from_columns("img", names, edges)
+            ImageAnnotations("img", names, edges)
         assert message in str(excinfo.value)
 
     @pytest.mark.parametrize(
@@ -409,12 +484,12 @@ class TestColumns:
     )
     def test_detection_columns_check_confidences(self, confidences, message):
         with pytest.raises(ValueError) as excinfo:
-            ImageDetections.from_columns("img", ["a"], [[0, 0, 1, 1]], confidences)
+            ImageDetections("img", ["a"], [[0, 0, 1, 1]], confidences)
         assert message in str(excinfo.value)
 
     def test_from_columns_checks_image_bounds(self):
         with pytest.raises(DatasetError) as excinfo:
-            ImageAnnotations.from_columns("img", ["a"], [[0, 0, 500, 10]], 400, 400)
+            ImageAnnotations("img", ["a"], [[0, 0, 500, 10]], 400, 400)
         assert "box 1 (0.0, 0.0, 500.0, 10.0) exceeds image bounds 400x400" in str(excinfo.value)
 
 
@@ -559,7 +634,7 @@ class TestAgainstReferenceParser:
         with pytest.raises(ValueError, match="area overflows"):
             BoundingBox(0, 0, 1e200, 1e200)
         with pytest.raises(ValueError, match="box 2: box area overflows"):
-            ImageAnnotations.from_columns("img", ["head"] * 2, [[0, 0, 1, 1], [0, 0, 1e200, 1e200]])
+            ImageAnnotations("img", ["head"] * 2, [[0, 0, 1, 1], [0, 0, 1e200, 1e200]])
 
     @settings(max_examples=40, deadline=None)
     @given(annotation_texts(with_confidence=False))

@@ -111,6 +111,26 @@ class TestSynth:
         assert "usage error" in err
         assert "too small" in err
 
+    @pytest.mark.parametrize("side", ["1e17", "1e300"])
+    def test_side_above_2_to_the_50_is_a_usage_error(self, tmp_path, side):
+        code, _, err = run_cli(
+            "synth", "--images", "3", "--image-width", side, "--image-height", side,
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert err.startswith("usage error: ") and "at most 2**50" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_jitter_larger_than_the_frame_writes_valid_predictions(self, tmp_path):
+        code, _, err = run_cli(
+            "synth", "--images", "20", "--simulate", "--jitter", "1e16", "--out", tmp_path
+        )
+        assert code == 0, err
+        gt = annotations.load_dataset(tmp_path / "gt", tmp_path / "gt" / "manifest.csv")
+        predictions = annotations.load_predictions_dir(tmp_path / "pred")
+        assert sum(len(p) for p in predictions.values()) == gt.total_boxes
+        assert max(p.edges.max(initial=0) for p in predictions.values()) <= 1200
+
     def test_inverted_confidence_range_is_a_usage_error(self, tmp_path):
         code, _, err = run_cli(
             "synth", "--images", "1", "--tp-conf", "0.9", "0.5", "--out", tmp_path
@@ -658,6 +678,57 @@ class TestOverflowingBoxArea:
         assert err.startswith("error: ")
         assert "img.txt: line 1: box area overflows" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8, in any input file, is a data error naming file and line."""
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [("stats", "gt"), ("anchors", "gt"), ("eval", "gt"), ("eval", "pred"),
+         ("stats", "manifest")],
+        ids=["stats-gt", "anchors-gt", "eval-gt", "eval-pred", "stats-manifest"],
+    )
+    def test_is_a_data_error_naming_file_and_line(self, tmp_path, command, bad):
+        gt = write_corpus(tmp_path / "gt", {"a": "head 0 0 10 10\n", "b": "head 0 0 5 5\n"})
+        pred = write_corpus(tmp_path / "pred", {"a": "head 0.9 0 0 10 10\n"})
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("image_id,width,height\na,20,20\n")
+        path, first_line = {
+            "gt": (gt / "b.txt", b"head 0 0 5 5\n"),
+            "pred": (pred / "a.txt", b"head 0.9 0 0 10 10\n"),
+            "manifest": (manifest, b"image_id,width,height\n"),
+        }[bad]
+        path.write_bytes(first_line + b"h\xffad 0 0 10 10\n")
+        inputs = {"stats": [gt, "--manifest", manifest], "anchors": [gt], "eval": [gt, pred]}
+        code, _, err = run_cli(command, *inputs[command], "--out", tmp_path / "out")
+        assert code == 1
+        assert err.splitlines() == [f"error: {path}: line 2: not UTF-8 text: byte 0xff"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestStatsAreaOverflow:
+    """An image whose summed box area or width x height overflows is a data error."""
+
+    @pytest.mark.parametrize(
+        "gt_text, manifest",
+        [
+            ("head 0 0 1e154 1e154\nhead 0 0 1.2e154 1.2e154\n", None),
+            ("head 0 0 10 10\n", "image_id,width,height\nimg,1e200,1e200\n"),
+        ],
+        ids=["box-areas", "manifest-size"],
+    )
+    def test_is_a_data_error_and_writes_nothing(self, tmp_path, gt_text, manifest):
+        gt = write_corpus(tmp_path / "gt", {"img": gt_text, "other": "head 0 0 10 10\n"})
+        argv = ["stats", gt, "--out", tmp_path / "out"]
+        if manifest:
+            (tmp_path / "m.csv").write_text(manifest)
+            argv += ["--manifest", tmp_path / "m.csv"]
+        code, _, err = run_cli(*argv)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: image 'img': ")
         assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from boxlab.annotations import BoundingBox, Dataset, GroundTruthBox, ImageAnnotations
+from boxlab.annotations import Dataset, ImageAnnotations
 from boxlab.datastats import (
     StatsError,
     compute_stats,
@@ -16,15 +17,15 @@ from boxlab.datastats import (
 
 def image_with_counts(image_id, count, box_side=10.0, image_side=100.0):
     """An image_side-square image holding `count` disjoint box_side-squares."""
-    boxes = []
+    edges = []
     per_row = int(image_side // box_side)
     for i in range(count):
         col, row = i % per_row, i // per_row
         left, top = col * box_side, row * box_side
-        boxes.append(
-            GroundTruthBox("head", BoundingBox(left, top, left + box_side, top + box_side))
-        )
-    return ImageAnnotations(image_id, tuple(boxes), width=image_side, height=image_side)
+        edges.append((left, top, left + box_side, top + box_side))
+    return ImageAnnotations(
+        image_id, ["head"] * count, edges, width=image_side, height=image_side
+    )
 
 
 def dataset_with_counts(counts, **kwargs):
@@ -46,12 +47,7 @@ class TestComputeStats:
         assert stats.sd_count == 2.0
 
     def test_coverage_fraction(self):
-        ann = ImageAnnotations(
-            "a",
-            (GroundTruthBox("head", BoundingBox(0, 0, 10, 10)),),
-            width=100.0,
-            height=100.0,
-        )
+        ann = ImageAnnotations("a", ["head"], [(0, 0, 10, 10)], width=100.0, height=100.0)
         stats = compute_stats(Dataset.from_images([ann]))
         row = stats.per_image[0]
         assert row.coverage_fraction == 0.01
@@ -73,7 +69,7 @@ class TestComputeStats:
         rng = np.random.default_rng(0)
         corners = rng.uniform(0, 50, (200, 2))
         edges = np.column_stack([corners, corners + rng.uniform(0.5, 40, (200, 2))])
-        ann = ImageAnnotations.from_columns("a", ["h"] * 200, edges, width=100.0, height=100.0)
+        ann = ImageAnnotations("a", ["h"] * 200, edges, width=100.0, height=100.0)
         expected = 0.0
         for gt in ann.boxes:
             expected += gt.box.area
@@ -81,10 +77,28 @@ class TestComputeStats:
         assert stats.per_image[0].total_box_area == expected
 
     def test_boxes_without_dims_is_an_error(self):
-        ann = ImageAnnotations("a", (GroundTruthBox("h", BoundingBox(0, 0, 1, 1)),))
+        ann = ImageAnnotations("a", ["h"], [(0, 0, 1, 1)])
         with pytest.raises(StatsError) as excinfo:
             compute_stats(Dataset.from_images([ann]))
         assert "'a'" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "edges, side, message",
+        [
+            (
+                [(0, 0, 1e154, 1e154), (0, 0, 1.2e154, 1.2e154)],
+                1.2e154,
+                "summed box area overflows",
+            ),
+            ([(0, 0, 10, 10)], 1e200, "image area 1e+200x1e+200 is not a positive finite"),
+            ([(0, 0, 1e-201, 1e-201)], 1e-200, "image area 1e-200x1e-200 is not a positive finite"),
+        ],
+        ids=["box-areas", "image-area", "image-area-underflow"],
+    )
+    def test_area_that_is_not_finite_is_an_error(self, edges, side, message):
+        ann = ImageAnnotations("a", ["h"] * len(edges), edges, width=side, height=side)
+        with pytest.raises(StatsError, match=re.escape(message)):
+            compute_stats(Dataset.from_images([image_with_counts("b", 3), ann]))
 
     def test_empty_dataset_is_an_error(self):
         with pytest.raises(StatsError):
@@ -100,13 +114,7 @@ class TestComputeStats:
         base = Dataset.from_images(
             [
                 ImageAnnotations(
-                    "a",
-                    (
-                        GroundTruthBox("h", BoundingBox(3, 7, 19, 28)),
-                        GroundTruthBox("h", BoundingBox(40, 41, 77, 90)),
-                    ),
-                    width=120.0,
-                    height=130.0,
+                    "a", ["h", "h"], [(3, 7, 19, 28), (40, 41, 77, 90)], width=120.0, height=130.0
                 )
             ]
         )
@@ -114,18 +122,8 @@ class TestComputeStats:
             [
                 ImageAnnotations(
                     "a",
-                    tuple(
-                        GroundTruthBox(
-                            gt.class_name,
-                            BoundingBox(
-                                2 * gt.box.left,
-                                2 * gt.box.top,
-                                2 * gt.box.right,
-                                2 * gt.box.bottom,
-                            ),
-                        )
-                        for gt in base.images["a"].boxes
-                    ),
+                    base.images["a"].class_names,
+                    2 * base.images["a"].edges,
                     width=240.0,
                     height=260.0,
                 )
@@ -160,20 +158,9 @@ class TestExtractDims:
     def test_corpus_order_and_values(self):
         ds = Dataset.from_images(
             [
+                ImageAnnotations("b", ["h"], [(0, 0, 7, 11)], width=50.0, height=50.0),
                 ImageAnnotations(
-                    "b",
-                    (GroundTruthBox("h", BoundingBox(0, 0, 7, 11)),),
-                    width=50.0,
-                    height=50.0,
-                ),
-                ImageAnnotations(
-                    "a",
-                    (
-                        GroundTruthBox("h", BoundingBox(0, 0, 3, 4)),
-                        GroundTruthBox("h", BoundingBox(10, 10, 15, 12)),
-                    ),
-                    width=50.0,
-                    height=50.0,
+                    "a", ["h", "h"], [(0, 0, 3, 4), (10, 10, 15, 12)], width=50.0, height=50.0
                 ),
             ]
         )
@@ -204,13 +191,7 @@ class TestFlagOutliers:
     def test_count_rule_only(self):
         # 2 heads, each covering 9% of the frame: coverage passes, count fails.
         ann = ImageAnnotations(
-            "a",
-            (
-                GroundTruthBox("h", BoundingBox(0, 0, 30, 30)),
-                GroundTruthBox("h", BoundingBox(40, 40, 70, 70)),
-            ),
-            width=100.0,
-            height=100.0,
+            "a", ["h", "h"], [(0, 0, 30, 30), (40, 40, 70, 70)], width=100.0, height=100.0
         )
         stats = compute_stats(Dataset.from_images([ann]))
         assert flag_outliers(stats) == [("a", "only 2 heads, below minimum 3")]

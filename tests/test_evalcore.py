@@ -7,8 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from boxlab.annotations import (
     BoundingBox,
     Dataset,
-    Detection,
-    GroundTruthBox,
     ImageAnnotations,
     ImageDetections,
 )
@@ -35,15 +33,12 @@ from oracles import (
 
 
 def gt_image(image_id, boxes, class_name="head"):
-    return ImageAnnotations(
-        image_id, tuple(GroundTruthBox(class_name, BoundingBox(*b)) for b in boxes)
-    )
+    return ImageAnnotations(image_id, [class_name] * len(boxes), boxes)
 
 
 def det_image(image_id, dets, class_name="head"):
     return ImageDetections(
-        image_id,
-        tuple(Detection(class_name, conf, BoundingBox(*b)) for conf, b in dets),
+        image_id, [class_name] * len(dets), [b for _, b in dets], [conf for conf, _ in dets]
     )
 
 
@@ -167,13 +162,7 @@ class TestMatchDetections:
 
     def test_other_class_detection_cannot_claim_a_box(self):
         gt = gt_image("a", [(0, 0, 10, 10)])
-        pred = ImageDetections(
-            "a",
-            (
-                Detection("leaf", 0.9, BoundingBox(0, 0, 10, 10)),
-                Detection("head", 0.6, BoundingBox(0, 0, 10, 10)),
-            ),
-        )
+        pred = ImageDetections("a", ["leaf", "head"], [(0, 0, 10, 10)] * 2, [0.9, 0.6])
         leaf, head = match_detections(gt, pred).verdicts
         assert (leaf.det_index, leaf.is_tp, leaf.iou_value) == (0, False, 0.0)
         assert (head.det_index, head.is_tp, head.matched_gt_index) == (1, True, 0)
@@ -261,8 +250,8 @@ class TestMatchDetectionsAgainstReference:
     def test_one_image_matches_the_per_class_reference(self, gt_boxes, detections, threshold):
         gt_rows = [(name, *box) for name, box in gt_boxes]
         det_rows = [(name, confidence, *box) for name, confidence, box in detections]
-        gt = ImageAnnotations.from_columns("a", [r[0] for r in gt_rows], [r[1:] for r in gt_rows])
-        pred = ImageDetections.from_columns(
+        gt = ImageAnnotations("a", [r[0] for r in gt_rows], [r[1:] for r in gt_rows])
+        pred = ImageDetections(
             "a", [r[0] for r in det_rows], [r[2:] for r in det_rows], [r[1] for r in det_rows]
         )
         result = match_detections(gt, pred, threshold)
@@ -481,22 +470,12 @@ class TestMeanAveragePrecision:
     def two_class_corpus(self):
         gt = Dataset.from_images(
             [
-                ImageAnnotations(
-                    "a",
-                    (
-                        GroundTruthBox("head", BoundingBox(0, 0, 10, 10)),
-                        GroundTruthBox("tail", BoundingBox(20, 20, 30, 30)),
-                    ),
-                )
+                ImageAnnotations("a", ["head", "tail"], [(0, 0, 10, 10), (20, 20, 30, 30)])
             ]
         )
         preds = {
             "a": ImageDetections(
-                "a",
-                (
-                    Detection("head", 0.9, BoundingBox(0, 0, 10, 10)),
-                    Detection("tail", 0.8, BoundingBox(40, 40, 50, 50)),
-                ),
+                "a", ["head", "tail"], [(0, 0, 10, 10), (40, 40, 50, 50)], [0.9, 0.8]
             )
         }
         return gt, preds
@@ -515,17 +494,21 @@ class TestMeanAveragePrecision:
 
     def test_detections_of_unknown_class_are_ignored(self):
         gt, preds = self.two_class_corpus()
-        extra = preds["a"].detections + (
-            Detection("weed", 0.99, BoundingBox(0, 0, 10, 10)),
+        a = preds["a"]
+        extra = ImageDetections(
+            "a",
+            a.class_names + ("weed",),
+            [*a.edges, (0, 0, 10, 10)],
+            [*a.confidences, 0.99],
         )
-        report = mean_average_precision(gt, {"a": ImageDetections("a", extra)})
+        report = mean_average_precision(gt, {"a": extra})
         assert report.ap_per_class == {"head": 1.0, "tail": 0.0}
         assert sorted(report.pr_per_class) == ["head", "tail"]
 
     def test_matching_is_per_class(self):
         # A tail detection on top of a head box must not match it.
         gt = Dataset.from_images(
-            [ImageAnnotations("a", (GroundTruthBox("head", BoundingBox(0, 0, 10, 10)),))]
+            [ImageAnnotations("a", ["head"], [(0, 0, 10, 10)])]
         )
         preds = {"a": det_image("a", [(0.9, (0, 0, 10, 10))], class_name="tail")}
         report = mean_average_precision(gt, preds)
@@ -536,11 +519,8 @@ class TestMeanAveragePrecision:
             [
                 ImageAnnotations(
                     "a",
-                    (
-                        GroundTruthBox("head", BoundingBox(0, 0, 10, 10)),
-                        GroundTruthBox("tail", BoundingBox(20, 20, 30, 30)),
-                        GroundTruthBox("head", BoundingBox(40, 40, 50, 50)),
-                    ),
+                    ["head", "tail", "head"],
+                    [(0, 0, 10, 10), (20, 20, 30, 30), (40, 40, 50, 50)],
                 ),
                 ImageAnnotations("b", ()),
             ]
@@ -548,11 +528,9 @@ class TestMeanAveragePrecision:
         preds = {
             "a": ImageDetections(
                 "a",
-                (
-                    Detection("tail", 0.8, BoundingBox(20, 20, 30, 30)),
-                    Detection("head", 0.9, BoundingBox(40, 40, 50, 50)),
-                    Detection("head", 0.7, BoundingBox(60, 60, 70, 70)),
-                ),
+                ["tail", "head", "head"],
+                [(20, 20, 30, 30), (40, 40, 50, 50), (60, 60, 70, 70)],
+                [0.8, 0.9, 0.7],
             ),
             "b": det_image("b", [(0.5, (0, 0, 10, 10))], class_name="tail"),
         }
@@ -594,11 +572,11 @@ class TestMeanAveragePrecision:
         assume(any(gt_rows for gt_rows, _ in images))
         corpus = [(f"img_{i}", gt_rows, det_rows) for i, (gt_rows, det_rows) in enumerate(images)]
         gt = Dataset.from_images(
-            ImageAnnotations.from_columns(image_id, [r[0] for r in rows], [r[1:] for r in rows])
+            ImageAnnotations(image_id, [r[0] for r in rows], [r[1:] for r in rows])
             for image_id, rows, _ in corpus
         )
         preds = [
-            ImageDetections.from_columns(
+            ImageDetections(
                 image_id, [r[0] for r in rows], [r[2:] for r in rows], [r[1] for r in rows]
             )
             for image_id, _, rows in corpus
@@ -725,10 +703,9 @@ class TestCountRegression:
         jittered = {
             image_id: ImageDetections(
                 image_id,
-                tuple(
-                    Detection(d.class_name, float(rng.uniform(0, 1)), d.box)
-                    for d in dets.detections
-                ),
+                dets.class_names,
+                dets.edges,
+                [float(rng.uniform(0, 1)) for _ in range(len(dets))],
             )
             for image_id, dets in preds.items()
         }

@@ -9,6 +9,7 @@ from boxlab.synthgen import (
     DetectorNoise,
     SynthConfig,
     SynthError,
+    _jittered,
     generate_dataset,
     simulate_detector,
 )
@@ -43,6 +44,16 @@ class TestSynthConfigValidation:
     def test_rejects_bad_parameters(self, overrides):
         with pytest.raises(SynthError):
             SynthConfig(**overrides)
+
+    @pytest.mark.parametrize("side", [2.0**50 + 1, 1e17, 1e300, math.nan])
+    def test_rejects_sides_above_2_to_the_50(self, side):
+        for overrides in (dict(image_width=side), dict(image_height=side)):
+            with pytest.raises(SynthError, match="at most 2"):
+                SynthConfig(n_images=1, **overrides)
+
+    def test_largest_side_generates_valid_boxes(self):
+        ds = generate_dataset(SynthConfig(n_images=2, image_width=2.0**50, image_height=2.0**50))
+        assert all(ann.width == 2.0**50 and len(ann) for ann in ds)
 
     def test_rejects_frame_too_small_for_widest_box(self):
         with pytest.raises(SynthError) as excinfo:
@@ -247,6 +258,38 @@ class TestSimulateDetector:
                 assert det.box.right > det.box.left
                 assert det.box.bottom > det.box.top
 
+    @pytest.mark.parametrize("jitter_sd", [1e16, 1e300])
+    def test_jitter_larger_than_the_frame_keeps_boxes_inside_it(self, jitter_sd):
+        ds = generate_dataset(small_config(n_images=20))
+        preds = simulate_detector(ds, DetectorNoise(jitter_sd=jitter_sd, seed=2))
+        assert sum(len(d) for d in preds.values()) == ds.total_boxes
+        for dets in preds.values():
+            left, top, right, bottom = dets.edges.T
+            assert (left >= 0).all() and (top >= 0).all()
+            assert (right <= 1200).all() and (bottom <= 1200).all()
+
+    def test_offsets_smaller_than_the_frame_are_not_clipped(self):
+        """Clipping the jittered edges changes nothing unless an offset spans the frame."""
+
+        def unclipped_span(low, high, limit):
+            if high <= low:
+                center = (low + high) / 2.0
+                low, high = center - 0.5, center + 0.5
+            span = min(high - low, limit)
+            low = min(max(low, 0.0), limit - span)
+            return low, low + span
+
+        rng = np.random.default_rng(4)
+        frame = (300.0, 200.0)
+        for _ in range(2000):
+            left, top = rng.uniform(0, 150, 2)
+            row = [left, top, left + rng.uniform(0.5, 150), top + rng.uniform(0.5, 50)]
+            offsets = rng.uniform(-0.999, 0.999, 4) * [300, 200, 300, 200]
+            raw = [e + float(o) for e, o in zip(row, offsets)]
+            left, right = unclipped_span(raw[0], raw[2], 300.0)
+            top, bottom = unclipped_span(raw[1], raw[3], 200.0)
+            assert _jittered(row, offsets, frame) == [left, top, right, bottom]
+
     def test_false_positive_count_is_calibrated(self):
         ds = generate_dataset(
             SynthConfig(n_images=200, count_mean=5.0, count_sd=0.0, seed=1)
@@ -295,7 +338,7 @@ class TestSimulateDetector:
         from boxlab.annotations import Dataset, ImageAnnotations
 
         empty = Dataset.from_images(
-            [ImageAnnotations(ann.image_id, (), ann.width, ann.height) for ann in ds]
+            [ImageAnnotations(ann.image_id, width=ann.width, height=ann.height) for ann in ds]
         )
         preds = simulate_detector(empty, DetectorNoise(false_positive_rate=10.0))
         assert all(len(d) == 0 for d in preds.values())

@@ -51,5 +51,5 @@ def test_functions_whose_arguments_are_read_bind_them(tracing):
 
 
 def test_ground_truth_boxes_carry_their_class_name():
-    ann = ImageAnnotations.from_columns("img", ["head", "leaf"], [[0, 0, 1, 1], [1, 1, 3, 3]])
+    ann = ImageAnnotations("img", ["head", "leaf"], [[0, 0, 1, 1], [1, 1, 3, 3]])
     assert [box.class_name for box in ann.boxes] == ["head", "leaf"]
