@@ -461,7 +461,8 @@ def _read_text(path: Path) -> str:
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # Everything before the bad byte decodes; number its lines as the parsers do.
+        # Everything before the bad byte decodes; number its physical lines as
+        # the box parsers do (a manifest's CSV rows cannot be counted here).
         line = len((data[: exc.start].decode("utf-8-sig") + "x").splitlines())
         raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line, str(path)) from None
 

@@ -153,12 +153,14 @@ def _jittered(
 def _valid_span(low: float, high: float, limit: float) -> tuple[float, float]:
     """Restore a jittered edge pair: inside [0, limit], at least 1px when inverted.
 
-    Edges beyond [-limit, 2 * limit] are first clipped to it. That changes
-    nothing unless an offset is at least as large as the frame, and keeps
-    the half-pixel steps below representable for any offset.
+    Edges beyond twice the larger of ``limit`` and MAX_IMAGE_SIDE are first
+    clipped to that bound. Below 2**52 a float resolves the half-pixel
+    steps, so the restore works for any offset in a frame that synth can
+    make, and an edge inside the bound is used as it is.
     """
-    if not (-limit <= low <= 2 * limit and -limit <= high <= 2 * limit):
-        low, high = (min(max(edge, -limit), 2 * limit) for edge in (low, high))
+    bound = 2 * max(limit, MAX_IMAGE_SIDE)
+    if not (-bound <= low <= bound and -bound <= high <= bound):
+        low, high = (min(max(edge, -bound), bound) for edge in (low, high))
     if high <= low:
         center = (low + high) / 2.0
         low, high = center - 0.5, center + 0.5

@@ -361,6 +361,12 @@ class TestUndecodableBytes:
         with pytest.raises(DatasetError, match="m.csv: line 3: not UTF-8 text: byte 0xff"):
             load_manifest(path)
 
+    def test_manifest_counts_physical_lines_not_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b'image_id,width,height\n"a\nb",1,1\n\xff,2,2\n')
+        with pytest.raises(DatasetError, match="m.csv: line 4: not UTF-8 text"):
+            load_manifest(path)
+
 
 class TestByteOrderMark:
     """A leading UTF-8 byte-order mark is skipped, not read as part of a class name."""
@@ -460,6 +466,11 @@ class TestColumns:
             [d.confidence for d in detections],
         )
         assert dets.detections == detections
+
+    def test_detections_differing_only_in_confidence_are_unequal(self):
+        dets = ImageDetections("img", ["a"], [[0, 0, 1, 2]], [0.5])
+        assert dets == ImageDetections("img", ["a"], [[0, 0, 1, 2]], [0.5])
+        assert dets != ImageDetections("img", ["a"], [[0, 0, 1, 2]], [0.75])
 
     @pytest.mark.parametrize(
         "names, edges, message",

@@ -268,8 +268,8 @@ class TestSimulateDetector:
             assert (left >= 0).all() and (top >= 0).all()
             assert (right <= 1200).all() and (bottom <= 1200).all()
 
-    def test_offsets_smaller_than_the_frame_are_not_clipped(self):
-        """Clipping the jittered edges changes nothing unless an offset spans the frame."""
+    def test_edges_within_2_to_the_51_are_not_clipped(self):
+        """Clipping the jittered edges changes nothing for edges inside +-2**51 px."""
 
         def unclipped_span(low, high, limit):
             if high <= low:
@@ -284,11 +284,16 @@ class TestSimulateDetector:
         for _ in range(2000):
             left, top = rng.uniform(0, 150, 2)
             row = [left, top, left + rng.uniform(0.5, 150), top + rng.uniform(0.5, 50)]
-            offsets = rng.uniform(-0.999, 0.999, 4) * [300, 200, 300, 200]
+            offsets = rng.uniform(-1, 1, 4) * 10.0 ** rng.uniform(0, 15, 4)
             raw = [e + float(o) for e, o in zip(row, offsets)]
             left, right = unclipped_span(raw[0], raw[2], 300.0)
             top, bottom = unclipped_span(raw[1], raw[3], 200.0)
             assert _jittered(row, offsets, frame) == [left, top, right, bottom]
+
+    def test_a_frame_above_2_to_the_50_keeps_its_edges(self):
+        side = 2.0**53
+        row = [2.0**52, 2.0**51, 2.0**52 + 2.0**40, 2.0**51 + 2.0**40]
+        assert _jittered(row, np.zeros(4), (side, side)) == row
 
     def test_false_positive_count_is_calibrated(self):
         ds = generate_dataset(
