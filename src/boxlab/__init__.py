@@ -49,11 +49,10 @@ from .datastats import (
     flag_outliers,
 )
 from .evalcore import (
-    DetectionVerdict,
     EvalError,
     EvalReport,
-    MatchResult,
     PRCurve,
+    Verdicts,
     average_precision,
     count_regression,
     evaluate,
@@ -75,7 +74,6 @@ __all__ = [
     "DatasetError",
     "DatasetStats",
     "Detection",
-    "DetectionVerdict",
     "DetectorNoise",
     "EvalError",
     "EvalReport",
@@ -83,12 +81,12 @@ __all__ = [
     "ImageAnnotations",
     "ImageDetections",
     "ImageStats",
-    "MatchResult",
     "PRCurve",
     "ParseError",
     "StatsError",
     "SynthConfig",
     "SynthError",
+    "Verdicts",
     "assign_masks",
     "average_precision",
     "centered_iou",

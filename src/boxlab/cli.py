@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .anchorlab import (
     Anchor,
@@ -561,25 +563,25 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _overlay_rows(ann, pred, matches):
+def _overlay_rows(ann, pred, verdicts):
     """Per-image overlay rows: every gt box and detection with its verdict.
 
     ``pred`` is the image's ImageDetections, or None without a prediction
-    file. ``matches`` holds this image's MatchResult for each corpus class.
+    file. ``verdicts`` holds this image's rows of the evaluation's table.
     A detection whose class has no ground truth in the image stays
     ``ignored`` here, although AP ranks it as a false positive.
     """
+    gt_classes = set(ann.class_names)
     gt_partner: dict[int, int] = {}
     det_state: dict[int, tuple[str, int | None]] = {}
-    for result in matches:
-        if result.gt_count == 0:
+    for i, j in zip(verdicts.det_index.tolist(), verdicts.matched_gt.tolist()):
+        if pred.class_names[i] not in gt_classes:
             continue
-        for verdict in result.verdicts:
-            if verdict.is_tp:
-                det_state[verdict.det_index] = ("tp", verdict.matched_gt_index)
-                gt_partner[verdict.matched_gt_index] = verdict.det_index
-            else:
-                det_state[verdict.det_index] = ("fp", None)
+        if j >= 0:
+            det_state[i] = ("tp", j)
+            gt_partner[j] = i
+        else:
+            det_state[i] = ("fp", None)
     rows = []
     for i, (name, (left, top, right, bottom)) in enumerate(
         zip(ann.class_names, ann.edges.tolist())
@@ -669,13 +671,14 @@ def cmd_eval(args) -> int:
     atomic_write(out / "counts.svg", counts_svg)
 
     overlay_dir = out / "overlays"
-    per_image = zip(*report.matches_per_class.values())
-    for ann, matches in zip(gt, per_image):
+    bounds = np.searchsorted(report.verdicts.image, np.arange(len(gt) + 1)).tolist()
+    for position, ann in enumerate(gt):
         write_csv(
             overlay_dir / f"{ann.image_id}.csv",
             ("kind", "class", "confidence", "left", "top", "right", "bottom", "verdict",
              "partner_index"),
-            _overlay_rows(ann, predictions.get(ann.image_id), matches),
+            _overlay_rows(ann, predictions.get(ann.image_id),
+                          report.verdicts[bounds[position]:bounds[position + 1]]),
         )
 
     write_run_manifest(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,50 +27,49 @@ class EvalError(ValueError):
     """Raised for invalid evaluation inputs."""
 
 
-@dataclass(frozen=True)
-class DetectionVerdict:
-    """Outcome for one detection: TP with its matched box, or FP.
+# Column name -> dtype of a Verdicts table, in constructor order.
+_COLUMNS = {"image": np.int64, "det_index": np.int64, "confidence": np.float64,
+            "is_tp": np.bool_, "matched_gt": np.int64, "iou": np.float64}
 
-    ``det_index`` is the detection's position in the input sequence (file
-    order). ``iou_value`` is the IoU with the matched box for a TP; for an
-    FP it is the best IoU available among still-unmatched ground truth at
-    decision time (0.0 when none was left).
+
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """Match verdicts as equal-length, read-only numpy columns, one row per detection.
+
+    Rows run image by image in corpus order, and within an image in
+    descending confidence (ties keep file order). ``image`` is a corpus
+    position (a ``Dataset`` iterates in sorted-id order); ``det_index`` is
+    the detection's position in its file. A TP holds the matched box's
+    position in its image in ``matched_gt`` and their IoU in ``iou``; an FP
+    holds -1 and the best IoU among still-unmatched boxes of its class at
+    decision time (0.0 when none was left). A slice or mask selects rows.
     """
 
-    det_index: int
-    confidence: float
-    is_tp: bool
-    matched_gt_index: int | None
-    iou_value: float
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Per-image matching outcome; verdicts are in descending-confidence order."""
-
-    image_id: str
-    verdicts: tuple[DetectionVerdict, ...]
-    gt_count: int
+    image: np.ndarray = ()
+    det_index: np.ndarray = ()
+    confidence: np.ndarray = ()
+    is_tp: np.ndarray = ()
+    matched_gt: np.ndarray = ()
+    iou: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "verdicts", tuple(self.verdicts))
-        matched = [v.matched_gt_index for v in self.verdicts if v.is_tp]
-        if len(set(matched)) != len(matched):
-            raise EvalError("a ground-truth box was matched more than once")
-        if len(matched) > self.gt_count:
-            raise EvalError("more true positives than ground-truth boxes")
+        columns = {name: np.array(getattr(self, name), dtype) for name, dtype in _COLUMNS.items()}
+        if len({column.shape for column in columns.values()}) != 1 or columns["image"].ndim != 1:
+            raise EvalError("verdict columns must be one-dimensional and of equal length")
+        for column in columns.values():
+            column.flags.writeable = False
+        self.__dict__.update(columns)
 
-    @property
-    def tp_count(self) -> int:
-        return sum(1 for v in self.verdicts if v.is_tp)
+    def __len__(self) -> int:
+        return len(self.image)
 
-    @property
-    def fp_count(self) -> int:
-        return len(self.verdicts) - self.tp_count
+    def __getitem__(self, rows) -> "Verdicts":
+        return Verdicts(**{name: getattr(self, name)[rows] for name in _COLUMNS})
 
-    @property
-    def fn_count(self) -> int:
-        return self.gt_count - self.tp_count
+    def __eq__(self, other):
+        if not isinstance(other, Verdicts):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,9 @@ class EvalReport:
 
     ``r_squared`` is None when the count regression is undefined for the
     corpus (fewer than two images, or constant true counts).
-    ``matches_per_class`` holds, per class, one MatchResult per ground-truth
-    image in corpus order: that image's verdicts for detections of the class
-    and its count of boxes of the class. Verdict indices refer to the image's
-    full box and detection sequences.
+    ``verdicts`` holds the rows of every detection whose class has ground
+    truth in the corpus; their indices refer to the image's full box and
+    detection sequences.
     """
 
     ap_per_class: dict[str, float]
@@ -110,7 +108,7 @@ class EvalReport:
     r_squared: float | None
     iou_threshold: float
     confidence_threshold: float | None
-    matches_per_class: dict[str, tuple[MatchResult, ...]] = field(default_factory=dict)
+    verdicts: Verdicts = field(default_factory=Verdicts)
 
 
 def iou(a, b) -> float:
@@ -132,15 +130,16 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def match_detections(
     gt: ImageAnnotations, pred: ImageDetections, iou_threshold: float = 0.70
-) -> MatchResult:
-    """Greedily match detections to ground truth at an IoU threshold.
+) -> Verdicts:
+    """Greedily match one image's detections to its ground truth at an IoU threshold.
 
     Detections are processed in descending confidence (ties keep file
     order); each claims the unmatched ground-truth box of its own class with
     the highest IoU when that IoU reaches the threshold, otherwise it is an
     FP. IoU ties between ground-truth boxes resolve to the lower index. A
-    box of another class is never available, so an FP's ``iou_value`` is
-    its best IoU with an unmatched box of its class (0.0 when none is left).
+    box of another class is never available, so an FP's ``iou`` is its
+    best IoU with an unmatched box of its class (0.0 when none is left).
+    The table's ``image`` column is 0.
 
     Only pairs of the same class with IoU > 0 are candidates, listed per
     detection in ground-truth order; the greedy loop walks those lists.
@@ -160,31 +159,32 @@ def match_detections(
     candidates = cols.tolist()
     values = matrix[rows, cols].tolist()
     bounds = np.searchsorted(rows, np.arange(len(pred) + 1)).tolist()
-    confidences = pred.confidences.tolist()
+    order = np.argsort(-pred.confidences, kind="stable")
     matched = [False] * len(gt)
-    verdicts = []
-    for i in np.argsort(-pred.confidences, kind="stable").tolist():
+    partners, ious = np.full(len(pred), -1), np.zeros(len(pred))
+    for rank, i in enumerate(order.tolist()):
         best, best_j = 0.0, None
         for k in range(bounds[i], bounds[i + 1]):
             j = candidates[k]
             if values[k] > best and not matched[j]:
                 best, best_j = values[k], j
+        ious[rank] = best
         if best >= iou_threshold:
             matched[best_j] = True
-            verdicts.append(DetectionVerdict(i, confidences[i], True, best_j, best))
-        else:
-            verdicts.append(DetectionVerdict(i, confidences[i], False, None, best))
-    return MatchResult(image_id=gt.image_id, verdicts=tuple(verdicts), gt_count=len(gt))
+            partners[rank] = best_j
+    image = np.zeros(len(pred), np.int64)
+    return Verdicts(image, order, pred.confidences[order], partners >= 0, partners, ious)
 
 
-def average_precision(matches: Iterable[MatchResult], total_gt: int) -> PRCurve:
+def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
     """PR curve over the global detection ranking, and its all-point AP.
 
-    The ranking merges all images by (confidence descending, image id,
-    detection index), so results are independent of input order; verdicts
-    equal on that whole key keep their input order. AP is the area under
-    the monotone precision envelope, integrated at every rank that adds
-    recall (the PASCAL VOC definition since 2010).
+    The ranking merges all images by (confidence descending, image,
+    detection index), so results are independent of row order; rows equal
+    on that whole key keep their order. AP is the area under the monotone
+    precision envelope, integrated at every rank that adds recall (the
+    PASCAL VOC definition since 2010). A box matched twice within an
+    image, or more TPs than ``total_gt``, is an EvalError.
 
     Each point is an integer true division, which numpy and Python both
     round correctly, and a rank that adds no recall adds an exact 0.0 to
@@ -192,27 +192,27 @@ def average_precision(matches: Iterable[MatchResult], total_gt: int) -> PRCurve:
     """
     if total_gt < 1:
         raise EvalError(f"total_gt must be >= 1, got {total_gt}")
-    ranked = sorted(
-        ((v, m.image_id) for m in matches for v in m.verdicts),
-        key=lambda item: (-item[0].confidence, item[1], item[0].det_index),
-    )
-    true_positives = np.cumsum([v.is_tp for v, _ in ranked], dtype=np.int64)
+    tp = verdicts.is_tp
+    image, box = verdicts.image[tp], verdicts.matched_gt[tp]
+    by_box = np.lexsort((box, image))
+    if np.any((np.diff(image[by_box]) == 0) & (np.diff(box[by_box]) == 0)):
+        raise EvalError("a ground-truth box was matched more than once")
+    if len(image) > total_gt:
+        raise EvalError("more true positives than ground-truth boxes")
+    order = np.lexsort((verdicts.det_index, verdicts.image, -verdicts.confidence))
+    true_positives = np.cumsum(tp[order], dtype=np.int64)
     recall = true_positives / total_gt
-    precision = true_positives / np.arange(1, len(ranked) + 1)
+    precision = true_positives / np.arange(1, len(order) + 1)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     ap = math.fsum((np.diff(recall, prepend=0.0) * envelope).tolist())
     points = tuple(zip(recall.tolist(), precision.tolist()))
-    return PRCurve(points, tuple(v.confidence for v, _ in ranked), ap)
+    return PRCurve(points, tuple(verdicts.confidence[order].tolist()), ap)
 
 
 def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]:
     """Predictions keyed by image id; a duplicate or an image unknown to ``gt`` is an error."""
-    if isinstance(predictions, Mapping):
-        items = predictions.values()
-    else:
-        items = predictions
     by_id: dict[str, ImageDetections] = {}
-    for pred in items:
+    for pred in predictions.values() if isinstance(predictions, Mapping) else predictions:
         if pred.image_id in by_id:
             raise EvalError(f"duplicate predictions for image {pred.image_id!r}")
         by_id[pred.image_id] = pred
@@ -228,41 +228,39 @@ def mean_average_precision(
     """Per-class AP and their mean.
 
     Classes are those present in the ground truth; detections of any other
-    class are ignored. Each image is matched once with ``match_detections``,
-    whose verdicts are then split by the detection's class. An image with no
+    class are ignored. Each image is matched once with ``match_detections``;
+    the tables are joined, with ``image`` set to each image's corpus
+    position, and split into classes by row masks. An image with no
     prediction file contributes only false negatives. The returned report
-    carries the AP fields and the per-class match results; count pairs and
-    R² are left empty (see ``evaluate`` for the full report).
+    carries the AP fields and the verdicts; count pairs and R² are left
+    empty (see ``evaluate`` for the full report).
     """
     predictions = _checked_predictions(gt, predictions)
-    classes = sorted(set().union(*(ann.class_names for ann in gt)))
-    if not classes:
+    gt_totals = Counter(name for ann in gt for name in ann.class_names)
+    if not gt_totals:
         raise EvalError("ground truth contains no boxes")
-    matches: dict[str, list[MatchResult]] = {name: [] for name in classes}
+    codes = {name: code for code, name in enumerate(sorted(gt_totals))}
+    tables, class_codes = [], []
     for ann in gt:
-        pred = predictions.get(ann.image_id, ImageDetections(ann.image_id))
-        verdicts: dict[str, list[DetectionVerdict]] = {name: [] for name in classes}
-        for verdict in match_detections(ann, pred, iou_threshold).verdicts:
-            name = pred.class_names[verdict.det_index]
-            if name in verdicts:
-                verdicts[name].append(verdict)
-        gt_counts = Counter(ann.class_names)
-        for name, results in matches.items():
-            results.append(MatchResult(ann.image_id, verdicts[name], gt_counts[name]))
+        pred = predictions.get(ann.image_id)
+        if pred is None:
+            pred = ImageDetections(ann.image_id)
+        tables.append(match_detections(ann, pred, iou_threshold))
+        class_codes += [codes.get(pred.class_names[i], -1) for i in tables[-1].det_index.tolist()]
+    columns = {name: np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS}
+    columns["image"] = np.repeat(np.arange(len(tables)), list(map(len, tables)))
+    verdicts = Verdicts(**columns)
+    class_codes = np.array(class_codes, np.int64)
     pr_per_class = {
-        name: average_precision(results, sum(m.gt_count for m in results))
-        for name, results in matches.items()
+        name: average_precision(verdicts[class_codes == code], gt_totals[name])
+        for name, code in codes.items()
     }
     ap_per_class = {name: curve.ap for name, curve in pr_per_class.items()}
     return EvalReport(
-        ap_per_class=ap_per_class,
-        pr_per_class=pr_per_class,
+        ap_per_class=ap_per_class, pr_per_class=pr_per_class,
         map_score=math.fsum(ap_per_class.values()) / len(ap_per_class),
-        count_pairs=(),
-        r_squared=None,
-        iou_threshold=float(iou_threshold),
-        confidence_threshold=None,
-        matches_per_class={name: tuple(results) for name, results in matches.items()},
+        count_pairs=(), r_squared=None, iou_threshold=float(iou_threshold),
+        confidence_threshold=None, verdicts=verdicts[class_codes >= 0],
     )
 
 
@@ -305,10 +303,7 @@ def _r_squared(pairs: Sequence[tuple[str, int, int]], mode: str) -> float:
 
 
 def count_regression(
-    gt: Dataset,
-    predictions,
-    confidence_threshold: float = 0.5,
-    mode: str = "pearson",
+    gt: Dataset, predictions, confidence_threshold: float = 0.5, mode: str = "pearson"
 ) -> tuple[tuple[tuple[str, int, int], ...], float]:
     """Per-image (true, predicted) counts and their R².
 
@@ -325,10 +320,7 @@ def count_regression(
 
 
 def evaluate(
-    gt: Dataset,
-    predictions,
-    iou_threshold: float = 0.70,
-    confidence_threshold: float = 0.5,
+    gt: Dataset, predictions, iou_threshold: float = 0.70, confidence_threshold: float = 0.5,
     r2_mode: str = "pearson",
 ) -> EvalReport:
     """Full report: mAP plus count regression in one pass.
@@ -351,9 +343,5 @@ def evaluate(
         r_squared = _r_squared(pairs, r2_mode)
     except EvalError:
         r_squared = None
-    return replace(
-        report,
-        count_pairs=pairs,
-        r_squared=r_squared,
-        confidence_threshold=float(confidence_threshold),
-    )
+    return replace(report, count_pairs=pairs, r_squared=r_squared,
+                   confidence_threshold=float(confidence_threshold))

@@ -178,7 +178,8 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
     their class and dimensions from a random ground-truth box anywhere in
     the corpus (an all-empty corpus yields no false positives) and land
     uniformly inside the image. Survivors come first, in ground-truth
-    order, then the false positives.
+    order, then the false positives. An image whose frame (set or inferred)
+    has a side above 2**50 px is a SynthError, as in ``SynthConfig``.
     """
     corpus_names = [name for ann in gt for name in ann.class_names]
     corpus_edges = np.concatenate([np.empty((0, 4)), *(ann.edges for ann in gt)])
@@ -190,6 +191,8 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
     for index, ann in enumerate(gt):
         rng = np.random.default_rng([noise.seed, index])
         frame = _frame(ann)
+        if frame is not None and max(frame) > MAX_IMAGE_SIDE:
+            raise SynthError(f"image {ann.image_id!r}: sides must be at most 2**50 px")
         names, rows, confidences = [], [], []
         survival = rng.random(len(ann))
         for name, row, draw in zip(ann.class_names, ann.edges.tolist(), survival):

@@ -22,14 +22,7 @@ from boxlab.anchorlab import (
 )
 from boxlab.annotations import BoundingBox, Dataset, ImageAnnotations
 from boxlab.datastats import compute_stats
-from boxlab.evalcore import (
-    DetectionVerdict,
-    MatchResult,
-    average_precision,
-    evaluate,
-    iou,
-    match_detections,
-)
+from boxlab.evalcore import Verdicts, average_precision, evaluate, iou, match_detections
 from boxlab.synthgen import DetectorNoise, SynthConfig, generate_dataset, simulate_detector
 from conftest import run_cli
 from oracles import cutoff_scan_ap, raster_iou
@@ -63,11 +56,11 @@ def test_criterion_01_iou_matches_rasterization():
 
 
 def random_ap_instance(seed):
-    """Random multi-image matching outcome: <= 5 images, <= 20 detections."""
+    """Random multi-image verdict table: <= 5 images, <= 20 detections."""
     rng = np.random.default_rng([202, seed])
     n_images = int(rng.integers(1, 6))
     confidences = iter((rng.permutation(np.arange(1, 1000)) / 1000.0).tolist())
-    results = []
+    rows = []
     total_gt = 0
     budget = 20
     for i in range(n_images):
@@ -76,27 +69,22 @@ def random_ap_instance(seed):
         n_det = int(rng.integers(0, min(4, budget) + 1))
         budget -= n_det
         unmatched = list(range(gt_count))
-        verdicts = []
         for d, conf in enumerate(sorted((next(confidences) for _ in range(n_det)), reverse=True)):
             if unmatched and rng.random() < 0.6:
-                verdicts.append(DetectionVerdict(d, conf, True, unmatched.pop(0), 1.0))
+                rows.append((i, d, conf, True, unmatched.pop(0), 1.0))
             else:
-                verdicts.append(DetectionVerdict(d, conf, False, None, 0.0))
-        results.append(MatchResult(f"img_{i}", tuple(verdicts), gt_count))
-    return results, total_gt
+                rows.append((i, d, conf, False, -1, 0.0))
+    return Verdicts(*(zip(*rows) if rows else [()] * 6)), total_gt
 
 
 def test_criterion_02_ap_matches_cutoff_enumeration():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(100):
-        results, total_gt = random_ap_instance(seed)
-        curve = average_precision(results, total_gt)
-        ranked = [
-            (v.confidence, m.image_id, v.det_index, v.is_tp)
-            for m in results
-            for v in m.verdicts
-        ]
+        table, total_gt = random_ap_instance(seed)
+        curve = average_precision(table, total_gt)
+        ranked = list(zip(table.confidence.tolist(), table.image.tolist(),
+                          table.det_index.tolist(), table.is_tp.tolist()))
         difference = abs(curve.ap - cutoff_scan_ap(ranked, total_gt))
         worst = max(worst, difference)
         assert difference <= 1e-9
@@ -114,7 +102,7 @@ def test_criterion_03_worked_example(worked_example):
     assert near_miss == pytest.approx(81 / 119, abs=1e-12)
     assert near_miss < 0.70
     result = match_detections(ann, preds["img_0"], iou_threshold=0.70)
-    curve = average_precision([result], total_gt=2)
+    curve = average_precision(result, total_gt=2)
     assert curve.ap == pytest.approx(5 / 6, abs=1e-9)
     print(f"criterion 3 PASS: AP = {curve.ap:.10f} (5/6), near-miss IoU "
           f"{near_miss:.4f} = 81/119 < 0.70")

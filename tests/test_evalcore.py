@@ -1,4 +1,5 @@
-from dataclasses import astuple
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from boxlab.annotations import (
     ImageDetections,
 )
 from boxlab.evalcore import (
-    DetectionVerdict,
     EvalError,
-    MatchResult,
     PRCurve,
+    Verdicts,
     average_precision,
     count_regression,
     evaluate,
@@ -23,6 +23,7 @@ from boxlab.evalcore import (
     match_detections,
     mean_average_precision,
 )
+from boxlab.synthgen import DetectorNoise, SynthConfig, generate_dataset, simulate_detector
 from oracles import (
     cutoff_scan_ap,
     pearson_r_squared,
@@ -40,6 +41,27 @@ def det_image(image_id, dets, class_name="head"):
     return ImageDetections(
         image_id, [class_name] * len(dets), [b for _, b in dets], [conf for conf, _ in dets]
     )
+
+
+def verdict_rows(table):
+    """(det_index, confidence, is_tp, gt index or None, iou) per row, as the oracles give them."""
+    columns = (table.det_index, table.confidence, table.is_tp, table.matched_gt, table.iou)
+    return [(d, c, t, None if g < 0 else g, v) for d, c, t, g, v in zip(*map(list, columns))]
+
+
+def verdicts_table(rows):
+    """A table from (image, det_index, confidence, is_tp, matched_gt) rows; IoU 1.0 for a TP."""
+    columns = list(zip(*rows)) or [()] * 5
+    return Verdicts(*columns, [1.0 if is_tp else 0.0 for is_tp in columns[3]])
+
+
+def oracle_matches(table):
+    """The table as ``reference_average_precision`` input: one single-row image per row."""
+    return [
+        SimpleNamespace(image_id=i, verdicts=[SimpleNamespace(det_index=d, confidence=c, is_tp=t)])
+        for i, d, c, t in zip(*map(list, (table.image, table.det_index, table.confidence,
+                                           table.is_tp)))
+    ]
 
 
 class TestIou:
@@ -102,24 +124,24 @@ class TestIou:
 class TestMatchDetections:
     def test_worked_example_verdicts(self, worked_example):
         gt, preds = worked_example
-        result = match_detections(gt.images["img_0"], preds["img_0"])
-        assert result.gt_count == 2
-        assert [v.is_tp for v in result.verdicts] == [True, False, True]
-        assert [v.confidence for v in result.verdicts] == [0.9, 0.8, 0.7]
-        assert result.verdicts[0].matched_gt_index == 0
-        assert result.verdicts[2].matched_gt_index == 1
-        fp = result.verdicts[1]
-        assert fp.matched_gt_index is None
-        assert fp.iou_value == pytest.approx(81 / 119, abs=1e-12)
+        ann = gt.images["img_0"]
+        result = match_detections(ann, preds["img_0"])
+        assert len(ann) == 2
+        assert result.image.tolist() == [0, 0, 0]
+        assert result.is_tp.tolist() == [True, False, True]
+        assert result.confidence.tolist() == [0.9, 0.8, 0.7]
+        assert result.matched_gt.tolist() == [0, -1, 1]
+        assert result.iou[1] == pytest.approx(81 / 119, abs=1e-12)
         assert 81 / 119 < 0.70
-        assert (result.tp_count, result.fp_count, result.fn_count) == (2, 1, 0)
+        tp = int(result.is_tp.sum())
+        assert (tp, len(result) - tp, len(ann) - tp) == (2, 1, 0)
 
     def test_each_gt_box_matches_at_most_once(self):
         gt = gt_image("a", [(0, 0, 10, 10)])
         pred = det_image("a", [(0.9, (0, 0, 10, 10)), (0.8, (0, 0, 10, 10))])
         result = match_detections(gt, pred)
-        assert [v.is_tp for v in result.verdicts] == [True, False]
-        assert result.verdicts[1].iou_value == 0.0
+        assert result.is_tp.tolist() == [True, False]
+        assert result.iou[1] == 0.0
 
     def test_higher_confidence_claims_the_box(self):
         # The 0.95 detection overlaps less well, but greedy order lets it
@@ -127,45 +149,44 @@ class TestMatchDetections:
         gt = gt_image("a", [(0, 0, 10, 10)])
         pred = det_image("a", [(0.6, (0, 0, 10, 10)), (0.95, (1, 1, 11, 11))])
         result = match_detections(gt, pred, iou_threshold=0.5)
-        assert result.verdicts[0].confidence == 0.95
-        assert result.verdicts[0].is_tp
-        assert result.verdicts[0].iou_value == pytest.approx(81 / 119, abs=1e-12)
-        assert not result.verdicts[1].is_tp
+        assert result.confidence[0] == 0.95
+        assert result.is_tp[0]
+        assert result.iou[0] == pytest.approx(81 / 119, abs=1e-12)
+        assert not result.is_tp[1]
 
     def test_iou_tie_takes_the_lower_gt_index(self):
         gt = gt_image("a", [(0, 0, 10, 10), (0, 0, 10, 10)])
         pred = det_image("a", [(0.9, (0, 0, 10, 10)), (0.8, (0, 0, 10, 10))])
         result = match_detections(gt, pred)
-        assert result.verdicts[0].matched_gt_index == 0
-        assert result.verdicts[1].matched_gt_index == 1
+        assert result.matched_gt.tolist() == [0, 1]
 
     def test_confidence_tie_keeps_file_order(self):
         gt = gt_image("a", [(0, 0, 10, 10)])
         pred = det_image("a", [(0.9, (0, 0, 10, 10)), (0.9, (0, 0, 10, 10))])
         result = match_detections(gt, pred)
-        assert result.verdicts[0].det_index == 0
-        assert result.verdicts[0].is_tp
-        assert result.verdicts[1].det_index == 1
-        assert not result.verdicts[1].is_tp
+        assert result.det_index.tolist() == [0, 1]
+        assert result.is_tp.tolist() == [True, False]
 
     def test_no_detections(self):
-        result = match_detections(gt_image("a", [(0, 0, 10, 10)]), ImageDetections("a", ()))
-        assert result.verdicts == ()
-        assert result.fn_count == 1
+        gt = gt_image("a", [(0, 0, 10, 10)])
+        result = match_detections(gt, ImageDetections("a", ()))
+        assert result == Verdicts()
+        assert len(gt) - int(result.is_tp.sum()) == 1
 
     def test_no_ground_truth(self):
         result = match_detections(
             ImageAnnotations("a", ()), det_image("a", [(0.9, (0, 0, 10, 10))])
         )
-        assert [v.is_tp for v in result.verdicts] == [False]
-        assert result.verdicts[0].iou_value == 0.0
+        assert result.is_tp.tolist() == [False]
+        assert result.matched_gt.tolist() == [-1]
+        assert result.iou[0] == 0.0
 
     def test_other_class_detection_cannot_claim_a_box(self):
         gt = gt_image("a", [(0, 0, 10, 10)])
         pred = ImageDetections("a", ["leaf", "head"], [(0, 0, 10, 10)] * 2, [0.9, 0.6])
-        leaf, head = match_detections(gt, pred).verdicts
-        assert (leaf.det_index, leaf.is_tp, leaf.iou_value) == (0, False, 0.0)
-        assert (head.det_index, head.is_tp, head.matched_gt_index) == (1, True, 0)
+        leaf, head = verdict_rows(match_detections(gt, pred))
+        assert (leaf[0], leaf[2], leaf[4]) == (0, False, 0.0)
+        assert (head[0], head[2], head[3]) == (1, True, 0)
 
     def test_image_id_mismatch_rejected(self):
         with pytest.raises(EvalError):
@@ -195,7 +216,7 @@ class TestMatchDetections:
             ]
             gt, pred = gt_image("a", gt_boxes), det_image("a", dets)
             counts = [
-                match_detections(gt, pred, t).tp_count for t in (0.3, 0.5, 0.7, 0.9)
+                int(match_detections(gt, pred, t).is_tp.sum()) for t in (0.3, 0.5, 0.7, 0.9)
             ]
             assert counts == sorted(counts, reverse=True)
 
@@ -209,12 +230,11 @@ class TestMatchDetections:
         ]
         gt = gt_image("a", gt_boxes)
         outcome_a = {
-            v.confidence: (v.is_tp, v.matched_gt_index)
-            for v in match_detections(gt, det_image("a", dets)).verdicts
+            c: (t, g) for _, c, t, g, _ in verdict_rows(match_detections(gt, det_image("a", dets)))
         }
         outcome_b = {
-            v.confidence: (v.is_tp, v.matched_gt_index)
-            for v in match_detections(gt, det_image("a", dets[::-1])).verdicts
+            c: (t, g)
+            for _, c, t, g, _ in verdict_rows(match_detections(gt, det_image("a", dets[::-1])))
         }
         assert outcome_a == outcome_b
 
@@ -264,176 +284,151 @@ class TestMatchDetectionsAgainstReference:
         for i, row in enumerate(det_rows):
             expected.setdefault(i, (i, row[1], False, None, 0.0))
         order = sorted(range(len(det_rows)), key=lambda i: -det_rows[i][1])
-        assert result.gt_count == len(gt_rows)
-        assert [astuple(v) for v in result.verdicts] == [expected[i] for i in order]
+        assert result.image.tolist() == [0] * len(det_rows)
+        assert verdict_rows(result) == [expected[i] for i in order]
 
 
 class TestMatchResultValidation:
-    def test_double_match_rejected(self):
-        from boxlab.evalcore import DetectionVerdict
+    """``average_precision`` rejects a table no matching can produce."""
 
-        verdicts = (
-            DetectionVerdict(0, 0.9, True, 0, 1.0),
-            DetectionVerdict(1, 0.8, True, 0, 1.0),
-        )
-        with pytest.raises(EvalError):
-            MatchResult("a", verdicts, gt_count=2)
+    def test_double_match_rejected(self):
+        table = verdicts_table([(0, 0, 0.9, True, 0), (0, 1, 0.8, True, 0)])
+        with pytest.raises(EvalError, match="a ground-truth box was matched more than once"):
+            average_precision(table, total_gt=2)
 
     def test_more_tps_than_gt_rejected(self):
-        from boxlab.evalcore import DetectionVerdict
-
-        with pytest.raises(EvalError):
-            MatchResult("a", (DetectionVerdict(0, 0.9, True, 0, 1.0),), gt_count=0)
+        table = verdicts_table([(0, 0, 0.9, True, 0), (1, 0, 0.8, True, 0)])
+        with pytest.raises(EvalError, match="more true positives than ground-truth boxes"):
+            average_precision(table, total_gt=1)
 
 
 def random_match_results(seed):
-    """A small random multi-image matching outcome with unique confidences."""
-    from boxlab.evalcore import DetectionVerdict
-
+    """A small random multi-image verdict table with unique confidences, and its total GT."""
     rng = np.random.default_rng([321, seed])
     n_images = int(rng.integers(1, 5))
     confidences = rng.permutation(rng.uniform(0.01, 0.99, 40))
     next_conf = iter(confidences.tolist())
-    results = []
+    rows = []
     total_gt = 0
     for i in range(n_images):
         gt_count = int(rng.integers(0, 7))
         total_gt += gt_count
         n_det = int(rng.integers(0, 9))
         tp_budget = list(range(gt_count))
-        verdicts = []
         confs = sorted((next(next_conf) for _ in range(n_det)), reverse=True)
         for d, conf in enumerate(confs):
             make_tp = tp_budget and rng.random() < 0.6
             if make_tp:
-                j = tp_budget.pop(0)
-                verdicts.append(DetectionVerdict(d, conf, True, j, 1.0))
+                rows.append((i, d, conf, True, tp_budget.pop(0)))
             else:
-                verdicts.append(DetectionVerdict(d, conf, False, None, 0.0))
-        results.append(MatchResult(f"img_{i}", tuple(verdicts), gt_count))
-    return results, total_gt
+                rows.append((i, d, conf, False, -1))
+    return verdicts_table(rows), total_gt
 
 
 class TestAveragePrecision:
     def test_worked_example_curve_and_ap(self, worked_example):
         gt, preds = worked_example
         result = match_detections(gt.images["img_0"], preds["img_0"])
-        curve = average_precision([result], total_gt=2)
+        curve = average_precision(result, total_gt=2)
         assert curve.points == ((0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3))
         assert curve.confidences == (0.9, 0.8, 0.7)
         assert curve.ap == pytest.approx(5 / 6, abs=1e-9)
 
     def test_perfect_detector_scores_exactly_one(self):
-        results = []
+        gt_images, preds = [], []
         conf = iter([0.91, 0.87, 0.83, 0.79, 0.75, 0.71])
         for i in range(3):
             boxes = [(j * 20, 0, j * 20 + 10, 10) for j in range(2)]
-            gt = gt_image(f"img_{i}", boxes)
-            pred = det_image(f"img_{i}", [(next(conf), b) for b in boxes])
-            results.append(match_detections(gt, pred))
-        assert average_precision(results, total_gt=6).ap == 1.0
+            gt_images.append(gt_image(f"img_{i}", boxes))
+            preds.append(det_image(f"img_{i}", [(next(conf), b) for b in boxes]))
+        report = mean_average_precision(Dataset.from_images(gt_images), preds)
+        assert int(report.verdicts.is_tp.sum()) == 6
+        assert average_precision(report.verdicts, total_gt=6).ap == 1.0
 
     def test_all_false_positives_score_zero(self):
         gt = gt_image("a", [(0, 0, 10, 10)])
         pred = det_image("a", [(0.9, (50, 50, 60, 60)), (0.4, (70, 70, 90, 90))])
-        curve = average_precision([match_detections(gt, pred)], total_gt=1)
+        curve = average_precision(match_detections(gt, pred), total_gt=1)
         assert curve.ap == 0.0
 
     def test_missed_boxes_cap_the_recall(self):
         gt = gt_image("a", [(0, 0, 10, 10), (30, 30, 40, 40)])
         pred = det_image("a", [(0.9, (0, 0, 10, 10))])
-        curve = average_precision([match_detections(gt, pred)], total_gt=2)
+        curve = average_precision(match_detections(gt, pred), total_gt=2)
         assert curve.points == ((0.5, 1.0),)
         assert curve.ap == 0.5
 
     def test_zero_total_gt_rejected(self):
         with pytest.raises(EvalError):
-            average_precision([], total_gt=0)
+            average_precision(Verdicts(), total_gt=0)
 
     def test_agrees_with_cutoff_enumeration(self):
         for seed in range(40):
-            results, total_gt = random_match_results(seed)
+            table, total_gt = random_match_results(seed)
             if total_gt == 0:
                 continue
-            curve = average_precision(results, total_gt)
-            ranked = [
-                (v.confidence, m.image_id, v.det_index, v.is_tp)
-                for m in results
-                for v in m.verdicts
-            ]
+            curve = average_precision(table, total_gt)
+            ranked = list(zip(*map(list, (table.confidence, table.image, table.det_index,
+                                         table.is_tp))))
             assert curve.ap == pytest.approx(cutoff_scan_ap(ranked, total_gt), abs=1e-12)
 
     def test_image_relabeling_does_not_change_ap(self):
-        results, total_gt = random_match_results(3)
+        table, total_gt = random_match_results(3)
         assert total_gt > 0
-        from dataclasses import replace
-
-        relabeled = [
-            replace(m, image_id=f"zzz_{9 - i}") for i, m in enumerate(results)
-        ]
-        assert average_precision(results, total_gt).ap == pytest.approx(
+        relabeled = replace(table, image=9 - table.image)
+        assert average_precision(table, total_gt).ap == pytest.approx(
             average_precision(relabeled, total_gt).ap, abs=1e-12
         )
 
 
-def _verdict(det_index, confidence, is_tp, gt_index=None):
-    return DetectionVerdict(det_index, confidence, is_tp, gt_index, 1.0 if is_tp else 0.0)
-
-
 @st.composite
 def match_result_lists(draw):
-    """Few image ids, confidences and detection indices, so whole-key ties are common."""
-    rows = st.lists(
-        st.tuples(st.integers(0, 3), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.booleans()),
-        max_size=8,
-    )
-    results = []
+    """Few images, confidences and detection indices, rows in any order: ties are common."""
+    rows = []
+    tp_per_image = [0, 0, 0]
     for _ in range(draw(st.integers(0, 5))):
-        verdicts = []
-        for det_index, confidence, is_tp in draw(rows):
-            tp_so_far = sum(v.is_tp for v in verdicts)
-            verdicts.append(_verdict(det_index, confidence, is_tp, tp_so_far if is_tp else None))
-        gt_count = sum(v.is_tp for v in verdicts) + draw(st.integers(0, 3))
-        results.append(MatchResult(draw(st.sampled_from("abc")), tuple(verdicts), gt_count))
-    return results, max(1, sum(m.gt_count for m in results))
+        image = draw(st.integers(0, 2))
+        for det_index, confidence, is_tp in draw(st.lists(st.tuples(
+            st.integers(0, 3), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.booleans()
+        ), max_size=8)):
+            rows.append((image, det_index, confidence, is_tp, tp_per_image[image] if is_tp else -1))
+            tp_per_image[image] += is_tp
+    return verdicts_table(rows), max(1, sum(tp_per_image) + draw(st.integers(0, 3)))
 
 
 def _tied_verdicts_that_differ_in_is_tp():
-    # Equal (confidence, image id, det_index): only input order ranks the TP first.
-    return [
-        MatchResult("a", (_verdict(0, 0.5, True, 0),), 1),
-        MatchResult("a", (_verdict(0, 0.5, False),), 0),
-    ], 1
+    # Equal (confidence, image, det_index): only row order ranks the TP first.
+    return verdicts_table([(0, 0, 0.5, True, 0), (0, 0, 0.5, False, -1)]), 1
 
 
 class TestAveragePrecisionAgainstReference:
     """The cumulative-sum AP equals the rank-by-rank loop exactly, not approximately."""
 
     @staticmethod
-    def assert_same(results, total_gt):
-        curve = average_precision(results, total_gt)
-        points, confidences, ap = reference_average_precision(results, total_gt)
+    def assert_same(table, total_gt):
+        curve = average_precision(table, total_gt)
+        points, confidences, ap = reference_average_precision(oracle_matches(table), total_gt)
         assert curve.points == points
         assert curve.confidences == confidences
         assert curve.ap == ap
 
     @settings(max_examples=300, deadline=None)
     @given(match_result_lists())
-    @example(([], 1))
-    @example(([MatchResult("a", (_verdict(0, 0.9, False), _verdict(1, 0.4, False)), 1)], 1))
+    @example((Verdicts(), 1))
+    @example((verdicts_table([(0, 0, 0.9, False, -1), (0, 1, 0.4, False, -1)]), 1))
     def test_generated_rankings(self, case):
         self.assert_same(*case)
 
     def test_worked_example(self, worked_example):
         gt, preds = worked_example
         result = match_detections(gt.images["img_0"], preds["img_0"])
-        self.assert_same([result], 2)
+        self.assert_same(result, 2)
 
     def test_whole_key_ties_keep_input_order(self):
-        results, total_gt = _tied_verdicts_that_differ_in_is_tp()
-        self.assert_same(results, total_gt)
-        assert average_precision(results, total_gt).points == ((1.0, 1.0), (1.0, 0.5))
-        assert average_precision(results[::-1], total_gt).points == ((0.0, 0.0), (1.0, 0.5))
+        table, total_gt = _tied_verdicts_that_differ_in_is_tp()
+        self.assert_same(table, total_gt)
+        assert average_precision(table, total_gt).points == ((1.0, 1.0), (1.0, 0.5))
+        assert average_precision(table[::-1], total_gt).points == ((0.0, 0.0), (1.0, 0.5))
 
 
 class TestPRCurveValidation:
@@ -504,6 +499,7 @@ class TestMeanAveragePrecision:
         report = mean_average_precision(gt, {"a": extra})
         assert report.ap_per_class == {"head": 1.0, "tail": 0.0}
         assert sorted(report.pr_per_class) == ["head", "tail"]
+        assert report.verdicts.det_index.tolist() == [0, 1]
 
     def test_matching_is_per_class(self):
         # A tail detection on top of a head box must not match it.
@@ -535,27 +531,19 @@ class TestMeanAveragePrecision:
             "b": det_image("b", [(0.5, (0, 0, 10, 10))], class_name="tail"),
         }
         report = mean_average_precision(gt, preds)
-        assert report.matches_per_class == {
-            "head": (
-                MatchResult(
-                    "a",
-                    (
-                        DetectionVerdict(1, 0.9, True, 2, 1.0),
-                        DetectionVerdict(2, 0.7, False, None, 0.0),
-                    ),
-                    2,
-                ),
-                MatchResult("b", (), 0),
-            ),
-            "tail": (
-                MatchResult("a", (DetectionVerdict(0, 0.8, True, 1, 1.0),), 1),
-                MatchResult("b", (DetectionVerdict(0, 0.5, False, None, 0.0),), 0),
-            ),
-        }
-        for name, results in report.matches_per_class.items():
-            total = sum(m.gt_count for m in results)
-            assert report.pr_per_class[name] == average_precision(results, total)
-        assert evaluate(gt, preds).matches_per_class == report.matches_per_class
+        assert report.verdicts == Verdicts(
+            image=[0, 0, 0, 1],
+            det_index=[1, 0, 2, 0],
+            confidence=[0.9, 0.8, 0.7, 0.5],
+            is_tp=[True, True, False, False],
+            matched_gt=[2, 1, -1, -1],
+            iou=[1.0, 1.0, 0.0, 0.0],
+        )
+        row_classes = np.array(["head", "tail", "head", "tail"])
+        for name, total in (("head", 2), ("tail", 1)):
+            rows = report.verdicts[row_classes == name]
+            assert report.pr_per_class[name] == average_precision(rows, total)
+        assert evaluate(gt, preds).verdicts == report.verdicts
 
     @given(
         st.lists(
@@ -587,18 +575,60 @@ class TestMeanAveragePrecision:
             [(image_id, gt_rows, det_rows or []) for image_id, gt_rows, det_rows in corpus],
             iou_threshold,
         )
-        assert {
-            name: [(m.image_id, m.gt_count, [astuple(v) for v in m.verdicts]) for m in results]
-            for name, results in report.matches_per_class.items()
-        } == expected
+        assert np.all(np.diff(report.verdicts.image) >= 0)
+        assert len(report.verdicts) == sum(len(vs) for rows in expected.values() for *_, vs in rows)
+        det_classes = {image_id: [r[0] for r in rows or []] for image_id, _, rows in corpus}
+        for name, rows in expected.items():
+            assert [image_id for image_id, _, _ in rows] == list(gt.image_ids)
+            for position, (image_id, _, verdicts) in enumerate(rows):
+                table = report.verdicts[report.verdicts.image == position]
+                names = det_classes[image_id]
+                assert [v for v in verdict_rows(table) if names[v[0]] == name] == verdicts
         expected_pr = {
             name: average_precision(
-                [MatchResult(i, [DetectionVerdict(*v) for v in vs], n) for i, n, vs in rows],
+                verdicts_table([(i, d, c, t, -1 if g is None else g)
+                                for i, (_, _, vs) in enumerate(rows) for d, c, t, g, _ in vs]),
                 sum(n for _, n, _ in rows),
             )
             for name, rows in expected.items()
         }
         assert report.pr_per_class == expected_pr
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.lists(GT_ROWS, max_size=5), st.lists(DET_ROWS, max_size=5)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.permutations(["b", "a10", "B", "a9", "a"]),
+        st.sampled_from([0.1, 0.5, 0.7]),
+    )
+    def test_confidence_ties_across_images_rank_by_image_id(self, images, ids, iou_threshold):
+        # Images and predictions arrive in unsorted id order; the id tie-break is string
+        # order ("B" < "a" < "a10" < "a9" < "b"), taken here by the oracles from the ids.
+        assume(any(gt_rows for gt_rows, _ in images))
+        corpus = [(image_id, *rows) for image_id, rows in zip(ids, images)]
+        gt = Dataset.from_images(
+            ImageAnnotations(image_id, [r[0] for r in rows], [r[1:] for r in rows])
+            for image_id, rows, _ in corpus
+        )
+        preds = [
+            ImageDetections(
+                image_id, [r[0] for r in rows], [r[2:] for r in rows], [r[1] for r in rows]
+            )
+            for image_id, _, rows in corpus[::-1]
+        ]
+        report = evaluate(gt, preds, iou_threshold)
+        for name, rows in reference_class_matches(corpus, iou_threshold).items():
+            matches = [
+                SimpleNamespace(image_id=image_id, verdicts=[
+                    SimpleNamespace(det_index=d, confidence=c, is_tp=t) for d, c, t, _, _ in vs
+                ])
+                for image_id, _, vs in rows
+            ]
+            reference = reference_average_precision(matches, sum(n for _, n, _ in rows))
+            assert report.pr_per_class[name] == PRCurve(*reference)
 
     def test_image_without_prediction_file_counts_as_misses(self):
         gt = Dataset.from_images(
@@ -778,3 +808,62 @@ class TestEvaluate:
         gt, preds = counting_corpus([3, 5], [3, 5])
         with pytest.raises(EvalError, match="confidence_threshold"):
             evaluate(gt, preds, confidence_threshold=threshold)
+
+
+@st.composite
+def synth_corpora(draw):
+    """A small two-class synthetic corpus with explicit sizes, and its simulated detections."""
+    n_images, seed = draw(st.integers(1, 8)), draw(st.integers(0, 2**16))
+    halves = [
+        generate_dataset(SynthConfig(
+            n_images=n_images, image_width=300.0, image_height=200.0, count_mean=8.0,
+            count_sd=4.0, width_range=(8.0, 60.0), class_name=name, seed=2 * seed + k,
+        ))
+        for k, name in enumerate(("head", "leaf"))
+    ]
+    gt = Dataset.from_images(
+        ImageAnnotations(a.image_id, a.class_names + b.class_names, np.vstack([a.edges, b.edges]),
+                         width=a.width, height=a.height)
+        for a, b in zip(*halves)
+    )
+    assume(gt.total_boxes > 0)
+    noise = DetectorNoise(miss_rate=0.2, false_positive_rate=2.0,
+                          jitter_sd=draw(st.sampled_from([0.0, 2.0, 8.0])),
+                          seed=draw(st.integers(0, 2**16)))
+    return gt, simulate_detector(gt, noise)
+
+
+class TestEvaluateMetamorphic:
+    """Transforms of a corpus that must leave every evaluation result unchanged."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(synth_corpora())
+    def test_doubling_every_coordinate_changes_nothing(self, corpus):
+        # Doubling is exact in binary floating point, so IoUs, and everything built on
+        # them, stay bit-identical; the image sizes are given, not inferred.
+        gt, preds = corpus
+        doubled_gt = Dataset.from_images(
+            replace(ann, edges=ann.edges * 2, width=ann.width * 2, height=ann.height * 2)
+            for ann in gt
+        )
+        doubled_preds = {i: replace(p, edges=p.edges * 2) for i, p in preds.items()}
+        report, doubled = evaluate(gt, preds), evaluate(doubled_gt, doubled_preds)
+        assert doubled.pr_per_class == report.pr_per_class
+        assert (doubled.map_score, doubled.r_squared) == (report.map_score, report.r_squared)
+        for name in ("image", "det_index", "confidence", "is_tp", "matched_gt", "iou"):
+            column, expected = getattr(doubled.verdicts, name), getattr(report.verdicts, name)
+            assert column.tobytes() == expected.tobytes()
+        assert doubled == report
+
+    @settings(max_examples=40, deadline=None)
+    @given(synth_corpora(), st.data())
+    def test_renaming_images_in_sort_order_changes_only_the_ids(self, corpus, data):
+        gt, preds = corpus
+        new_ids = data.draw(st.sets(st.text("Bab019_", min_size=1, max_size=6),
+                                    min_size=len(gt), max_size=len(gt)))
+        rename = dict(zip(gt.image_ids, sorted(new_ids)))
+        renamed_gt = Dataset.from_images(replace(a, image_id=rename[a.image_id]) for a in gt)
+        renamed_preds = [replace(p, image_id=rename[p.image_id]) for p in preds.values()]
+        report, renamed = evaluate(gt, preds), evaluate(renamed_gt, renamed_preds)
+        assert renamed.count_pairs == tuple((rename[i], t, p) for i, t, p in report.count_pairs)
+        assert replace(renamed, count_pairs=report.count_pairs) == report

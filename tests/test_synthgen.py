@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boxlab.annotations import save_dataset
+from boxlab.annotations import Dataset, ImageAnnotations, save_dataset
 from boxlab.evalcore import evaluate
 from boxlab.synthgen import (
     DetectorNoise,
@@ -289,6 +289,18 @@ class TestSimulateDetector:
             left, right = unclipped_span(raw[0], raw[2], 300.0)
             top, bottom = unclipped_span(raw[1], raw[3], 200.0)
             assert _jittered(row, offsets, frame) == [left, top, right, bottom]
+
+    @pytest.mark.parametrize("dims", [dict(width=1e17, height=1e17), {}], ids=["set", "inferred"])
+    def test_loaded_frame_above_2_to_the_50_is_rejected(self, dims):
+        ann = ImageAnnotations("a", ["h"], [(0, 0, 1e16, 1e16)], **dims)
+        with pytest.raises(SynthError, match=r"image 'a': sides must be at most 2\*\*50 px"):
+            simulate_detector(Dataset.from_images([ann]), DetectorNoise(jitter_sd=1e18, seed=3))
+
+    def test_loaded_frame_of_2_to_the_50_is_accepted(self):
+        side = 2.0**50
+        ann = ImageAnnotations("a", ["h"], [(0, 0, 10, 10)], width=side, height=side)
+        preds = simulate_detector(Dataset.from_images([ann]), DetectorNoise(jitter_sd=5.0, seed=3))
+        assert len(preds["a"]) == 1
 
     def test_a_frame_above_2_to_the_50_keeps_its_edges(self):
         side = 2.0**53
