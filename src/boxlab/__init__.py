@@ -16,7 +16,6 @@ from .anchorlab import (
     AnchorSet,
     CoverageDiagnostic,
     DarknetConfigFragment,
-    assign_masks,
     centered_iou,
     coverage,
     emit_darknet_fragment,
@@ -87,7 +86,6 @@ __all__ = [
     "SynthConfig",
     "SynthError",
     "Verdicts",
-    "assign_masks",
     "average_precision",
     "centered_iou",
     "compute_stats",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,14 +44,12 @@ class Anchor:
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """Anchors sorted by area ascending, plus per-layer mask index lists."""
+    """Anchors sorted by area ascending, without exact duplicates."""
 
     anchors: tuple[Anchor, ...]
-    masks: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "anchors", tuple(self.anchors))
-        object.__setattr__(self, "masks", tuple(tuple(m) for m in self.masks))
         if not self.anchors:
             raise AnchorError("anchor set is empty")
         areas = [a.area for a in self.anchors]
@@ -59,22 +58,12 @@ class AnchorSet:
         pairs = self.pairs()
         if len(set(pairs)) != len(pairs):
             raise AnchorError("anchor set contains exact duplicates")
-        seen: set[int] = set()
-        for mask in self.masks:
-            for index in mask:
-                if not 0 <= index < len(self.anchors):
-                    raise AnchorError(f"mask index {index} out of range")
-                if index in seen:
-                    raise AnchorError(f"mask index {index} assigned to more than one layer")
-                seen.add(index)
 
     @classmethod
-    def from_dims(
-        cls, dims: Iterable[tuple[float, float]], masks: Sequence[Sequence[int]] = ()
-    ) -> "AnchorSet":
+    def from_dims(cls, dims: Iterable[tuple[float, float]]) -> "AnchorSet":
         """Build from (width, height) pairs: sorts by area and drops duplicates."""
         unique = sorted(set((float(w), float(h)) for w, h in dims), key=lambda p: (p[0] * p[1], p))
-        return cls(tuple(Anchor(w, h) for w, h in unique), tuple(tuple(m) for m in masks))
+        return cls(tuple(Anchor(w, h) for w, h in unique))
 
     def __len__(self) -> int:
         return len(self.anchors)
@@ -93,30 +82,43 @@ class CoverageDiagnostic:
     per_anchor_assignment_counts: tuple[int, ...]
 
 
+# The per-section training parameters boxlab writes; a parsed fragment must match.
+DARKNET_SCALARS = {"jitter": 0.3, "ignore_thresh": 0.7, "truth_thresh": 1.0, "random": 1.0}
+
+
 @dataclass(frozen=True)
 class DarknetConfigFragment:
-    """Parameters of the detection-layer sections of a Darknet config."""
+    """The ``[yolo]`` sections of a Darknet config, one per detection layer.
+
+    ``layers`` is the anchor count of each section, smallest areas first.
+    ``None`` picks 3,4,6 for 13 anchors, 3,3,3 for 9, and one section
+    otherwise; the resolved sizes are stored.
+    """
 
     anchors: AnchorSet
     classes: int = 1
-    jitter: float = 0.3
-    ignore_threshold: float = 0.7
-    truth_threshold: float = 1.0
-    random: float = 1.0
+    layers: Sequence[int] | None = None
 
     def __post_init__(self):
         if self.classes < 1:
             raise AnchorError(f"classes must be >= 1, got {self.classes}")
-
-    @property
-    def number(self) -> int:
-        return len(self.anchors)
+        n = len(self.anchors)
+        auto = {13: (3, 4, 6), 9: (3, 3, 3)}.get(n, (n,))
+        sizes = auto if self.layers is None else tuple(int(s) for s in self.layers)
+        if any(s < 1 for s in sizes):
+            raise AnchorError(f"layer sizes must be positive: {','.join(map(str, sizes))}")
+        if sum(sizes) != n:
+            raise AnchorError(
+                f"layer layout {','.join(map(str, sizes))} sums to {sum(sizes)}, "
+                f"but there are {n} anchors"
+            )
+        object.__setattr__(self, "layers", sizes)
 
     @property
     def masks(self) -> tuple[tuple[int, ...], ...]:
-        if self.anchors.masks:
-            return self.anchors.masks
-        return (tuple(range(len(self.anchors))),)
+        """The anchor indices of each section: consecutive runs, in order."""
+        ends = accumulate(self.layers)
+        return tuple(tuple(range(end - size, end)) for size, end in zip(self.layers, ends))
 
 
 def centered_iou(a: Anchor, b: Anchor) -> float:
@@ -400,60 +402,44 @@ def coverage(
     )
 
 
-def assign_masks(anchors: AnchorSet, layer_sizes: Sequence[int] = (3, 4, 6)) -> AnchorSet:
-    """Partition anchors across detection layers, smallest areas first."""
-    sizes = [int(s) for s in layer_sizes]
-    if any(s < 1 for s in sizes):
-        raise AnchorError(f"layer sizes must be positive: {sizes}")
-    if sum(sizes) != len(anchors):
-        raise AnchorError(
-            f"layer sizes {sizes} sum to {sum(sizes)}, but there are {len(anchors)} anchors"
-        )
-    masks = []
-    start = 0
-    for size in sizes:
-        masks.append(tuple(range(start, start + size)))
-        start += size
-    return AnchorSet(anchors=anchors.anchors, masks=tuple(masks))
-
-
 def _fmt_value(value: float) -> str:
     v = float(value)
     return str(int(v)) if v.is_integer() else repr(round(v, 6))
 
 
-def _fmt_scalar(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_darknet_fragment(config: DarknetConfigFragment) -> str:
     """Render the detection-layer config sections as deterministic text.
 
-    One ``[yolo]`` section per mask layer; all sections share the anchor
-    list and scalar parameters. Integral anchor values render as integers.
+    One ``[yolo]`` section per layer; all sections share the anchor list,
+    the class count and ``DARKNET_SCALARS``. Integral anchor values render
+    as integers.
     """
     anchor_text = ", ".join(
         f"{_fmt_value(a.width)},{_fmt_value(a.height)}" for a in config.anchors.anchors
     )
-    sections = []
-    for mask in config.masks:
-        lines = [
-            "[yolo]",
-            f"mask = {','.join(str(i) for i in mask)}",
-            f"anchors = {anchor_text}",
-            f"classes = {config.classes}",
-            f"num = {config.number}",
-            f"jitter = {_fmt_scalar(config.jitter)}",
-            f"ignore_thresh = {_fmt_scalar(config.ignore_threshold)}",
-            f"truth_thresh = {_fmt_scalar(config.truth_threshold)}",
-            f"random = {_fmt_scalar(config.random)}",
-        ]
-        sections.append("\n".join(lines) + "\n")
-    return "\n".join(sections)
+    shared = [f"anchors = {anchor_text}", f"classes = {config.classes}"]
+    shared += [f"num = {len(config.anchors)}"]
+    shared += [f"{key} = {value!r}" for key, value in DARKNET_SCALARS.items()]
+    return "\n".join(
+        "\n".join(["[yolo]", f"mask = {','.join(map(str, mask))}", *shared]) + "\n"
+        for mask in config.masks
+    )
+
+
+def _fragment_number(key: str, text: str, kind: type = float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise AnchorError(f"fragment key {key!r} holds a non-number: {text!r}") from None
 
 
 def parse_darknet_fragment(text: str) -> DarknetConfigFragment:
-    """Parse text produced by emit_darknet_fragment back into a config."""
+    """Parse text produced by emit_darknet_fragment back into a config.
+
+    Every section needs a ``mask``, and the masks must split the anchors
+    into consecutive runs in order. The shared keys must agree across
+    sections, and the scalars must equal ``DARKNET_SCALARS``.
+    """
     sections: list[dict[str, str]] = []
     current: dict[str, str] | None = None
     for raw in text.splitlines():
@@ -472,30 +458,30 @@ def parse_darknet_fragment(text: str) -> DarknetConfigFragment:
         raise AnchorError("fragment contains no [yolo] section")
 
     first = sections[0]
-    for key in ("anchors", "classes", "num", "jitter", "ignore_thresh", "truth_thresh", "random"):
+    for key in ("anchors", "classes", "num", *DARKNET_SCALARS):
         if key not in first:
             raise AnchorError(f"fragment is missing key {key!r}")
         if any(section.get(key) != first[key] for section in sections):
             raise AnchorError(f"sections disagree on {key!r}")
+    for key, expected in DARKNET_SCALARS.items():
+        if _fragment_number(key, first[key]) != expected:
+            raise AnchorError(f"{key} = {first[key]}, but boxlab writes {expected!r}")
 
-    values = [float(v) for v in first["anchors"].replace(" ", "").split(",") if v]
+    numbers = first["anchors"].replace(" ", "").split(",")
+    values = [_fragment_number("anchors", v) for v in numbers if v]
     if len(values) % 2 != 0:
         raise AnchorError("anchor list has an odd number of values")
     pairs = [(values[i], values[i + 1]) for i in range(0, len(values), 2)]
-    masks = tuple(
-        tuple(int(i) for i in section["mask"].split(",")) for section in sections if "mask" in section
+    if any("mask" not in section for section in sections):
+        raise AnchorError("a [yolo] section has no 'mask'")
+    masks = [[_fragment_number("mask", i, int) for i in s["mask"].split(",")] for s in sections]
+    if [i for mask in masks for i in mask] != list(range(len(pairs))):
+        raise AnchorError("masks must split the anchors into consecutive runs, in order")
+    num = _fragment_number("num", first["num"], int)
+    if num != len(pairs):
+        raise AnchorError(f"num = {num} does not match {len(pairs)} anchors in the fragment")
+    return DarknetConfigFragment(
+        anchors=AnchorSet(tuple(Anchor(w, h) for w, h in pairs)),
+        classes=_fragment_number("classes", first["classes"], int),
+        layers=[len(mask) for mask in masks],
     )
-    anchor_set = AnchorSet(tuple(Anchor(w, h) for w, h in pairs), masks)
-    fragment = DarknetConfigFragment(
-        anchors=anchor_set,
-        classes=int(first["classes"]),
-        jitter=float(first["jitter"]),
-        ignore_threshold=float(first["ignore_thresh"]),
-        truth_threshold=float(first["truth_thresh"]),
-        random=float(first["random"]),
-    )
-    if fragment.number != int(first["num"]):
-        raise AnchorError(
-            f"num = {first['num']} does not match {fragment.number} anchors in the fragment"
-        )
-    return fragment

@@ -503,10 +503,8 @@ def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> D
     return Dataset.from_images(images)
 
 
-def save_dataset(
-    dataset: Dataset, directory: str | Path, manifest_name: str | None = "manifest.csv"
-) -> None:
-    """Write one ``<image_id>.txt`` per image plus a manifest of explicit dims.
+def save_dataset(dataset: Dataset, directory: str | Path) -> None:
+    """Write one ``<image_id>.txt`` per image plus ``manifest.csv`` of explicit dims.
 
     Inferred dimensions are not written to the manifest, so a save/load
     round trip preserves the ``dims_inferred`` flag.
@@ -516,14 +514,12 @@ def save_dataset(
     for ann in dataset:
         path = directory / f"{ann.image_id}.txt"
         path.write_text(format_ground_truth(ann), encoding="utf-8", newline="\n")
-    if manifest_name is None:
-        return
     rows = [
         (ann.image_id, ann.width, ann.height)
         for ann in dataset
         if ann.width is not None and not ann.dims_inferred
     ]
-    with (directory / manifest_name).open("w", newline="\n", encoding="utf-8") as fh:
+    with (directory / "manifest.csv").open("w", newline="\n", encoding="utf-8") as fh:
         fh.write("image_id,width,height\n")
         for image_id, width, height in rows:
             fh.write(f"{image_id},{format_coordinate(width)},{format_coordinate(height)}\n")

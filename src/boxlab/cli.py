@@ -24,7 +24,6 @@ from .anchorlab import (
     AnchorError,
     AnchorSet,
     DarknetConfigFragment,
-    assign_masks,
     coverage,
     emit_darknet_fragment,
     kmeans_anchors,
@@ -137,12 +136,9 @@ def layer_spec(text: str) -> tuple[int, ...] | None:
     if text.lower() == "auto":
         return None
     try:
-        sizes = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError("layer sizes must be positive integers")
-    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,14 +438,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _auto_layers(n_anchors: int) -> tuple[int, ...]:
-    if n_anchors == 13:
-        return (3, 4, 6)
-    if n_anchors == 9:
-        return (3, 3, 3)
-    return (n_anchors,)
-
-
 def cmd_anchors(args) -> int:
     runs_linefit = args.compare or (args.anchors is None and args.method == "linefit")
     if runs_linefit and args.n_total < args.n_line + 1:
@@ -478,13 +466,10 @@ def cmd_anchors(args) -> int:
         )
     anchor_set = selected[method]
 
-    layers = args.layers if isinstance(args.layers, tuple) else _auto_layers(len(anchor_set))
-    if sum(layers) != len(anchor_set):
-        raise UsageError(
-            f"--layers {','.join(map(str, layers))} sums to {sum(layers)} "
-            f"but {len(anchor_set)} anchors were selected"
-        )
-    anchor_set = assign_masks(anchor_set, layers)
+    try:
+        fragment = DarknetConfigFragment(anchor_set, args.classes, args.layers)
+    except AnchorError as exc:
+        raise UsageError(f"--layers: {exc}") from None
     diagnostics = {
         name: coverage(dims, a_set, args.recall_threshold) for name, a_set in selected.items()
     }
@@ -526,7 +511,6 @@ def cmd_anchors(args) -> int:
     )
     atomic_write(out / "dims_anchors.svg", svg)
     if args.emit_darknet:
-        fragment = DarknetConfigFragment(anchors=anchor_set, classes=args.classes)
         atomic_write(out / "darknet.cfg", emit_darknet_fragment(fragment))
 
     write_run_manifest(
@@ -542,7 +526,7 @@ def cmd_anchors(args) -> int:
             "floor": "none" if args.floor is None else _format_pairs([args.floor]),
             "variance_bins": args.variance_bins,
             "recall_threshold": args.recall_threshold,
-            "layers": ",".join(map(str, layers)),
+            "layers": ",".join(map(str, fragment.layers)),
             "compare": args.compare,
             "emit_darknet": args.emit_darknet,
             "classes": args.classes,

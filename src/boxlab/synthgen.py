@@ -29,6 +29,14 @@ class SynthError(ValueError):
 MAX_IMAGE_SIDE = 2.0**50
 
 
+def _require_finite(config, *names: str) -> None:
+    """SynthError for the first named field that is NaN or infinite; range checks do the rest."""
+    for name in names:
+        value = getattr(config, name)
+        if not np.isfinite(value):
+            raise SynthError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters of the ground-truth generator."""
@@ -52,6 +60,9 @@ class SynthConfig:
             raise SynthError(f"seed must be >= 0, got {self.seed}")
         if not all(0 < side <= MAX_IMAGE_SIDE for side in (self.image_width, self.image_height)):
             raise SynthError("image dimensions must be positive and at most 2**50 px")
+        _require_finite(
+            self, "count_mean", "count_sd", "line_slope", "line_intercept", "residual_sd"
+        )
         if self.count_mean <= 0:
             raise SynthError(f"count_mean must be positive, got {self.count_mean}")
         if self.count_sd < 0 or self.residual_sd < 0:
@@ -81,6 +92,7 @@ class DetectorNoise:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self, "false_positive_rate", "jitter_sd")
         if not 0.0 <= self.miss_rate <= 1.0:
             raise SynthError(f"miss_rate must be in [0, 1], got {self.miss_rate}")
         if self.false_positive_rate < 0:

@@ -13,7 +13,6 @@ from boxlab.anchorlab import (
     Anchor,
     AnchorSet,
     DarknetConfigFragment,
-    assign_masks,
     coverage,
     emit_darknet_fragment,
     kmeans_anchors,
@@ -168,7 +167,7 @@ def test_criterion_06_darknet_golden_file(data_dir):
             (23, 35), (32, 32), (38, 39), (50, 50), (60, 60), (80, 80),
         ]
     )
-    fragment = DarknetConfigFragment(anchors=assign_masks(anchors, (3, 4, 6)), classes=1)
+    fragment = DarknetConfigFragment(anchors=anchors, classes=1, layers=(3, 4, 6))
     emitted = emit_darknet_fragment(fragment)
     golden = (data_dir / "darknet_golden.cfg").read_text(encoding="utf-8")
     assert emitted == golden

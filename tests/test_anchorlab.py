@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from boxlab import anchorlab
 from boxlab.anchorlab import (
+    DARKNET_SCALARS,
     DISTANCES,
     KMEANS_MAX_ITERATIONS,
     Anchor,
     AnchorError,
     AnchorSet,
     DarknetConfigFragment,
-    assign_masks,
     centered_iou,
     centered_iou_matrix,
     coverage,
@@ -99,14 +99,6 @@ class TestAnchorSet:
     def test_empty_rejected(self):
         with pytest.raises(AnchorError):
             AnchorSet(())
-
-    def test_mask_index_out_of_range(self):
-        with pytest.raises(AnchorError):
-            AnchorSet((Anchor(10, 10),), masks=((0, 1),))
-
-    def test_mask_index_reused_across_layers(self):
-        with pytest.raises(AnchorError):
-            AnchorSet((Anchor(10, 10), Anchor(20, 20)), masks=((0,), (0, 1)))
 
     def test_non_positive_anchor_rejected(self):
         with pytest.raises(AnchorError):
@@ -302,6 +294,33 @@ class TestKMeansAgainstPlainLoop:
         self.assert_same_run(dims, 9, "one_minus_iou", 0)
 
 
+class TestScaleEquivariance:
+    """Doubling every box dimension doubles the anchors and changes no assignment.
+
+    Doubling is exact in floating point, and both distances scale exactly:
+    squared Euclidean costs by 4, 1 - IoU not at all.
+    """
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmeans_on_doubled_dims(self, distance, seed):
+        dims = extract_dims(generate_dataset(SynthConfig(n_images=40, seed=seed)))
+        run = run_kmeans(dims, 9, distance, 0)
+        doubled = run_kmeans(2 * dims, 9, distance, 0)
+        assert np.array_equal(doubled.labels, run.labels)
+        assert np.array_equal(doubled.centroids, 2 * run.centroids)
+        factor = 4 if distance == "euclidean" else 1
+        assert doubled.objective_history == tuple(factor * v for v in run.objective_history)
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coverage_of_doubled_dims_and_anchors(self, distance, seed):
+        dims = extract_dims(generate_dataset(SynthConfig(n_images=40, seed=seed)))
+        anchors = kmeans_anchors(dims, 9, distance, 0)
+        doubled = AnchorSet.from_dims(2 * np.array(anchors.pairs()))
+        assert coverage(2 * dims, doubled) == coverage(dims, anchors)
+
+
 class TestLineFit:
     def test_exact_line_with_floor_and_extras(self):
         # Heights are exactly 2x the widths, so the fit is h = 2w and every
@@ -459,25 +478,37 @@ class TestDimsInput:
 
 
 class TestAssignMasks:
+    """How a fragment assigns runs of anchor indices to its layers."""
+
     def test_partitions_smallest_first(self):
         anchors = AnchorSet.from_dims(GOLDEN_ANCHORS)
-        masked = assign_masks(anchors, (3, 4, 6))
-        assert masked.masks == ((0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11, 12))
-        assert masked.pairs() == anchors.pairs()
+        fragment = DarknetConfigFragment(anchors, layers=(3, 4, 6))
+        assert fragment.layers == (3, 4, 6)
+        assert fragment.masks == ((0, 1, 2), (3, 4, 5, 6), (7, 8, 9, 10, 11, 12))
+        assert fragment.anchors.pairs() == anchors.pairs()
 
     def test_sum_mismatch_rejected(self):
-        with pytest.raises(AnchorError):
-            assign_masks(AnchorSet.from_dims([(10, 10), (20, 20)]), (3,))
+        with pytest.raises(AnchorError, match="sums to 3"):
+            DarknetConfigFragment(AnchorSet.from_dims([(10, 10), (20, 20)]), layers=(3,))
 
     def test_zero_layer_rejected(self):
         with pytest.raises(AnchorError):
-            assign_masks(AnchorSet.from_dims([(10, 10)]), (0, 1))
+            DarknetConfigFragment(AnchorSet.from_dims([(10, 10)]), layers=(0, 1))
+
+    @pytest.mark.parametrize(
+        "count, layers", [(13, (3, 4, 6)), (9, (3, 3, 3)), (1, (1,)), (6, (6,)), (12, (12,))]
+    )
+    def test_auto_layout(self, count, layers):
+        anchors = AnchorSet.from_dims((w, w) for w in range(1, count + 1))
+        fragment = DarknetConfigFragment(anchors)
+        assert fragment.layers == layers
+        assert fragment == DarknetConfigFragment(anchors, layers=list(layers))
 
 
 class TestDarknetFragment:
     def golden_fragment(self):
-        anchors = assign_masks(AnchorSet.from_dims(GOLDEN_ANCHORS), (3, 4, 6))
-        return DarknetConfigFragment(anchors=anchors, classes=1)
+        anchors = AnchorSet.from_dims(GOLDEN_ANCHORS)
+        return DarknetConfigFragment(anchors=anchors, classes=1, layers=(3, 4, 6))
 
     def test_emit_matches_golden_file_exactly(self, data_dir):
         golden = (data_dir / "darknet_golden.cfg").read_text(encoding="utf-8")
@@ -499,12 +530,11 @@ class TestDarknetFragment:
         assert "num = 1\n" in text
 
     def test_fractional_anchors_round_trip(self):
-        # Emitting a maskless fragment writes the implicit full mask, so the
-        # parse comes back with it explicit; the text form is the fixed point.
         anchors = AnchorSet.from_dims([(10.67, 10.33), (40.5, 39.75)])
         fragment = DarknetConfigFragment(anchors=anchors, classes=2)
         text = emit_darknet_fragment(fragment)
         parsed = parse_darknet_fragment(text)
+        assert parsed == fragment
         assert parsed.anchors.pairs() == anchors.pairs()
         assert parsed.masks == fragment.masks
         assert parsed.classes == 2
@@ -544,3 +574,86 @@ class TestDarknetFragment:
     def test_classes_must_be_positive(self):
         with pytest.raises(AnchorError):
             DarknetConfigFragment(anchors=AnchorSet.from_dims([(10, 10)]), classes=0)
+
+    @staticmethod
+    def text(*masks, **keys):
+        """Fragment text, one section per mask (None: no mask line); keys override values."""
+        anchors = keys.get("anchors", "10,10, 20,20")
+        shared = {"anchors": anchors, "classes": "1", "num": str(len(anchors.split(",")) // 2)}
+        shared.update({key: repr(value) for key, value in DARKNET_SCALARS.items()})
+        shared.update(keys)
+        lines = [f"{key} = {value}" for key, value in shared.items()]
+        return "\n".join(
+            "\n".join(["[yolo]", *([] if mask is None else [f"mask = {mask}"]), *lines]) + "\n"
+            for mask in masks
+        )
+
+    def test_hand_written_text_is_what_emit_writes(self):
+        fragment = DarknetConfigFragment(AnchorSet.from_dims([(10, 10), (20, 20)]), layers=(1, 1))
+        assert emit_darknet_fragment(fragment) == self.text("0", "1")
+        assert parse_darknet_fragment(self.text("0", "1")) == fragment
+
+    def test_parse_rejects_mask_index_out_of_range(self):
+        for mask in ("0,1", "-1"):
+            with pytest.raises(AnchorError, match="consecutive"):
+                parse_darknet_fragment(self.text(mask, anchors="10,10"))
+
+    def test_parse_rejects_mask_index_reused_across_layers(self):
+        with pytest.raises(AnchorError, match="consecutive"):
+            parse_darknet_fragment(self.text("0", "0,1"))
+
+    @pytest.mark.parametrize(
+        "masks",
+        [("2,1,0",), ("2", "0,1"), ("0,2", "1"), ("0", "1"), ("0", "2")],
+        ids=["reversed", "layers-reversed", "interleaved", "missing-last", "gap"],
+    )
+    def test_parse_rejects_non_consecutive_masks(self, masks):
+        with pytest.raises(AnchorError, match="consecutive"):
+            parse_darknet_fragment(self.text(*masks, anchors="10,10, 20,20, 30,30"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("jitter", "0.5"), ("ignore_thresh", "0.5"), ("truth_thresh", "0.5"), ("random", "0.0"),
+         ("jitter", "nan")],
+    )
+    def test_parse_rejects_a_changed_scalar(self, key, value):
+        with pytest.raises(AnchorError, match=key):
+            parse_darknet_fragment(self.text("0", "1", **{key: value}))
+
+    @pytest.mark.parametrize("masks", [("0", None), (None, "0,1"), (None,)])
+    def test_parse_rejects_a_section_without_mask(self, masks):
+        with pytest.raises(AnchorError, match="mask"):
+            parse_darknet_fragment(self.text(*masks))
+
+    @pytest.mark.parametrize(
+        "key, masks, keys",
+        [
+            ("anchors", ("0",), dict(anchors="a,10")),
+            ("classes", ("0", "1"), dict(classes="x")),
+            ("mask", ("z",), dict(anchors="10,10")),
+            ("jitter", ("0", "1"), dict(jitter="q")),
+            ("num", ("0", "1"), dict(num="n")),
+        ],
+    )
+    def test_parse_rejects_non_numeric_values(self, key, masks, keys):
+        with pytest.raises(AnchorError, match=f"'{key}'"):
+            parse_darknet_fragment(self.text(*masks, **keys))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_of_any_layout(self, data):
+        two_decimals = st.integers(1, 99_999).map(lambda i: i / 100)
+        pairs = data.draw(
+            st.lists(st.tuples(two_decimals, two_decimals), min_size=1, max_size=15, unique=True)
+        )
+        anchors = AnchorSet.from_dims(pairs)
+        n = len(anchors)
+        cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        bounds = [0, *sorted(cuts), n]
+        layers = [high - low for low, high in zip(bounds, bounds[1:])]
+        fragment = DarknetConfigFragment(anchors, data.draw(st.integers(1, 80)), layers)
+        text = emit_darknet_fragment(fragment)
+        parsed = parse_darknet_fragment(text)
+        assert parsed == fragment
+        assert parsed.layers == tuple(layers)
+        assert emit_darknet_fragment(parsed) == text

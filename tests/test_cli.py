@@ -283,6 +283,16 @@ class TestAnchors:
         assert "usage error" in err
         assert "sums to 6" in err
 
+    def test_non_positive_layer_is_a_usage_error(self, tmp_path):
+        gt = self.corpus(tmp_path)
+        code, _, err = run_cli(
+            "anchors", gt, "--method", "kmeans", "--k", "4", "--layers", "0,4",
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "positive" in err
+        assert not (tmp_path / "out").exists()
+
     def test_k_zero_rejected_by_argparse(self, tmp_path):
         gt = self.corpus(tmp_path)
         code, _, err = run_cli("anchors", gt, "--k", "0", "--out", tmp_path / "out")

@@ -27,7 +27,6 @@ PUBLIC_API = [
     "SynthConfig",
     "SynthError",
     "Verdicts",
-    "assign_masks",
     "average_precision",
     "centered_iou",
     "compute_stats",

@@ -181,6 +181,48 @@ class TestDetectorNoiseValidation:
             DetectorNoise(**overrides)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+SYNTH_FLOATS = ["image_width", "image_height", "count_mean", "count_sd", "line_slope",
+                "line_intercept", "residual_sd"]
+NOISE_FLOATS = ["miss_rate", "false_positive_rate", "jitter_sd"]
+
+
+def with_value_in_range(name, default, value, position):
+    pair = list(default)
+    pair[position] = value
+    return {name: tuple(pair)}
+
+
+class TestNonFiniteParameters:
+    """Every float parameter (or end of a range) that is NaN or infinite is a SynthError."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", SYNTH_FLOATS)
+    def test_synth_config(self, name, value):
+        with pytest.raises(SynthError):
+            SynthConfig(n_images=1, **{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_synth_width_range(self, position, value):
+        with pytest.raises(SynthError):
+            SynthConfig(n_images=1, **with_value_in_range("width_range", (8.0, 90.0), value, position))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", NOISE_FLOATS)
+    def test_detector_noise(self, name, value):
+        with pytest.raises(SynthError):
+            DetectorNoise(**{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("name, default", [("tp_confidence", (0.5, 1.0)),
+                                               ("fp_confidence", (0.05, 0.5))])
+    def test_detector_confidence_ranges(self, name, default, position, value):
+        with pytest.raises(SynthError):
+            DetectorNoise(**with_value_in_range(name, default, value, position))
+
+
 class TestSimulateDetector:
     def test_zero_noise_reproduces_ground_truth(self):
         ds = generate_dataset(small_config())
