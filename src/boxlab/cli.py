@@ -706,9 +706,12 @@ def cmd_synth(args) -> int:
         )
     except SynthError as exc:
         raise UsageError(str(exc)) from None
+    out = args.out
+    for directory in (out / "gt", out / "pred"):
+        if (directory / "manifest.csv").exists() or any(directory.glob("*.txt")):
+            raise UsageError(f"{directory} already holds a corpus; give synth a new --out")
 
     dataset = generate_dataset(config)
-    out = args.out
     save_dataset(dataset, out / "gt")
     parameters = {
         "images": args.images,

@@ -152,33 +152,36 @@ def _frame(ann: ImageAnnotations) -> tuple[float, float] | None:
     return None
 
 
-def _jittered(
-    edges: list[float], offsets: np.ndarray, frame: tuple[float, float]
-) -> list[float]:
-    left, top, right, bottom = (e + o for e, o in zip(edges, offsets.tolist()))
-    width, height = frame
-    left, right = _valid_span(left, right, width)
-    top, bottom = _valid_span(top, bottom, height)
-    return [left, top, right, bottom]
+def _restored(edges: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Jittered ``(n, 4)`` rows made valid inside their ``(n, 2)`` frames (width, height).
 
-
-def _valid_span(low: float, high: float, limit: float) -> tuple[float, float]:
-    """Restore a jittered edge pair: inside [0, limit], at least 1px when inverted.
-
-    Edges beyond twice the larger of ``limit`` and MAX_IMAGE_SIDE are first
-    clipped to that bound. Below 2**52 a float resolves the half-pixel
-    steps, so the restore works for any offset in a frame that synth can
-    make, and an edge inside the bound is used as it is.
+    Each (left, right) and (top, bottom) pair is first clipped to twice the
+    larger of its frame side and MAX_IMAGE_SIDE, widened to 1 px around its
+    centre when inverted, then shortened to the side and moved inside
+    [0, side]. Below 2**52 a float resolves the half-pixel steps, so this
+    works for any offset in a frame that synth can make, and an edge inside
+    the bound is used as it is.
     """
-    bound = 2 * max(limit, MAX_IMAGE_SIDE)
-    if not (-bound <= low <= bound and -bound <= high <= bound):
-        low, high = (min(max(edge, -bound), bound) for edge in (low, high))
-    if high <= low:
-        center = (low + high) / 2.0
-        low, high = center - 0.5, center + 0.5
-    span = min(high - low, limit)
-    low = min(max(low, 0.0), limit - span)
-    return low, low + span
+    bound = 2 * np.maximum(frames, MAX_IMAGE_SIDE)
+    low = np.clip(edges[:, :2], -bound, bound)
+    high = np.clip(edges[:, 2:], -bound, bound)
+    inverted = high <= low
+    center = (low + high) / 2.0
+    low = np.where(inverted, center - 0.5, low)
+    high = np.where(inverted, center + 0.5, high)
+    span = np.minimum(high - low, frames)
+    return _placed(np.minimum(np.maximum(low, 0.0), frames - span), span)
+
+
+def _placed(low: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """``(n, 4)`` rows from ``(n, 2)`` (left, top) corners and positive (width, height) spans.
+
+    Where a span is below half a float step of its low edge, so that
+    ``low + span == low``, the low edge steps one float down, and the box
+    keeps a positive size.
+    """
+    high = low + span
+    return np.hstack((np.where(high > low, low, np.nextafter(low, -np.inf)), high))
 
 
 def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetections]:
@@ -192,31 +195,39 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
     uniformly inside the image. Survivors come first, in ground-truth
     order, then the false positives. An image whose frame (set or inferred)
     has a side above 2**50 px is a SynthError, as in ``SynthConfig``.
+
+    Each image draws from its own substream seeded by (seed, image index),
+    in this order: one uniform survival draw per box; then per box, missed
+    or not, four standard Normals (its edge offsets, scaled by
+    ``jitter_sd``) and one uniform (its confidence); then the Poisson count
+    of false positives and, per false positive, its source box, left, top
+    and confidence. The arithmetic on the draws is then done on columns for
+    the whole corpus at once.
     """
-    corpus_names = [name for ann in gt for name in ann.class_names]
-    corpus_edges = np.concatenate([np.empty((0, 4)), *(ann.edges for ann in gt)])
+    images = list(gt)
+    counts = [len(ann) for ann in images]
+    corpus_names = [name for ann in images for name in ann.class_names]
+    corpus_edges = np.concatenate([np.empty((0, 4)), *(ann.edges for ann in images)])
     corpus_widths = (corpus_edges[:, 2] - corpus_edges[:, 0]).tolist()
     corpus_heights = (corpus_edges[:, 3] - corpus_edges[:, 1]).tolist()
-    tp_low, tp_high = noise.tp_confidence
     fp_low, fp_high = noise.fp_confidence
-    predictions: dict[str, ImageDetections] = {}
-    for index, ann in enumerate(gt):
+    survival = np.empty(len(corpus_names))
+    normals = np.empty((len(corpus_names), 4))
+    uniforms, frames = [], []
+    fp_names, fp_corners, fp_sizes, fp_confidences, fp_starts = [], [], [], [], [0]
+    start = 0
+    for index, ann in enumerate(images):
         rng = np.random.default_rng([noise.seed, index])
         frame = _frame(ann)
         if frame is not None and max(frame) > MAX_IMAGE_SIDE:
             raise SynthError(f"image {ann.image_id!r}: sides must be at most 2**50 px")
-        names, rows, confidences = [], [], []
-        survival = rng.random(len(ann))
-        for name, row, draw in zip(ann.class_names, ann.edges.tolist(), survival):
-            offsets = rng.normal(0.0, noise.jitter_sd, 4)
-            confidence = float(rng.uniform(tp_low, tp_high))
-            if draw < noise.miss_rate:
-                continue
-            if np.any(offsets != 0.0):
-                row = _jittered(row, offsets, frame)
-            names.append(name)
-            rows.append(row)
-            confidences.append(confidence)
+        frames.append(frame or (0.0, 0.0))
+        stop = start + len(ann)
+        rng.random(out=survival[start:stop])
+        for offsets in normals[start:stop]:
+            rng.standard_normal(out=offsets)
+            uniforms.append(rng.random())
+        start = stop
         spurious = int(rng.poisson(noise.false_positive_rate))
         for _ in range(spurious):
             if not corpus_names or frame is None:
@@ -226,8 +237,35 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
             height = min(corpus_heights[source], frame[1])
             left = float(rng.uniform(0.0, frame[0] - width))
             top = float(rng.uniform(0.0, frame[1] - height))
-            names.append(corpus_names[source])
-            rows.append([left, top, left + width, top + height])
-            confidences.append(float(rng.uniform(fp_low, fp_high)))
-        predictions[ann.image_id] = ImageDetections(ann.image_id, names, rows, confidences)
+            fp_names.append(corpus_names[source])
+            fp_corners.append((left, top))
+            fp_sizes.append((width, height))
+            fp_confidences.append(float(rng.uniform(fp_low, fp_high)))
+        fp_starts.append(len(fp_names))
+
+    # numpy draws normal(0.0, sd) as 0.0 + sd * z and uniform(lo, hi) as
+    # lo + (hi - lo) * u, so these are the bits per-box calls would give.
+    with np.errstate(over="ignore"):
+        offsets = noise.jitter_sd * normals + 0.0
+    tp_low, tp_high = noise.tp_confidence
+    confidences = tp_low + (tp_high - tp_low) * np.array(uniforms)
+    row_frames = np.repeat(np.reshape(frames, (-1, 2)), counts, axis=0)
+    jittered = _restored(corpus_edges + offsets, row_frames)
+    moved = (offsets != 0.0).any(axis=1)
+    edges = np.where(moved[:, None], jittered, corpus_edges)
+    kept = np.flatnonzero(survival >= noise.miss_rate)
+    kept_starts = np.searchsorted(kept, np.cumsum([0, *counts])).tolist()
+    kept_names = [corpus_names[i] for i in kept.tolist()]
+    kept_edges, kept_confidences = edges[kept], confidences[kept]
+    fp_edges = _placed(np.reshape(fp_corners, (-1, 2)), np.reshape(fp_sizes, (-1, 2)))
+    predictions: dict[str, ImageDetections] = {}
+    for index, ann in enumerate(images):
+        a, b = kept_starts[index], kept_starts[index + 1]
+        c, d = fp_starts[index], fp_starts[index + 1]
+        predictions[ann.image_id] = ImageDetections(
+            ann.image_id,
+            kept_names[a:b] + fp_names[c:d],
+            np.concatenate((kept_edges[a:b], fp_edges[c:d])),
+            np.concatenate((kept_confidences[a:b], fp_confidences[c:d])),
+        )
     return predictions

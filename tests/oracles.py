@@ -4,8 +4,10 @@ Everything here trades speed for obviousness: IoU by literally counting
 pixels on a grid, AP by scanning every confidence cutoff or by a
 rank-by-rank loop, correlation via numpy's own corrcoef, annotation files
 one line and one check at a time, CSV reports one cell at a time through
-``csv.writer``, k-means with a full cost matrix on every iteration.
-None of it shares code with the package.
+``csv.writer``, k-means with a full cost matrix on every iteration, the
+detector simulator one box at a time in scalar arithmetic. None of it
+shares code with the package; the simulator oracle only raises the
+package's ``SynthError``, so the two can be compared error for error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from pathlib import Path
 
 import numpy as np
+
+from boxlab.synthgen import SynthError
 
 
 def raster_iou(a, b, frame: int = 512) -> float:
@@ -338,3 +342,107 @@ def reference_write_csv(path, header, rows) -> None:
     for row in rows:
         writer.writerow([_reference_cell(cell) for cell in row])
     Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="\n")
+
+
+# The largest frame side the simulator accepts.
+MAX_IMAGE_SIDE = 2.0**50
+
+
+def _reference_frame(ann) -> tuple[float, float] | None:
+    if ann.width is not None:
+        return (ann.width, ann.height)
+    if len(ann):
+        return (float(ann.edges[:, 2].max()), float(ann.edges[:, 3].max()))
+    return None
+
+
+def _jittered(
+    edges: list[float], offsets: np.ndarray, frame: tuple[float, float]
+) -> list[float]:
+    left, top, right, bottom = (e + o for e, o in zip(edges, offsets.tolist()))
+    width, height = frame
+    left, right = _valid_span(left, right, width)
+    top, bottom = _valid_span(top, bottom, height)
+    return [left, top, right, bottom]
+
+
+def _valid_span(low: float, high: float, limit: float) -> tuple[float, float]:
+    """Restore a jittered edge pair: inside [0, limit], at least 1px when inverted.
+
+    Edges beyond twice the larger of ``limit`` and MAX_IMAGE_SIDE are first
+    clipped to that bound. Below 2**52 a float resolves the half-pixel
+    steps, so the restore works for any offset in a frame that synth can
+    make, and an edge inside the bound is used as it is.
+    """
+    bound = 2 * max(limit, MAX_IMAGE_SIDE)
+    if not (-bound <= low <= bound and -bound <= high <= bound):
+        low, high = (min(max(edge, -bound), bound) for edge in (low, high))
+    if high <= low:
+        center = (low + high) / 2.0
+        low, high = center - 0.5, center + 0.5
+    span = min(high - low, limit)
+    low = min(max(low, 0.0), limit - span)
+    return low, low + span
+
+
+def _reference_positive_size(row: list[float]) -> list[float]:
+    """A low edge steps one float down where adding its size left it unchanged."""
+    left, top, right, bottom = row
+    if right <= left:
+        left = math.nextafter(left, -math.inf)
+    if bottom <= top:
+        top = math.nextafter(top, -math.inf)
+    return [left, top, right, bottom]
+
+
+def reference_simulate_detector(gt, noise) -> dict[str, tuple]:
+    """The detector simulator one box at a time: image id -> (names, edges, confidences).
+
+    Per image, from the substream seeded by (seed, image index): the
+    survival draws, then per box a ``normal(0, jitter_sd, 4)`` offset and a
+    ``uniform`` confidence, then the Poisson false positives. A box whose
+    offsets are all zero keeps its row as it is. A moved or placed box too
+    thin for its position keeps a positive size one float step wide.
+    """
+    corpus_names = [name for ann in gt for name in ann.class_names]
+    corpus_edges = np.concatenate([np.empty((0, 4)), *(ann.edges for ann in gt)])
+    corpus_widths = (corpus_edges[:, 2] - corpus_edges[:, 0]).tolist()
+    corpus_heights = (corpus_edges[:, 3] - corpus_edges[:, 1]).tolist()
+    tp_low, tp_high = noise.tp_confidence
+    fp_low, fp_high = noise.fp_confidence
+    predictions = {}
+    for index, ann in enumerate(gt):
+        rng = np.random.default_rng([noise.seed, index])
+        frame = _reference_frame(ann)
+        if frame is not None and max(frame) > MAX_IMAGE_SIDE:
+            raise SynthError(f"image {ann.image_id!r}: sides must be at most 2**50 px")
+        names, rows, confidences = [], [], []
+        survival = rng.random(len(ann))
+        for name, row, draw in zip(ann.class_names, ann.edges.tolist(), survival):
+            offsets = rng.normal(0.0, noise.jitter_sd, 4)
+            confidence = float(rng.uniform(tp_low, tp_high))
+            if draw < noise.miss_rate:
+                continue
+            if np.any(offsets != 0.0):
+                row = _reference_positive_size(_jittered(row, offsets, frame))
+            names.append(name)
+            rows.append(row)
+            confidences.append(confidence)
+        spurious = int(rng.poisson(noise.false_positive_rate))
+        for _ in range(spurious):
+            if not corpus_names or frame is None:
+                break
+            source = int(rng.integers(len(corpus_names)))
+            width = min(corpus_widths[source], frame[0])
+            height = min(corpus_heights[source], frame[1])
+            left = float(rng.uniform(0.0, frame[0] - width))
+            top = float(rng.uniform(0.0, frame[1] - height))
+            names.append(corpus_names[source])
+            rows.append(_reference_positive_size([left, top, left + width, top + height]))
+            confidences.append(float(rng.uniform(fp_low, fp_high)))
+        predictions[ann.image_id] = (
+            tuple(names),
+            np.array(rows, dtype=np.float64).reshape(-1, 4),
+            np.array(confidences, dtype=np.float64),
+        )
+    return predictions

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,17 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 of the ``sha256sum`` listing of every file under root, in sorted path order.
+
+    For a flat directory this is ``sha256sum * | sha256sum`` run inside it.
+    """
+    listing = "".join(
+        f"{hashlib.sha256(data).hexdigest()}  {name}\n" for name, data in tree_bytes(root).items()
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
 
 
 class TestTopLevel:
@@ -88,6 +100,23 @@ class TestSynth:
             tmp_path / "one" / "run_manifest.txt"
         ) == manifest_lines_without_timestamp(tmp_path / "two" / "run_manifest.txt")
 
+    @pytest.mark.parametrize(
+        "jitter, pred_digest",
+        [
+            ("2", "fe98ccffaa94824a19b963435487b0ae329c9cad27a35ffb45016c6514c8d65d"),
+            ("500", "db32a43acbf59f4dbd901177aa1d5c16d256a6cbfec1bcf1317ebd5af536f8c5"),
+        ],
+    )
+    def test_simulated_corpus_bytes_are_pinned(self, tmp_path, jitter, pred_digest):
+        code, _, err = run_cli(
+            "synth", "--images", "12", "--seed", "42", "--simulate", "--miss-rate", "0.1",
+            "--fp-rate", "5", "--jitter", jitter, "--noise-seed", "1", "--out", tmp_path,
+        )
+        assert code == 0, err
+        gt_digest = "9278ac417d082d4207e2d935721a6d776380f2adf1d0d82661d372141e813cd3"
+        assert tree_digest(tmp_path / "gt") == gt_digest
+        assert tree_digest(tmp_path / "pred") == pred_digest
+
     def test_manifest_records_seeds_and_parameters(self, tmp_path):
         out = tmp_path / "run"
         run_cli("synth", "--images", "2", "--seed", "42", "--simulate",
@@ -130,6 +159,41 @@ class TestSynth:
         predictions = annotations.load_predictions_dir(tmp_path / "pred")
         assert sum(len(p) for p in predictions.values()) == gt.total_boxes
         assert max(p.edges.max(initial=0) for p in predictions.values()) <= 1200
+
+    def test_used_out_directory_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "d"
+        code, _, err = run_cli(
+            "synth", "--out", out, "--images", "30", "--seed", "1", "--simulate",
+            "--miss-rate", "0.1", "--fp-rate", "2", "--jitter", "2",
+        )
+        assert code == 0, err
+        before = tree_bytes(out)
+        code, stdout, err = run_cli(
+            "synth", "--out", out, "--images", "10", "--seed", "2", "--simulate"
+        )
+        assert code == 2
+        assert err == f"usage error: {out / 'gt'} already holds a corpus; give synth a new --out\n"
+        assert stdout == ""
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize(
+        "leftover", ["gt/img_0000.txt", "gt/manifest.csv", "pred/img_0007.txt"]
+    )
+    def test_any_corpus_file_left_in_out_is_a_usage_error(self, tmp_path, leftover):
+        (tmp_path / leftover).parent.mkdir()
+        (tmp_path / leftover).write_text("", encoding="utf-8")
+        code, _, err = run_cli("synth", "--out", tmp_path, "--images", "2")
+        assert code == 2
+        assert f"{tmp_path / Path(leftover).parent} already holds a corpus" in err
+        assert tree_bytes(tmp_path) == {leftover: b""}
+
+    def test_out_with_empty_corpus_directories_is_accepted(self, tmp_path):
+        (tmp_path / "gt").mkdir()
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "pred" / "notes.md").write_text("kept", encoding="utf-8")
+        code, _, err = run_cli("synth", "--out", tmp_path, "--images", "2", "--simulate")
+        assert code == 0, err
+        assert (tmp_path / "pred" / "notes.md").read_text(encoding="utf-8") == "kept"
 
     def test_inverted_confidence_range_is_a_usage_error(self, tmp_path):
         code, _, err = run_cli(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boxlab.annotations import Dataset, ImageAnnotations, save_dataset
 from boxlab.evalcore import evaluate
@@ -9,10 +10,11 @@ from boxlab.synthgen import (
     DetectorNoise,
     SynthConfig,
     SynthError,
-    _jittered,
+    _restored,
     generate_dataset,
     simulate_detector,
 )
+from oracles import reference_simulate_detector
 
 
 def small_config(**overrides):
@@ -322,7 +324,7 @@ class TestSimulateDetector:
             return low, low + span
 
         rng = np.random.default_rng(4)
-        frame = (300.0, 200.0)
+        raws, expected = [], []
         for _ in range(2000):
             left, top = rng.uniform(0, 150, 2)
             row = [left, top, left + rng.uniform(0.5, 150), top + rng.uniform(0.5, 50)]
@@ -330,7 +332,10 @@ class TestSimulateDetector:
             raw = [e + float(o) for e, o in zip(row, offsets)]
             left, right = unclipped_span(raw[0], raw[2], 300.0)
             top, bottom = unclipped_span(raw[1], raw[3], 200.0)
-            assert _jittered(row, offsets, frame) == [left, top, right, bottom]
+            raws.append(raw)
+            expected.append([left, top, right, bottom])
+        frames = np.tile([300.0, 200.0], (len(raws), 1))
+        assert _restored(np.array(raws), frames).tolist() == expected
 
     @pytest.mark.parametrize("dims", [dict(width=1e17, height=1e17), {}], ids=["set", "inferred"])
     def test_loaded_frame_above_2_to_the_50_is_rejected(self, dims):
@@ -347,7 +352,7 @@ class TestSimulateDetector:
     def test_a_frame_above_2_to_the_50_keeps_its_edges(self):
         side = 2.0**53
         row = [2.0**52, 2.0**51, 2.0**52 + 2.0**40, 2.0**51 + 2.0**40]
-        assert _jittered(row, np.zeros(4), (side, side)) == row
+        assert _restored(np.array([row]), np.array([[side, side]])).tolist() == [row]
 
     def test_false_positive_count_is_calibrated(self):
         ds = generate_dataset(
@@ -413,6 +418,102 @@ class TestSimulateDetector:
                 scores.append(evaluate(ds, preds).map_score)
             assert scores == sorted(scores, reverse=True)
             assert scores[0] == 1.0
+
+
+SIDES = st.sampled_from([1.0, 3.5, 640.0, 1200.0, 2.0**50, 2.0**51]) | st.floats(1.0, 5000.0)
+FRACTIONS = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def simulator_corpora(draw):
+    """Up to 4 images of up to 5 boxes in 3 classes, each with set or inferred dims.
+
+    Edges include -0.0 and the frame's own sides, and some frames exceed
+    2**50 px, set or inferred.
+    """
+    images = []
+    for index in range(draw(st.integers(0, 4))):
+        width, height = draw(SIDES), draw(SIDES)
+        names, rows = [], []
+        for _ in range(draw(st.integers(0, 5))):
+            row = []
+            for side in (width, height):
+                a, b = draw(FRACTIONS), draw(FRACTIONS)
+                row.append((min(a, b) * side, max(a, b) * side))
+            (left, right), (top, bottom) = row
+            if left < right and top < bottom:
+                names.append(draw(st.sampled_from("abc")))
+                rows.append((left, top, right, bottom))
+        dims = dict(width=width, height=height) if draw(st.booleans()) else {}
+        images.append(ImageAnnotations(f"img{index}", names, rows, **dims))
+    return Dataset.from_images(images)
+
+
+@st.composite
+def detector_noises(draw):
+    low, high = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+    return DetectorNoise(
+        miss_rate=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        false_positive_rate=draw(st.sampled_from([0.0, 3.0]) | st.floats(0.0, 6.0)),
+        jitter_sd=draw(st.sampled_from([0.0, 2.0, 500.0, 1e13, 1e300])),
+        tp_confidence=draw(st.sampled_from([(0.5, 1.0), (0.7, 0.7), (low, low), (low, high)])),
+        fp_confidence=(low, high),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestAgainstScalarSimulator:
+    """``simulate_detector`` gives the bits of the one-box-at-a-time simulator."""
+
+    @given(corpus=simulator_corpora(), noise=detector_noises())
+    @example(corpus=Dataset.from_images([]), noise=DetectorNoise(false_positive_rate=3.0))
+    @example(
+        corpus=Dataset.from_images([ImageAnnotations("a", ["h"], [(-0.0, -0.0, 5.0, 5.0)])]),
+        noise=DetectorNoise(jitter_sd=0.0, seed=1),
+    )
+    @example(  # a false positive too thin for where it lands
+        corpus=Dataset.from_images(
+            [ImageAnnotations("a", ["h"], [(-0.0, -0.0, 1.0, 2.8e-150)], width=1.0, height=1.0)]
+        ),
+        noise=DetectorNoise(false_positive_rate=1.0, fp_confidence=(0.0, 0.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference(self, corpus, noise):
+        try:
+            expected = reference_simulate_detector(corpus, noise)
+        except SynthError as error:
+            with pytest.raises(SynthError) as caught:
+                simulate_detector(corpus, noise)
+            assert type(caught.value) is type(error)
+            assert str(caught.value) == str(error)
+            return
+        actual = simulate_detector(corpus, noise)
+        assert list(actual) == list(expected)
+        for image_id, (names, edges, confidences) in expected.items():
+            got = actual[image_id]
+            assert got.image_id == image_id
+            assert got.class_names == names
+            assert got.edges.tobytes() == edges.tobytes()
+            assert got.confidences.tobytes() == confidences.tobytes()
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            DetectorNoise(miss_rate=0.1, false_positive_rate=5.0, jitter_sd=2.0, seed=1),
+            DetectorNoise(miss_rate=0.3, false_positive_rate=1.0, jitter_sd=500.0, seed=2),
+            DetectorNoise(jitter_sd=1e13, tp_confidence=(0.25, 0.25), seed=3),
+        ],
+        ids=["baseline", "jitter-500", "jitter-1e13"],
+    )
+    def test_matches_the_reference_on_a_generated_corpus(self, noise):
+        corpus = generate_dataset(small_config(n_images=30, class_name="head"))
+        expected = reference_simulate_detector(corpus, noise)
+        actual = simulate_detector(corpus, noise)
+        assert list(actual) == list(expected)
+        for image_id, (names, edges, confidences) in expected.items():
+            assert actual[image_id].class_names == names
+            assert actual[image_id].edges.tobytes() == edges.tobytes()
+            assert actual[image_id].confidences.tobytes() == confidences.tobytes()
 
 
 class TestEndToEnd:
