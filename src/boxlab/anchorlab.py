@@ -19,6 +19,9 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 KMEANS_MAX_ITERATIONS = 1000
+# Rows per block of a point-by-centroid (or point-by-anchor) cost matrix: the
+# matrix and its temporaries never exceed this many rows at once.
+ROW_BLOCK = 4096
 DISTANCES = ("euclidean", "one_minus_iou")
 
 
@@ -225,7 +228,8 @@ def run_kmeans(
     scale: 1 for 1 - IoU, the largest dimension for Euclidean. It covers
     float rounding, since one computed distance is off by about 1e-16 of
     that scale and even 1,000 drift subtractions stay far below 1e-9. Costs
-    are the same per-element operations as a full cost matrix, cluster
+    are the same per-element operations as a full cost matrix, taken
+    ``ROW_BLOCK`` rows at a time, cluster
     means come from ``np.bincount`` (the same sequential sum as a mean over
     the members), and the reject check and the objective sum the same
     costs in point order, so every float matches.
@@ -257,18 +261,27 @@ def run_kmeans(
     for iteration in range(KMEANS_MAX_ITERATIONS):
         # Assignment: a full row only where the bounds leave a closer centroid possible.
         cw, ch = centroids.T
+        carea = cw * ch
         stale = np.flatnonzero(~(to_distance(own) < lower - margin))
-        costs = _pair_costs(
-            w[stale, None], h[stale, None], area[stale, None], cw, ch, cw * ch, distance
-        )
-        nearest = np.argmin(costs, axis=1)
+        nearest = np.empty(len(stale), dtype=np.intp)
+        nearest_cost = np.empty(len(stale))
+        second_cost = np.empty(len(stale))
+        for start in range(0, len(stale), ROW_BLOCK):
+            rows = stale[start : start + ROW_BLOCK]
+            block = slice(start, start + len(rows))
+            costs = _pair_costs(
+                w[rows, None], h[rows, None], area[rows, None], cw, ch, carea, distance
+            )
+            nearest[block] = np.argmin(costs, axis=1)
+            picked = np.arange(len(rows)), nearest[block]
+            nearest_cost[block] = costs[picked]
+            costs[picked] = np.inf
+            second_cost[block] = costs.min(axis=1)
         if iteration and np.array_equal(nearest, labels[stale]):
             break
         labels[stale] = nearest
-        picked = np.arange(len(stale)), nearest
-        own[stale] = costs[picked]
-        costs[picked] = np.inf
-        lower[stale] = to_distance(costs.min(axis=1))
+        own[stale] = nearest_cost
+        lower[stale] = to_distance(second_cost)
 
         # Update: each non-empty cluster moves to its mean, unless under 1 - IoU
         # that raises the cluster's summed cost.
@@ -385,14 +398,20 @@ def coverage(
     """Assign each box to its best centered-IoU anchor and summarize the fit.
 
     Ties go to the lower anchor index. ``recall_at_t`` is the fraction of
-    boxes whose best IoU reaches the threshold.
+    boxes whose best IoU reaches the threshold. The IoU matrix is computed
+    ``ROW_BLOCK`` boxes at a time.
     """
     points = _dims_array(dims)
     if len(points) == 0:
         raise AnchorError("no box dimensions to cover")
-    matrix = centered_iou_matrix(points, np.array(anchors.pairs(), dtype=float))
-    best_index = np.argmax(matrix, axis=1)
-    best_iou = matrix[np.arange(len(matrix)), best_index]
+    pairs = np.array(anchors.pairs(), dtype=float)
+    best_index = np.empty(len(points), dtype=np.intp)
+    best_iou = np.empty(len(points))
+    for start in range(0, len(points), ROW_BLOCK):
+        matrix = centered_iou_matrix(points[start : start + ROW_BLOCK], pairs)
+        block = slice(start, start + len(matrix))
+        best_index[block] = np.argmax(matrix, axis=1)
+        best_iou[block] = matrix[np.arange(len(matrix)), best_index[block]]
     counts = np.bincount(best_index, minlength=len(anchors))
     return CoverageDiagnostic(
         mean_best_iou=float(best_iou.mean()),

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .anchorlab import (
+    ROW_BLOCK,
     Anchor,
     AnchorError,
     AnchorSet,
@@ -438,6 +439,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _dims_rows(dims: np.ndarray, anchor_set: AnchorSet):
+    """``dims_anchors.csv`` rows: every box, then every anchor.
+
+    The box dims become Python floats ``ROW_BLOCK`` rows at a time, so the
+    rows of the whole corpus never exist at once.
+    """
+    for start in range(0, len(dims), ROW_BLOCK):
+        yield from (("box", w, h) for w, h in dims[start : start + ROW_BLOCK].tolist())
+    yield from (("anchor", a.width, a.height) for a in anchor_set.anchors)
+
+
 def cmd_anchors(args) -> int:
     runs_linefit = args.compare or (args.anchors is None and args.method == "linefit")
     if runs_linefit and args.n_total < args.n_line + 1:
@@ -492,17 +504,11 @@ def cmd_anchors(args) -> int:
             for name, d in sorted(diagnostics.items())
         ],
     )
-    box_dims = dims.tolist()
-    write_csv(
-        out / "dims_anchors.csv",
-        ("series", "width", "height"),
-        [("box", w, h) for w, h in box_dims]
-        + [("anchor", a.width, a.height) for a in anchor_set.anchors],
-    )
+    write_csv(out / "dims_anchors.csv", ("series", "width", "height"), _dims_rows(dims, anchor_set))
     svg = scatter_svg(
         [
-            Series("boxes", box_dims, "circle"),
-            Series("anchors", tuple(anchor_set.pairs()), "cross"),
+            Series("boxes", dims, "circle"),
+            Series("anchors", anchor_set.pairs(), "cross"),
         ],
         x_label="width (px)",
         y_label="height (px)",

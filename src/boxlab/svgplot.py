@@ -3,13 +3,17 @@
 No plotting stack, no fonts to rasterize, no timestamps: the same data
 always renders byte-identical markup. Numbers are written with 6
 significant digits and '.' as the decimal separator regardless of locale.
+Data points are drawn at whole pixels, one marker per distinct pixel, so a
+chart's size is bounded by its canvas, not by its number of points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .reports import fmt_num as fmt
 
@@ -41,18 +45,38 @@ FONT = "font-family=\"sans-serif\""
 MARKERS = ("circle", "cross", "line")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """One named point set; marker is 'circle', 'cross', or 'line'."""
+    """One named point set; marker is 'circle', 'cross', or 'line'.
+
+    ``points`` is anything that converts to an ``(n, 2)`` array of finite
+    (x, y) values, such as an array or a sequence of pairs. It is stored as
+    a read-only float64 copy.
+    """
 
     label: str
-    points: tuple[tuple[float, float], ...]
+    points: np.ndarray
     marker: str = "circle"
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        points = np.array(self.points, dtype=np.float64)
+        if points.size == 0:
+            points = points.reshape(0, 2)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError(f"points must have shape (n, 2), got {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError(f"series {self.label!r} has a non-finite point")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
         if self.marker not in MARKERS:
             raise ValueError(f"unknown marker {self.marker!r}; expected one of {MARKERS}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return (self.label, self.marker) == (other.label, other.marker) and np.array_equal(
+            self.points, other.points
+        )
 
 
 def _nice_step(raw: float) -> float:
@@ -85,11 +109,24 @@ def _ticks(lo: float, hi: float, max_ticks: int = 6) -> tuple[float, float, tupl
 
 
 def _data_bounds(series: Sequence[Series]):
-    xs = [x for s in series for x, _ in s.points]
-    ys = [y for s in series for _, y in s.points]
-    if not xs or not ys:
+    points = np.concatenate([np.empty((0, 2)), *(s.points for s in series)])
+    if not len(points):
         raise ValueError("nothing to plot and no explicit ranges given")
-    return (min(xs), max(xs)), (min(ys), max(ys))
+    (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    return (x_lo, x_hi), (y_lo, y_hi)
+
+
+def _distinct(pixels: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``pixels``, each at its first occurrence, in order."""
+    _, first = np.unique(pixels, axis=0, return_index=True)
+    return pixels[np.sort(first)]
+
+
+def _without_repeats(pixels: np.ndarray) -> np.ndarray:
+    """``pixels`` without each row that equals the row before it."""
+    moved = np.ones(len(pixels), dtype=bool)
+    moved[1:] = (pixels[1:] != pixels[:-1]).any(axis=1)
+    return pixels[moved]
 
 
 class _Canvas:
@@ -110,6 +147,12 @@ class _Canvas:
 
     def add(self, element: str) -> None:
         self.parts.append(element)
+
+    def group(self, attributes: str, elements: Iterable[str]) -> None:
+        """One ``<g>`` holding ``elements``, which share its ``attributes``."""
+        self.add(f"<g {attributes}>")
+        self.parts.extend(elements)
+        self.add("</g>")
 
     def frame_and_grid(self, title: str, x_label: str, y_label: str) -> None:
         for tick in self.x_ticks:
@@ -154,34 +197,41 @@ class _Canvas:
         )
 
     def draw_series(self, series: Sequence[Series]) -> None:
+        """Draw each series at whole pixels: one marker per distinct pixel.
+
+        Markers keep the order of each pixel's first point, and a polyline
+        vertex that repeats the one before it is dropped.
+        """
         for i, s in enumerate(series):
             color = PALETTE[i % len(PALETTE)]
+            pixels = np.rint(np.column_stack((self.sx(s.points[:, 0]), self.sy(s.points[:, 1]))))
             if s.marker == "line":
-                if len(s.points) >= 2:
-                    coords = " ".join(f"{fmt(self.sx(x))},{fmt(self.sy(y))}" for x, y in s.points)
+                vertices = _without_repeats(pixels).tolist()
+                if len(vertices) >= 2:
+                    coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in vertices)
                     self.add(
                         f'<polyline points="{coords}" fill="none" '
                         f'stroke="{color}" stroke-width="1.5"/>'
                     )
-                for x, y in s.points:
-                    self.add(
-                        f'<circle cx="{fmt(self.sx(x))}" cy="{fmt(self.sy(y))}" r="2" '
-                        f'fill="{color}"/>'
-                    )
-            elif s.marker == "cross":
-                for x, y in s.points:
-                    cx, cy = self.sx(x), self.sy(y)
-                    self.add(
-                        f'<path d="M {fmt(cx - 4)} {fmt(cy - 4)} L {fmt(cx + 4)} {fmt(cy + 4)} '
-                        f'M {fmt(cx - 4)} {fmt(cy + 4)} L {fmt(cx + 4)} {fmt(cy - 4)}" '
-                        f'stroke="{color}" stroke-width="1.8" fill="none"/>'
-                    )
+            markers = _distinct(pixels).tolist()
+            if not markers:
+                continue
+            if s.marker == "cross":
+                self.group(
+                    f'stroke="{color}" stroke-width="1.8" fill="none"',
+                    (
+                        f'<path d="M {fmt(x - 4)} {fmt(y - 4)} L {fmt(x + 4)} {fmt(y + 4)} '
+                        f'M {fmt(x - 4)} {fmt(y + 4)} L {fmt(x + 4)} {fmt(y - 4)}"/>'
+                        for x, y in markers
+                    ),
+                )
             else:
-                for x, y in s.points:
-                    self.add(
-                        f'<circle cx="{fmt(self.sx(x))}" cy="{fmt(self.sy(y))}" r="3" '
-                        f'fill="{color}" fill-opacity="0.65"/>'
-                    )
+                # A line's vertices get small opaque dots.
+                radius, opacity = ("2", "") if s.marker == "line" else ("3", ' fill-opacity="0.65"')
+                self.group(
+                    f'fill="{color}"{opacity}',
+                    (f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{radius}"/>' for x, y in markers),
+                )
 
     def legend(self, series: Sequence[Series]) -> None:
         labeled = [(i, s) for i, s in enumerate(series) if s.label]

@@ -115,6 +115,9 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     Per image, in stream order: one Normal draw for the count (rounded,
     negatives truncated to zero), then widths, height residuals, left
     positions, top positions. Heights are clamped to [1, image_height].
+    The boxes are placed by the simulator's rule: right and bottom edges
+    are clipped to the frame, and a box thinner than a float step keeps a
+    positive size.
     """
     low, high = config.width_range
     images = []
@@ -130,13 +133,15 @@ def generate_dataset(config: SynthConfig) -> Dataset:
         heights = np.clip(heights, 1.0, config.image_height)
         lefts = rng.uniform(0.0, config.image_width - widths)
         tops = rng.uniform(0.0, config.image_height - heights)
-        rights = np.minimum(lefts + widths, config.image_width)
-        bottoms = np.minimum(tops + heights, config.image_height)
         images.append(
             ImageAnnotations(
                 f"img_{index:04d}",
                 (config.class_name,) * count,
-                np.column_stack((lefts, tops, rights, bottoms)),
+                _placed(
+                    np.column_stack((lefts, tops)),
+                    np.column_stack((widths, heights)),
+                    (config.image_width, config.image_height),
+                ),
                 width=config.image_width,
                 height=config.image_height,
             )
@@ -173,14 +178,15 @@ def _restored(edges: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return _placed(np.minimum(np.maximum(low, 0.0), frames - span), span)
 
 
-def _placed(low: np.ndarray, span: np.ndarray) -> np.ndarray:
+def _placed(low: np.ndarray, span: np.ndarray, frame=np.inf) -> np.ndarray:
     """``(n, 4)`` rows from ``(n, 2)`` (left, top) corners and positive (width, height) spans.
 
-    Where a span is below half a float step of its low edge, so that
-    ``low + span == low``, the low edge steps one float down, and the box
-    keeps a positive size.
+    The high edges are clipped to ``frame`` (width, height). Where a high
+    edge is then not above its low edge, because the span is below half a
+    float step of the low edge or the low edge sits on the frame, the low
+    edge steps one float down, and the box keeps a positive size.
     """
-    high = low + span
+    high = np.minimum(low + span, frame)
     return np.hstack((np.where(high > low, low, np.nextafter(low, -np.inf)), high))
 
 

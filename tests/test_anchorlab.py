@@ -7,6 +7,7 @@ from boxlab.anchorlab import (
     DARKNET_SCALARS,
     DISTANCES,
     KMEANS_MAX_ITERATIONS,
+    ROW_BLOCK,
     Anchor,
     AnchorError,
     AnchorSet,
@@ -254,10 +255,13 @@ class TestKMeansAgainstPlainLoop:
     """The bounded loop returns bit for bit what the plain Lloyd loop returns."""
 
     @staticmethod
-    def assert_same_run(dims, k, distance, seed, max_iterations=KMEANS_MAX_ITERATIONS):
+    def assert_same_run(
+        dims, k, distance, seed, max_iterations=KMEANS_MAX_ITERATIONS, row_block=ROW_BLOCK
+    ):
         centroids, labels, history = reference_run_kmeans(dims, k, distance, seed, max_iterations)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(anchorlab, "KMEANS_MAX_ITERATIONS", max_iterations)
+            patch.setattr(anchorlab, "ROW_BLOCK", row_block)
             run = run_kmeans(dims, k, distance=distance, seed=seed)
         assert np.array_equal(run.centroids, centroids)
         assert np.array_equal(run.labels, labels)
@@ -271,11 +275,16 @@ class TestKMeansAgainstPlainLoop:
         st.sampled_from(DISTANCES),
         st.integers(0, 2**16),
         st.sampled_from([1, 2, 3, KMEANS_MAX_ITERATIONS]),
+        st.sampled_from([1, 2, 5, ROW_BLOCK]),
         st.data(),
     )
-    def test_matches_the_plain_loop(self, grid, scale, distance, seed, max_iterations, data):
+    def test_matches_the_plain_loop(
+        self, grid, scale, distance, seed, max_iterations, row_block, data
+    ):
+        # Row blocks of a few rows split the assignment of even the smallest grids.
         k = data.draw(st.integers(1, len(set(grid))), label="k")
-        self.assert_same_run(np.array(grid, dtype=float) * scale, k, distance, seed, max_iterations)
+        dims = np.array(grid, dtype=float) * scale
+        self.assert_same_run(dims, k, distance, seed, max_iterations, row_block)
 
     @pytest.mark.parametrize(
         "sides, distance, seed",
@@ -443,6 +452,15 @@ class TestCoverage:
     def test_empty_dims_rejected(self):
         with pytest.raises(AnchorError):
             coverage([], AnchorSet.from_dims([(10, 10)]))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_row_blocks_give_the_one_block_result(self, monkeypatch, block):
+        rng = np.random.default_rng(12)
+        dims = rng.uniform(5, 90, size=(300, 2))
+        anchors = AnchorSet.from_dims([(10, 12), (30, 30), (28, 32), (70, 60)])
+        whole = coverage(dims, anchors)
+        monkeypatch.setattr(anchorlab, "ROW_BLOCK", block)
+        assert coverage(dims, anchors) == whole
 
 
 class TestDimsInput:

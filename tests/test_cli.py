@@ -202,6 +202,25 @@ class TestSynth:
         assert code == 2
         assert "tp_confidence" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--width-min", "1e-14", "--width-max", "1e-14"],
+            ["--image-width", "1e15", "--width-min", "0.1", "--width-max", "0.1"],
+            ["--image-width", "1e15", "--width-min", "0.05", "--width-max", "0.05"],
+        ],
+        ids=["below-a-float-step", "wide-frame", "wide-frame-below-a-float-step"],
+    )
+    def test_boxes_thinner_than_a_float_step_keep_a_positive_width(self, tmp_path, argv):
+        code, _, err = run_cli("synth", "--images", "2", *argv, "--out", tmp_path)
+        assert code == 0, err
+        gt = annotations.load_dataset(tmp_path / "gt", tmp_path / "gt" / "manifest.csv")
+        assert gt.total_boxes > 0
+        for ann in gt:
+            left, top, right, bottom = ann.edges.T
+            assert (left < right).all() and (top < bottom).all()
+            assert (left >= 0).all() and (right <= ann.width).all()
+
 
 class TestStats:
     def corpus(self, tmp_path):
@@ -891,6 +910,87 @@ class TestNonFiniteFlags:
         assert code == 2
         assert "must be finite" in err
         assert not (tmp_path / "out").exists()
+
+
+def doubled_box_file(text: str, first_coordinate: int) -> str:
+    """A box file with every coordinate doubled, which is exact in binary floating point."""
+    lines = []
+    for line in text.splitlines():
+        tokens = line.split()
+        coordinates = tokens[first_coordinate:]
+        doubled = [annotations.format_coordinate(2 * float(v)) for v in coordinates]
+        lines.append(" ".join(tokens[:first_coordinate] + doubled) + "\n")
+    return "".join(lines)
+
+
+class TestDoubledCoordinates:
+    """Doubling every coordinate and image side leaves every ratio the reports hold unchanged.
+
+    IoU, coverage fractions, rankings and counts are ratios of exactly doubled
+    (or quadrupled) floats, so the reports must stay byte-identical.
+    """
+
+    @pytest.fixture
+    def corpora(self, tmp_path):
+        """A two-class corpus with explicit sizes, and the same corpus doubled."""
+        for name, seed, widths in (("head", "3", ("8", "40")), ("leaf", "4", ("20", "70"))):
+            assert cli.main([
+                "synth", "--images", "6", "--count-mean", "9", "--count-sd", "3",
+                "--width-min", widths[0], "--width-max", widths[1], "--class-name", name,
+                "--seed", seed, "--simulate", "--miss-rate", "0.2", "--fp-rate", "3",
+                "--jitter", "3", "--out", str(tmp_path / name), "--quiet",
+            ]) == 0
+        original, doubled = tmp_path / "original", tmp_path / "doubled"
+        for kind, first_coordinate in (("gt", 1), ("pred", 2)):
+            for root in (original, doubled):
+                (root / kind).mkdir(parents=True)
+            for path in sorted((tmp_path / "head" / kind).glob("*.txt")):
+                text = path.read_text(encoding="utf-8")
+                text += (tmp_path / "leaf" / kind / path.name).read_text(encoding="utf-8")
+                (original / kind / path.name).write_text(text, encoding="utf-8")
+                (doubled / kind / path.name).write_text(
+                    doubled_box_file(text, first_coordinate), encoding="utf-8"
+                )
+        manifest = (tmp_path / "head" / "gt" / "manifest.csv").read_text(encoding="utf-8")
+        (original / "manifest.csv").write_text(manifest, encoding="utf-8")
+        header, *rows = manifest.splitlines()
+        (doubled / "manifest.csv").write_text(
+            "\n".join([header] + [
+                f"{image_id},{2 * int(width)},{2 * int(height)}"
+                for image_id, width, height in (row.split(",") for row in rows)
+            ]) + "\n",
+            encoding="utf-8",
+        )
+        return original, doubled
+
+    @staticmethod
+    def run(command, root, *extra):
+        out = root / command
+        argv = [command, str(root / "gt"), *extra, "--manifest", str(root / "manifest.csv")]
+        assert cli.main([*argv, "--out", str(out), "--quiet"]) == 0
+        return out
+
+    def test_eval_reports_are_byte_identical(self, corpora):
+        original, doubled = corpora
+        a = self.run("eval", original, str(original / "pred"))
+        b = self.run("eval", doubled, str(doubled / "pred"))
+        assert "ap.leaf" in (a / "report.csv").read_text(encoding="utf-8")
+        for name in ("report.csv", "pr_curve.csv", "counts.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_stats_coverage_is_unchanged(self, corpora):
+        original, doubled = corpora
+        a, b = self.run("stats", original), self.run("stats", doubled)
+
+        def coverage_column(out):
+            with (out / "per_image.csv").open(encoding="utf-8", newline="") as fh:
+                return [row["coverage_fraction"] for row in csv.DictReader(fh)]
+
+        assert coverage_column(a) == coverage_column(b)
+        assert len(coverage_column(a)) == 6
+        # The summed box areas do move: the corpus really was doubled.
+        assert (a / "per_image.csv").read_bytes() != (b / "per_image.csv").read_bytes()
+        assert (a / "coverage_hist.csv").read_bytes() == (b / "coverage_hist.csv").read_bytes()
 
 
 class TestPipeline:

@@ -3,6 +3,7 @@ import sys
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -121,6 +122,88 @@ class TestScatter:
 
     def test_single_point_gets_padded_axes(self):
         parse_svg(scatter_svg([Series("one", ((5.0, 5.0),))], "x", "y"))
+
+
+class TestSeries:
+    def test_points_are_a_read_only_copy(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0]])
+        series = Series("s", source)
+        assert series.points.shape == (2, 2)
+        assert series.points.dtype == np.float64
+        assert not series.points.flags.writeable
+        source[0, 0] = 9.0
+        assert series.points[0, 0] == 1.0
+
+    def test_empty_points_have_two_columns(self):
+        assert Series("empty", ()).points.shape == (0, 2)
+
+    def test_points_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Series("flat", [1.0, 2.0, 3.0, 4.0])
+
+    def test_equality_compares_points_without_raising(self):
+        pairs = Series("s", ((1.0, 2.0), (3.0, 4.0)))
+        array = Series("s", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert pairs == array
+        assert pairs != Series("s", ((1.0, 2.0), (3.0, 5.0)))
+        assert pairs != Series("s", ((1.0, 2.0),))
+        assert pairs != Series("t", ((1.0, 2.0), (3.0, 4.0)))
+        assert pairs != Series("s", ((1.0, 2.0), (3.0, 4.0)), marker="cross")
+        assert pairs != ((1.0, 2.0), (3.0, 4.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("ranges", [{}, {"x_range": (0.0, 1.0), "y_range": (0.0, 1.0)}])
+    def test_non_finite_point_rejected_when_built(self, bad, ranges):
+        # Without ranges the ticks would fail later; with them, nothing would.
+        with pytest.raises(ValueError, match="'p' has a non-finite point"):
+            scatter_svg([Series("p", ((0.5, 0.5), (0.5, bad)))], "x", "y", **ranges)
+
+
+def elements(root, tag):
+    return [e for e in root.iter() if e.tag.rsplit("}", 1)[-1] == tag]
+
+
+class TestWholePixels:
+    """Points land on whole pixels: one marker per distinct pixel, no repeated vertex.
+
+    On the unit ranges the plot maps x to 64 + 556 x and y to 432 - 396 y.
+    """
+
+    POINTS = ((0.0, 0.0), (0.0004, 0.0), (0.5, 0.5), (0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
+    UNIT = {"x_range": (0.0, 1.0), "y_range": (0.0, 1.0)}
+
+    def test_one_marker_per_distinct_pixel_in_first_occurrence_order(self):
+        root = parse_svg(scatter_svg([Series("s", self.POINTS)], "x", "y", **self.UNIT))
+        (group,) = [g for g in elements(root, "g") if elements(g, "circle")]
+        assert group.get("fill") == "#3b6ea5" and group.get("fill-opacity") == "0.65"
+        assert [(c.get("cx"), c.get("cy")) for c in elements(group, "circle")] == [
+            ("64", "432"), ("342", "234"), ("620", "36"),
+        ]
+
+    def test_polyline_drops_only_repeats_of_the_previous_vertex(self):
+        root = parse_svg(line_svg([Series("s", self.POINTS)], "x", "y", **self.UNIT))
+        (polyline,) = elements(root, "polyline")
+        assert polyline.get("points") == "64,432 342,234 64,432 342,234 620,36"
+        assert len(elements(root, "circle")) == 3
+
+    def test_crosses_share_one_group(self):
+        root = parse_svg(scatter_svg(
+            [Series("a", ((0.0, 0.0), (0.0008, 0.0008), (1.0, 1.0)), marker="cross")],
+            "x", "y", **self.UNIT,
+        ))
+        (group,) = elements(root, "g")
+        assert group.get("stroke") == "#3b6ea5"
+        assert [p.get("d") for p in elements(group, "path")] == [
+            "M 60 428 L 68 436 M 60 436 L 68 428",
+            "M 616 32 L 624 40 M 616 40 L 624 32",
+        ]
+
+    def test_size_follows_the_canvas_not_the_point_count(self):
+        # 100k points in [0, 0.1]^2 cover at most 57 x 41 pixels.
+        points = np.random.default_rng(0).random((100_000, 2)) / 10
+        text = scatter_svg([Series("s", points)], "x", "y", **self.UNIT)
+        assert len(elements(parse_svg(text), "circle")) <= 57 * 41
+        assert len(text) < 100_000
 
 
 class TestLine:
