@@ -19,8 +19,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 KMEANS_MAX_ITERATIONS = 1000
-# Rows per block of a point-by-centroid (or point-by-anchor) cost matrix: the
-# matrix and its temporaries never exceed this many rows at once.
+# Rows per block of a point-by-centroid (or point-by-anchor) cost matrix, and
+# of a report CSV's text: neither is built for more rows than this at once.
 ROW_BLOCK = 4096
 DISTANCES = ("euclidean", "one_minus_iou")
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .anchorlab import (
-    ROW_BLOCK,
     Anchor,
     AnchorError,
     AnchorSet,
@@ -381,41 +381,38 @@ def cmd_stats(args) -> int:
         reasons.setdefault(image_id, []).append(reason)
 
     out = args.out
+    ids, counts, areas, coverages, inferred = zip(*map(astuple, stats.per_image))
     write_csv(
         out / "per_image.csv",
         ("image_id", "head_count", "total_box_area", "coverage_fraction", "dims_inferred",
          "outlier_reasons"),
-        [
-            (s.image_id, s.head_count, s.total_box_area, s.coverage_fraction, s.dims_inferred,
-             "; ".join(reasons.get(s.image_id, ())))
-            for s in stats.per_image
-        ],
+        [[ids, np.array(counts), np.array(areas), np.array(coverages), np.array(inferred),
+          ["; ".join(reasons.get(image_id, ())) for image_id in ids]]],
     )
-    quantile_names = ("min", "q25", "median", "q75", "max")
-    summary_rows = [
-        ("images", stats.image_count),
-        ("total_heads", stats.total_heads),
-        ("mean_count", stats.mean_count),
-        ("sd_count", stats.sd_count),
-    ]
-    summary_rows += [
-        (f"count_{name}", value) for name, value in zip(quantile_names, stats.count_quantiles)
-    ]
-    summary_rows += [
-        (f"coverage_{name}", value)
-        for name, value in zip(quantile_names, stats.coverage_quantiles)
-    ]
-    summary_rows.append(("outliers", len(outliers)))
-    write_csv(out / "summary.csv", ("metric", "value"), summary_rows)
+    summary = {
+        "images": str(stats.image_count),
+        "total_heads": str(stats.total_heads),
+        "mean_count": fmt_num(stats.mean_count),
+        "sd_count": fmt_num(stats.sd_count),
+    }
+    for prefix, quantiles in (("count", stats.count_quantiles),
+                              ("coverage", stats.coverage_quantiles)):
+        for name, value in zip(("min", "q25", "median", "q75", "max"), quantiles):
+            summary[f"{prefix}_{name}"] = fmt_num(value)
+    summary["outliers"] = str(len(outliers))
+    write_csv(out / "summary.csv", ("metric", "value"), [[list(summary), list(summary.values())]])
 
-    counts = [s.head_count for s in stats.per_image]
-    coverages = [s.coverage_fraction for s in stats.per_image]
     for name, values, label in (
         ("count_hist", counts, "heads per image"),
         ("coverage_hist", coverages, "coverage fraction"),
     ):
         rows = histogram(values, args.bins)
-        write_csv(out / f"{name}.csv", ("bin_left", "bin_right", "count"), rows)
+        lefts, rights, tallies = zip(*rows)
+        write_csv(
+            out / f"{name}.csv",
+            ("bin_left", "bin_right", "count"),
+            [[np.array(lefts), np.array(rights), np.array(tallies)]],
+        )
         svg = histogram_svg(rows, x_label=label, y_label="images", title=f"{label} distribution")
         atomic_write(out / f"{name}.svg", svg)
 
@@ -437,17 +434,6 @@ def cmd_stats(args) -> int:
     for image_id, reason in outliers:
         _say(args, f"outlier {image_id}: {reason}")
     return 0
-
-
-def _dims_rows(dims: np.ndarray, anchor_set: AnchorSet):
-    """``dims_anchors.csv`` rows: every box, then every anchor.
-
-    The box dims become Python floats ``ROW_BLOCK`` rows at a time, so the
-    rows of the whole corpus never exist at once.
-    """
-    for start in range(0, len(dims), ROW_BLOCK):
-        yield from (("box", w, h) for w, h in dims[start : start + ROW_BLOCK].tolist())
-    yield from (("anchor", a.width, a.height) for a in anchor_set.anchors)
 
 
 def cmd_anchors(args) -> int:
@@ -488,28 +474,29 @@ def cmd_anchors(args) -> int:
     diag = diagnostics[method]
 
     out = args.out
+    pairs = np.array(anchor_set.pairs())
+    widths, heights = pairs.T
+    counts = np.array(diag.per_anchor_assignment_counts)
     write_csv(
         out / "anchors.csv",
         ("index", "width", "height", "area", "assigned_count"),
-        [
-            (i, a.width, a.height, a.area, diag.per_anchor_assignment_counts[i])
-            for i, a in enumerate(anchor_set.anchors)
-        ],
+        [[np.arange(len(pairs)), widths, heights, widths * heights, counts]],
     )
+    names = sorted(diagnostics)
+    figures = [(diagnostics[n].mean_best_iou, diagnostics[n].recall_at_t,
+                diagnostics[n].threshold_t) for n in names]
     write_csv(
         out / "coverage.csv",
         ("method", "anchor_count", "mean_best_iou", "recall_at_threshold", "threshold"),
-        [
-            (name, len(selected[name]), d.mean_best_iou, d.recall_at_t, d.threshold_t)
-            for name, d in sorted(diagnostics.items())
-        ],
+        [[names, np.array([len(selected[n]) for n in names]), *np.array(figures).T]],
     )
-    write_csv(out / "dims_anchors.csv", ("series", "width", "height"), _dims_rows(dims, anchor_set))
+    write_csv(
+        out / "dims_anchors.csv",
+        ("series", "width", "height"),
+        [["box", *dims.T], ["anchor", widths, heights]],
+    )
     svg = scatter_svg(
-        [
-            Series("boxes", dims, "circle"),
-            Series("anchors", anchor_set.pairs(), "cross"),
-        ],
+        [Series("boxes", dims, "circle"), Series("anchors", pairs, "cross")],
         x_label="width (px)",
         y_label="height (px)",
         title="box dimensions and anchors",
@@ -553,46 +540,29 @@ def cmd_anchors(args) -> int:
     return 0
 
 
-def _overlay_rows(ann, pred, verdicts):
-    """Per-image overlay rows: every gt box and detection with its verdict.
+def _overlay_blocks(ann, pred, verdicts) -> list[list]:
+    """Per-image overlay blocks: every gt box, then every detection, with its verdict.
 
     ``pred`` is the image's ImageDetections, or None without a prediction
     file. ``verdicts`` holds this image's rows of the evaluation's table.
     A detection whose class has no ground truth in the image stays
     ``ignored`` here, although AP ranks it as a false positive.
     """
-    gt_classes = set(ann.class_names)
-    gt_partner: dict[int, int] = {}
-    det_state: dict[int, tuple[str, int | None]] = {}
-    for i, j in zip(verdicts.det_index.tolist(), verdicts.matched_gt.tolist()):
-        if pred.class_names[i] not in gt_classes:
-            continue
-        if j >= 0:
-            det_state[i] = ("tp", j)
-            gt_partner[j] = i
-        else:
-            det_state[i] = ("fp", None)
-    rows = []
-    for i, (name, (left, top, right, bottom)) in enumerate(
-        zip(ann.class_names, ann.edges.tolist())
-    ):
-        partner = gt_partner.get(i)
-        rows.append(
-            ("gt", name, "", left, top, right, bottom,
-             "matched" if partner is not None else "missed",
-             "" if partner is None else partner)
+    gt_verdicts, gt_partners = ["missed"] * len(ann), [""] * len(ann)
+    pred_blocks = []
+    if pred is not None:
+        gt_classes = set(ann.class_names)
+        det_verdicts, det_partners = ["ignored"] * len(pred), [""] * len(pred)
+        for i, j in zip(verdicts.det_index.tolist(), verdicts.matched_gt.tolist()):
+            if j >= 0:
+                det_verdicts[i], det_partners[i] = "tp", str(j)
+                gt_verdicts[j], gt_partners[j] = "matched", str(i)
+            elif pred.class_names[i] in gt_classes:
+                det_verdicts[i] = "fp"
+        pred_blocks.append(
+            ["pred", pred.class_names, pred.confidences, *pred.edges.T, det_verdicts, det_partners]
         )
-    if pred is None:
-        return rows
-    for i, (name, confidence, (left, top, right, bottom)) in enumerate(
-        zip(pred.class_names, pred.confidences.tolist(), pred.edges.tolist())
-    ):
-        verdict, partner = det_state.get(i, ("ignored", None))
-        rows.append(
-            ("pred", name, confidence, left, top, right, bottom, verdict,
-             "" if partner is None else partner)
-        )
-    return rows
+    return [["gt", ann.class_names, "", *ann.edges.T, gt_verdicts, gt_partners], *pred_blocks]
 
 
 def cmd_eval(args) -> int:
@@ -607,30 +577,30 @@ def cmd_eval(args) -> int:
     )
 
     out = args.out
-    r2_cell = "n/a" if report.r_squared is None else report.r_squared
-    report_rows = [("map", report.map_score)]
-    report_rows += [(f"ap.{name}", ap) for name, ap in sorted(report.ap_per_class.items())]
+    r2_cell = "n/a" if report.r_squared is None else fmt_num(report.r_squared)
+    report_rows = [("map", fmt_num(report.map_score))]
+    report_rows += [
+        (f"ap.{name}", fmt_num(ap)) for name, ap in sorted(report.ap_per_class.items())
+    ]
     report_rows += [
         ("r_squared", r2_cell),
         ("r2_mode", args.r2_mode),
-        ("iou_threshold", report.iou_threshold),
-        ("confidence_threshold", report.confidence_threshold),
-        ("images", len(gt)),
-        ("total_gt_boxes", gt.total_boxes),
-        ("total_detections", sum(len(p) for p in predictions.values())),
+        ("iou_threshold", fmt_num(report.iou_threshold)),
+        ("confidence_threshold", fmt_num(report.confidence_threshold)),
+        ("images", str(len(gt))),
+        ("total_gt_boxes", str(gt.total_boxes)),
+        ("total_detections", str(sum(len(p) for p in predictions.values()))),
     ]
-    write_csv(out / "report.csv", ("metric", "value"), report_rows)
+    write_csv(out / "report.csv", ("metric", "value"), [list(zip(*report_rows))])
 
     curves = sorted(report.pr_per_class.items())
-    pr_rows = (
-        (class_name, rank, confidence, precision, recall)
-        for class_name, curve in curves
-        for rank, ((recall, precision), confidence) in enumerate(
-            zip(curve.points, curve.confidences), start=1
-        )
-    )
+    pr_blocks = []
+    for class_name, curve in curves:
+        recalls, precisions = np.array(curve.points).reshape(-1, 2).T
+        ranks = np.arange(1, len(recalls) + 1)
+        pr_blocks.append([class_name, ranks, np.array(curve.confidences), precisions, recalls])
     write_csv(
-        out / "pr_curve.csv", ("class", "rank", "confidence", "precision", "recall"), pr_rows
+        out / "pr_curve.csv", ("class", "rank", "confidence", "precision", "recall"), pr_blocks
     )
     pr_series = [Series(class_name, curve.points, "line") for class_name, curve in curves]
     pr_svg = line_svg(
@@ -644,14 +614,15 @@ def cmd_eval(args) -> int:
     )
     atomic_write(out / "pr_curve.svg", pr_svg)
 
+    ids, true_counts, predicted_counts = zip(*report.count_pairs)
     write_csv(
         out / "counts.csv",
         ("image_id", "true_count", "predicted_count"),
-        report.count_pairs,
+        [[ids, np.array(true_counts), np.array(predicted_counts)]],
     )
     r2_text = "n/a" if report.r_squared is None else f"{report.r_squared:.4f}"
     counts_svg = scatter_svg(
-        [Series("images", tuple((t, p) for _, t, p in report.count_pairs), "circle")],
+        [Series("images", np.column_stack((true_counts, predicted_counts)), "circle")],
         x_label="true count",
         y_label="predicted count",
         title="per-image count agreement",
@@ -667,8 +638,8 @@ def cmd_eval(args) -> int:
             overlay_dir / f"{ann.image_id}.csv",
             ("kind", "class", "confidence", "left", "top", "right", "bottom", "verdict",
              "partner_index"),
-            _overlay_rows(ann, predictions.get(ann.image_id),
-                          report.verdicts[bounds[position]:bounds[position + 1]]),
+            _overlay_blocks(ann, predictions.get(ann.image_id),
+                            report.verdicts[bounds[position]:bounds[position + 1]]),
         )
 
     write_run_manifest(

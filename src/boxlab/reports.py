@@ -1,42 +1,50 @@
 """Deterministic report files: CSV tables, run manifests, atomic writes.
 
-CSV output is byte-stable for the same data: floats are formatted with 6
-significant digits and a '.' separator. The run manifest writes floats
-losslessly and carries a timestamp, its one line that differs between
-identical runs. Line endings are LF, and files land via a temp-file rename
-so interrupted runs never leave a partial report behind.
+``write_csv`` takes blocks of typed columns, with one cell rule per type: a
+float array gets 6 significant digits (``%.6g``, '.' separator) and writes
+-0.0 as ``0``; an int array is written in full (``%d``), a bool array as
+``true``/``false``, a sequence of str as its text, and a bare str is that
+text in every row of its block. Text is quoted as ``csv.writer`` quotes it:
+only a cell holding a comma, a double quote or a line break, with its quotes
+doubled, and the lone empty cell of a one-column row, as ``""``. The run
+manifest writes floats losslessly; its timestamp is the one line that
+differs between identical runs. Lines end in LF. Files land via a temp-file
+rename, so an interrupted run leaves no partial report, with the mode a
+plain ``open()`` gives them: 0o666 less the umask.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
+import re
+import sys
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from . import __version__
+from .anchorlab import ROW_BLOCK
 from .annotations import format_coordinate
+
+# The characters that make csv.writer quote a cell. With an LF line
+# terminator, Python before 3.13 leaves a lone "\r" unquoted.
+_NEEDS_QUOTES = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
+
+# A numpy column's %-directive, by dtype kind, and how a slice of it becomes
+# Python cells. ``+ 0.0`` turns -0.0 into 0.0, so no text check is needed.
+_NUMBER_COLUMNS = {
+    "f": ("%.6g", lambda part: (part + 0.0).tolist()),
+    "i": ("%d", np.ndarray.tolist),
+    "b": ("%s", lambda part: np.where(part, "true", "false").tolist()),
+}
 
 
 def fmt_num(value: float) -> str:
-    """6-significant-digit rendering shared by all reports."""
-    text = format(float(value), ".6g")
-    return "0" if text == "-0" else text
-
-
-def render_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt_num(value)
-    if value is None:
-        return ""
-    return str(value)
+    """One float cell of a report: the float-column rule applied to a scalar."""
+    return "%.6g" % (float(value) + 0.0)
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -47,6 +55,10 @@ def atomic_write(path: str | Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates the file 0o600; reading the umask means setting it.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -56,39 +68,48 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-# ``%.6g`` and ``%d`` render as ``fmt_num`` and ``str`` do, except for "-0".
-_CELL_FORMATS = {float: "%.6g", int: "%d", str: "%s"}
+def _quoted(cells: Sequence[str], alone: bool) -> Sequence[str]:
+    """``cells`` as csv.writer writes them; ``alone`` marks a one-column block."""
+    if not _NEEDS_QUOTES.search("".join(cells)) and not (alone and "" in cells):
+        return cells
+    return [
+        '"' + cell.replace('"', '""') + '"'
+        if _NEEDS_QUOTES.search(cell) or (alone and not cell) else cell
+        for cell in cells
+    ]
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV with the shared cell formatting and LF line endings.
+def _block_text(block: Sequence) -> Iterator[str]:
+    """The CSV lines of one block, ``ROW_BLOCK`` rows per string."""
+    alone = len(block) == 1
+    formats, columns = [], []
+    for column in block:
+        if isinstance(column, str):
+            formats.append(_quoted([column], alone)[0].replace("%", "%%"))
+        elif isinstance(column, np.ndarray):
+            if column.dtype.kind not in _NUMBER_COLUMNS:
+                raise TypeError(f"no CSV cell rule for a {column.dtype} column")
+            directive, to_cells = _NUMBER_COLUMNS[column.dtype.kind]
+            formats.append(directive)
+            columns.append((column, to_cells))
+        else:
+            formats.append("%s")
+            columns.append((_quoted(column, alone), list))
+    lengths = {len(cells) for cells, _ in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"a CSV block needs columns of one length, got lengths {lengths}")
+    template = ",".join(formats) + "\n"
+    for start in range(0, lengths.pop(), ROW_BLOCK):
+        parts = [to_cells(cells[start : start + ROW_BLOCK]) for cells, to_cells in columns]
+        yield "".join(map(template.__mod__, zip(*parts)))
 
-    Cells render as ``render_cell`` does, with ``csv.writer``'s minimal
-    quoting. A row of plain float, int and str cells is formatted with one
-    %-template per combination of cell types; the line is kept when it has
-    no comma inside a cell, no quote, line break or "-0". Any other row goes
-    through ``csv.writer`` and ``render_cell``.
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(header))
-    templates: dict[tuple[type, ...], str] = {}
-    for row in rows:
-        row = tuple(row)
-        key = tuple(map(type, row))
-        template = templates.get(key)
-        if template is None:
-            formats = [_CELL_FORMATS.get(t) for t in key]
-            template = templates[key] = "" if None in formats else ",".join(formats)
-        if template:
-            line = template % row
-            if line and line.count(",") == len(row) - 1 and not (
-                '"' in line or "\n" in line or "\r" in line or "-0" in line
-            ):
-                buffer.write(line + "\n")
-                continue
-        writer.writerow([render_cell(cell) for cell in row])
-    atomic_write(path, buffer.getvalue())
+
+def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """CSV of ``header``, then the rows of each block of equal-length typed columns."""
+    lines = list(_block_text([[name] for name in header]))
+    for block in blocks:
+        lines += _block_text(block)
+    atomic_write(path, "".join(lines))
 
 
 def write_run_manifest(
@@ -107,7 +128,11 @@ def write_run_manifest(
     """
 
     def render(value) -> str:
-        return format_coordinate(value) if isinstance(value, float) else render_cell(value)
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format_coordinate(value)
+        return "" if value is None else str(value)
 
     lines = [
         f"command = {command}",

@@ -1,12 +1,15 @@
 import argparse
 import csv
 import hashlib
+import os
+import stat
 from pathlib import Path
 
 import pytest
 
 from boxlab import annotations, cli, evalcore
 from conftest import DATA_DIR, run_cli, write_corpus
+from oracles import reference_write_csv
 
 GOLDEN_ANCHOR_FLAG = (
     "10x10,16x16,19x19,16x24,24x20,23x24,28x27,23x35,32x32,38x39,50x50,60x60,80x80"
@@ -616,6 +619,50 @@ class TestEval:
             ["pred", name, "0.9", "0", "0", "10", "10", "tp", "0"],
             ["pred", "leaf", "0.4", "20", "20", "30", "30", "tp", "1"],
         ]
+
+    def test_image_ids_that_need_quoting_match_the_reference_writer(self, tmp_path):
+        image_id = 'a,"b%'
+        gt = write_corpus(tmp_path / "gt", {image_id: "head 0 0 10 10\nhead 20 20 30 30\n",
+                                            "plain": "head 0 0 10 10\n"})
+        pred = write_corpus(tmp_path / "pred", {image_id: "head 0.9 0 0 10 10\n",
+                                                "plain": "head 0.8 0 0 10 10\nhead 0.3 5 5 9 9\n"})
+        out = tmp_path / "out"
+        assert run_cli("stats", gt, "--out", out, "--quiet")[0] == 0
+        assert run_cli("eval", gt, pred, "--out", out, "--quiet")[0] == 0
+
+        def reference(header, rows) -> bytes:
+            reference_write_csv(tmp_path / "reference.csv", header, rows)
+            return (tmp_path / "reference.csv").read_bytes()
+
+        per_image_header = ("image_id", "head_count", "total_box_area", "coverage_fraction",
+                            "dims_inferred", "outlier_reasons")
+        assert (out / "per_image.csv").read_bytes() == reference(per_image_header, [
+            (image_id, 2, 200.0, 200 / 900, True, "only 2 heads, below minimum 3"),
+            ("plain", 1, 100.0, 1.0, True, "only 1 heads, below minimum 3"),
+        ])
+        assert (out / "counts.csv").read_bytes() == reference(
+            ("image_id", "true_count", "predicted_count"), [(image_id, 2, 1), ("plain", 1, 1)]
+        )
+        overlay_header = ("kind", "class", "confidence", "left", "top", "right", "bottom",
+                          "verdict", "partner_index")
+        assert (out / "overlays" / f"{image_id}.csv").read_bytes() == reference(overlay_header, [
+            ("gt", "head", "", 0.0, 0.0, 10.0, 10.0, "matched", 0),
+            ("gt", "head", "", 20.0, 20.0, 30.0, 30.0, "missed", ""),
+            ("pred", "head", 0.9, 0.0, 0.0, 10.0, 10.0, "tp", 0),
+        ])
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_report_files_get_the_mode_a_plain_open_gives(tmp_path, umask):
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run_cli("stats", WORKED_GT, "--out", out, "--quiet")
+    finally:
+        os.umask(previous)
+    assert code == 0
+    for name in ("per_image.csv", "count_hist.svg", "run_manifest.txt"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask, name
 
 
 def replay_argv(manifest: Path) -> list[str]:
