@@ -16,7 +16,6 @@ from .anchorlab import (
     AnchorSet,
     CoverageDiagnostic,
     DarknetConfigFragment,
-    centered_iou,
     coverage,
     emit_darknet_fragment,
     kmeans_anchors,
@@ -24,10 +23,8 @@ from .anchorlab import (
     parse_darknet_fragment,
 )
 from .annotations import (
-    BoundingBox,
     Dataset,
     DatasetError,
-    Detection,
     GroundTruthBox,
     ImageAnnotations,
     ImageDetections,
@@ -55,7 +52,6 @@ from .evalcore import (
     average_precision,
     count_regression,
     evaluate,
-    iou,
     match_detections,
     mean_average_precision,
 )
@@ -66,13 +62,11 @@ __all__ = [
     "Anchor",
     "AnchorError",
     "AnchorSet",
-    "BoundingBox",
     "CoverageDiagnostic",
     "DarknetConfigFragment",
     "Dataset",
     "DatasetError",
     "DatasetStats",
-    "Detection",
     "DetectorNoise",
     "EvalError",
     "EvalReport",
@@ -87,7 +81,6 @@ __all__ = [
     "SynthError",
     "Verdicts",
     "average_precision",
-    "centered_iou",
     "compute_stats",
     "count_regression",
     "coverage",
@@ -96,7 +89,6 @@ __all__ = [
     "extract_dims",
     "flag_outliers",
     "generate_dataset",
-    "iou",
     "kmeans_anchors",
     "linefit_anchors",
     "load_dataset",

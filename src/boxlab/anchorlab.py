@@ -124,12 +124,6 @@ class DarknetConfigFragment:
         return tuple(tuple(range(end - size, end)) for size, end in zip(self.layers, ends))
 
 
-def centered_iou(a: Anchor, b: Anchor) -> float:
-    """IoU of two rectangles sharing a center; one cell of ``centered_iou_matrix``."""
-    dims = np.array([[a.width, a.height], [b.width, b.height]], dtype=float)
-    return float(centered_iou_matrix(dims[:1], dims[1:])[0, 0])
-
-
 def _dims_array(dims: ArrayLike) -> np.ndarray:
     """Box dimensions as an (n, 2) float array; AnchorError unless finite and > 0.
 

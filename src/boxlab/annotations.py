@@ -10,12 +10,10 @@ a directory of ``<image_id>.txt`` files plus an optional sidecar manifest
 (CSV with header ``image_id,width,height``) carrying image dimensions.
 Files are read as UTF-8; a leading byte-order mark is skipped.
 
-An image's boxes are stored as columns: a tuple of class names and a
+An image's boxes are stored only as columns: a tuple of class names and a
 read-only ``(n, 4)`` float64 array of (left, top, right, bottom) edges, plus
 an ``(n,)`` confidence array for detections, all in file order. The
-per-box records (``GroundTruthBox``, ``Detection``, ``BoundingBox``) are a
-view that ``ImageAnnotations.boxes`` and ``ImageDetections.detections``
-build on request. All types are immutable after construction.
+constructors check every row once; all types are immutable afterwards.
 """
 
 from __future__ import annotations
@@ -27,7 +25,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -87,61 +86,14 @@ def _confidence_problem(confidence: float) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned rectangle in pixel coordinates, edges as continuous values."""
+class GroundTruthBox(NamedTuple):
+    """One ground-truth row of an image; a plain view, checked by the image's constructor."""
 
+    class_name: str
     left: float
     top: float
     right: float
     bottom: float
-
-    def __post_init__(self):
-        problem = _box_problem(*self.as_tuple())
-        if problem:
-            raise ValueError(problem)
-
-    @property
-    def width(self) -> float:
-        return self.right - self.left
-
-    @property
-    def height(self) -> float:
-        return self.bottom - self.top
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.left, self.top, self.right, self.bottom)
-
-
-@dataclass(frozen=True)
-class GroundTruthBox:
-    """A labeled ground-truth box."""
-
-    class_name: str
-    box: BoundingBox
-
-    def __post_init__(self):
-        problem = _class_name_problem(self.class_name)
-        if problem:
-            raise ValueError(problem)
-
-
-@dataclass(frozen=True)
-class Detection:
-    """A predicted box with a confidence score."""
-
-    class_name: str
-    confidence: float
-    box: BoundingBox
-
-    def __post_init__(self):
-        problem = _class_name_problem(self.class_name) or _confidence_problem(self.confidence)
-        if problem:
-            raise ValueError(problem)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -150,10 +102,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _checked_columns(class_names, edges, confidences=None) -> list:
-    """Read-only copies of an image's columns, each row checked as its record would be.
+    """Read-only copies of an image's columns, each row checked.
 
     Raises ValueError for a wrong shape, or naming the first row (1-based)
-    whose class name, box or confidence its record would reject.
+    whose class name, box or confidence is malformed.
     """
     class_names = tuple(class_names)
     n = len(class_names)
@@ -191,8 +143,7 @@ class ImageAnnotations:
     ``class_names`` and ``edges`` hold one entry per box in file order and
     are stored as checked copies; ``edges`` is a read-only ``(n, 4)``
     float64 array of (left, top, right, bottom). Set dimensions must be
-    positive, finite and hold every box. ``boxes`` builds the per-box
-    records from the columns on each access.
+    positive, finite and hold every box; ``dims_inferred`` needs them set.
     """
 
     image_id: str
@@ -209,6 +160,8 @@ class ImageAnnotations:
         image_id, width, height = self.image_id, self.width, self.height
         if (width is None) != (height is None):
             raise DatasetError(f"image {image_id!r}: width and height must be set together")
+        if self.dims_inferred and width is None:
+            raise DatasetError(f"image {image_id!r}: inferred dimensions must be set")
         if width is not None:
             if not (0 < width < math.inf and 0 < height < math.inf):
                 raise DatasetError(f"image {image_id!r}: dimensions must be positive and finite")
@@ -222,10 +175,12 @@ class ImageAnnotations:
 
     @property
     def boxes(self) -> tuple[GroundTruthBox, ...]:
-        return tuple(
-            GroundTruthBox(name, BoundingBox(*row))
-            for name, row in zip(self.class_names, self.edges.tolist())
-        )
+        """The rows as named tuples, built on each access.
+
+        No command reads it: it stays for the perfbench harness, which reads
+        each row's ``class_name``, as ``tests/test_tracing_contract.py`` pins.
+        """
+        return tuple(map(GroundTruthBox, self.class_names, *self.edges.T.tolist()))
 
     def __len__(self) -> int:
         return len(self.class_names)
@@ -248,8 +203,7 @@ class ImageDetections:
     """All detections reported for one image, in file order.
 
     Columns as in ``ImageAnnotations``, plus ``confidences``, a read-only
-    ``(n,)`` float64 array. ``detections`` builds the per-detection records
-    on each access.
+    ``(n,)`` float64 array.
     """
 
     image_id: str
@@ -260,15 +214,6 @@ class ImageDetections:
     def __post_init__(self):
         names, edges, confidences = _checked_columns(self.class_names, self.edges, self.confidences)
         self.__dict__.update(class_names=names, edges=edges, confidences=confidences)
-
-    @property
-    def detections(self) -> tuple[Detection, ...]:
-        return tuple(
-            Detection(name, confidence, BoundingBox(*row))
-            for name, confidence, row in zip(
-                self.class_names, self.confidences.tolist(), self.edges.tolist()
-            )
-        )
 
     def __len__(self) -> int:
         return len(self.class_names)
@@ -288,9 +233,15 @@ class ImageDetections:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A ground-truth corpus keyed by image id; iteration is sorted by id."""
+    """A ground-truth corpus keyed by image id: a read-only mapping in sorted-id order."""
 
     images: Mapping[str, ImageAnnotations] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, ann in self.images.items():
+            if key != ann.image_id:
+                raise DatasetError(f"image {ann.image_id!r} is keyed as {key!r}")
+        object.__setattr__(self, "images", MappingProxyType(dict(sorted(self.images.items()))))
 
     @classmethod
     def from_images(cls, images) -> "Dataset":
@@ -299,18 +250,17 @@ class Dataset:
             if ann.image_id in by_id:
                 raise DatasetError(f"duplicate image id {ann.image_id!r}")
             by_id[ann.image_id] = ann
-        return cls(images=dict(sorted(by_id.items())))
+        return cls(images=by_id)
 
     def __iter__(self) -> Iterator[ImageAnnotations]:
-        for image_id in sorted(self.images):
-            yield self.images[image_id]
+        return iter(self.images.values())
 
     def __len__(self) -> int:
         return len(self.images)
 
     @property
     def image_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.images))
+        return tuple(self.images)
 
     @property
     def total_boxes(self) -> int:

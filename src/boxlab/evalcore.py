@@ -111,13 +111,6 @@ class EvalReport:
     verdicts: Verdicts = field(default_factory=Verdicts)
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two boxes; 0.0 when disjoint. One cell of ``iou_matrix``."""
-    edges = [[box.left, box.top, box.right, box.bottom] for box in (a, b)]
-    rows = np.array(edges, dtype=float)
-    return float(iou_matrix(rows[:1], rows[1:])[0, 0])
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (n, 4) and (m, 4) arrays of (left, top, right, bottom)."""
     iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])

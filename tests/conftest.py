@@ -3,10 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import boxlab
 from boxlab.annotations import load_dataset, load_predictions_dir
+from boxlab.evalcore import iou_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
 # The CLI child imports the same boxlab as the tests, also when only
@@ -29,6 +31,11 @@ def run_cli(*argv, cwd=None):
         env=CLI_ENV,
     )
     return result.returncode, result.stdout, result.stderr
+
+
+def iou(a, b) -> float:
+    """IoU of two (left, top, right, bottom) rows: ``iou_matrix`` on 1-row arrays."""
+    return float(iou_matrix(np.array([a], dtype=float), np.array([b], dtype=float))[0, 0])
 
 
 def write_corpus(directory: Path, files: dict[str, str]) -> Path:

@@ -23,19 +23,20 @@ from boxlab.synthgen import SynthError
 
 
 def raster_iou(a, b, frame: int = 512) -> float:
-    """IoU of two integer-coordinate boxes by counting unit pixels.
+    """IoU of two integer-coordinate (left, top, right, bottom) rows by counting unit pixels.
 
     A pixel (column i, row j) is covered when left <= i < right and
     top <= j < bottom, which is exactly the continuous-edge area rule.
     """
-    for box in (a, b):
-        for value in (box.left, box.top, box.right, box.bottom):
+    grids = []
+    for left, top, right, bottom in (a, b):
+        for value in (left, top, right, bottom):
             assert float(value).is_integer(), "raster oracle needs integer boxes"
-        assert box.right <= frame and box.bottom <= frame
-    grid_a = np.zeros((frame, frame), dtype=bool)
-    grid_b = np.zeros((frame, frame), dtype=bool)
-    grid_a[int(a.top) : int(a.bottom), int(a.left) : int(a.right)] = True
-    grid_b[int(b.top) : int(b.bottom), int(b.left) : int(b.right)] = True
+        assert 0 <= left < right <= frame and 0 <= top < bottom <= frame
+        grid = np.zeros((frame, frame), dtype=bool)
+        grid[int(top) : int(bottom), int(left) : int(right)] = True
+        grids.append(grid)
+    grid_a, grid_b = grids
     inter = int(np.logical_and(grid_a, grid_b).sum())
     union = int(np.logical_or(grid_a, grid_b).sum())
     return inter / union

@@ -19,11 +19,11 @@ from boxlab.anchorlab import (
     linefit_anchors,
     run_kmeans,
 )
-from boxlab.annotations import BoundingBox, Dataset, ImageAnnotations
+from boxlab.annotations import Dataset, ImageAnnotations
 from boxlab.datastats import compute_stats
-from boxlab.evalcore import Verdicts, average_precision, evaluate, iou, match_detections
+from boxlab.evalcore import Verdicts, average_precision, evaluate, match_detections
 from boxlab.synthgen import DetectorNoise, SynthConfig, generate_dataset, simulate_detector
-from conftest import run_cli
+from conftest import iou, run_cli
 from oracles import cutoff_scan_ap, raster_iou
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -41,7 +41,7 @@ def test_criterion_01_iou_matches_rasterization():
             top = int(rng.integers(0, 190))
             width = int(rng.integers(1, 200 - left + 1))
             height = int(rng.integers(1, 200 - top + 1))
-            boxes.append(BoundingBox(left, top, left + width, top + height))
+            boxes.append((left, top, left + width, top + height))
         a, b = boxes
         difference = abs(iou(a, b) - raster_iou(a, b, frame=200))
         worst = max(worst, difference)
@@ -96,8 +96,7 @@ def test_criterion_02_ap_matches_cutoff_enumeration():
 def test_criterion_03_worked_example(worked_example):
     gt, preds = worked_example
     ann = gt.images["img_0"]
-    second_detection = preds["img_0"].detections[1]
-    near_miss = iou(second_detection.box, ann.boxes[1].box)
+    near_miss = iou(preds["img_0"].edges[1], ann.edges[1])
     assert near_miss == pytest.approx(81 / 119, abs=1e-12)
     assert near_miss < 0.70
     result = match_detections(ann, preds["img_0"], iou_threshold=0.70)

@@ -12,7 +12,6 @@ from boxlab.anchorlab import (
     AnchorError,
     AnchorSet,
     DarknetConfigFragment,
-    centered_iou,
     centered_iou_matrix,
     coverage,
     emit_darknet_fragment,
@@ -40,20 +39,25 @@ def dims_of(pairs):
     return [(float(w), float(h)) for w, h in pairs]
 
 
+def centered_iou(a, b) -> float:
+    """Centered IoU of two (width, height) pairs: ``centered_iou_matrix`` on 1-row arrays."""
+    return float(centered_iou_matrix(np.array([a], dtype=float), np.array([b], dtype=float))[0, 0])
+
+
 class TestCenteredIou:
     def test_identical_dims_give_exactly_one(self):
-        assert centered_iou(Anchor(13, 27), Anchor(13, 27)) == 1.0
+        assert centered_iou((13, 27), (13, 27)) == 1.0
 
     def test_nested_squares(self):
-        assert centered_iou(Anchor(10, 10), Anchor(20, 20)) == 0.25
+        assert centered_iou((10, 10), (20, 20)) == 0.25
 
     def test_partial_overlap(self):
-        value = centered_iou(Anchor(16, 24), Anchor(24, 20))
+        value = centered_iou((16, 24), (24, 20))
         assert value == pytest.approx(320 / 544, abs=1e-12)
 
     @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40))
     def test_matches_pixel_counting(self, wa, ha, wb, hb):
-        exact = centered_iou(Anchor(wa, ha), Anchor(wb, hb))
+        exact = centered_iou((wa, ha), (wb, hb))
         assert exact == pytest.approx(raster_centered_iou(wa, ha, wb, hb), abs=1e-9)
 
     @given(
@@ -63,7 +67,7 @@ class TestCenteredIou:
         st.floats(0.5, 100, allow_nan=False),
     )
     def test_symmetric_and_bounded(self, wa, ha, wb, hb):
-        a, b = Anchor(wa, ha), Anchor(wb, hb)
+        a, b = (wa, ha), (wb, hb)
         value = centered_iou(a, b)
         assert value == centered_iou(b, a)
         assert 0.0 < value <= 1.0
@@ -75,9 +79,7 @@ class TestCenteredIou:
         assert matrix.shape == (2, 3)
         for i, (wa, ha) in enumerate(a):
             for j, (wb, hb) in enumerate(b):
-                assert matrix[i, j] == pytest.approx(
-                    centered_iou(Anchor(wa, ha), Anchor(wb, hb)), abs=1e-12
-                )
+                assert matrix[i, j] == pytest.approx(centered_iou((wa, ha), (wb, hb)), abs=1e-12)
 
 
 class TestAnchorSet:

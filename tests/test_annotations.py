@@ -6,10 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from boxlab import annotations
 from boxlab.annotations import (
-    BoundingBox,
     Dataset,
     DatasetError,
-    Detection,
     GroundTruthBox,
     ImageAnnotations,
     ImageDetections,
@@ -24,6 +22,7 @@ from boxlab.annotations import (
     save_dataset,
     save_predictions,
 )
+from boxlab.datastats import extract_dims
 from conftest import write_corpus
 from oracles import (
     ReferenceParseError,
@@ -32,46 +31,63 @@ from oracles import (
 )
 
 
+def dims_of(ann: ImageAnnotations) -> list[list[float]]:
+    """(width, height) of each box of one image."""
+    return extract_dims(Dataset.from_images([ann])).tolist()
+
+
 class TestBoundingBox:
+    """The constructors' checks and arithmetic of one (left, top, right, bottom) row."""
+
     def test_dimensions_and_area(self):
-        box = BoundingBox(16, 618, 41, 639)
-        assert (box.width, box.height) == (25, 21)
-        assert box.area == 25 * 21
+        ann = ImageAnnotations("img", ["c"], [(16, 618, 41, 639)])
+        assert dims_of(ann) == [[25, 21]]
+        assert np.prod(dims_of(ann)) == 25 * 21
 
     @pytest.mark.parametrize(
         "coords",
-        [(5, 5, 5, 9), (5, 5, 9, 5), (10, 0, 5, 5), (-1, 0, 5, 5), (0, 0, float("inf"), 5)],
+        [
+            ((5, 5, 5, 9), "zero-width box"),
+            ((5, 5, 9, 5), "zero-height box"),
+            ((10, 0, 5, 5), "zero-width box: right 5.0 <= left 10.0"),
+            ((-1, 0, 5, 5), "negative coordinate"),
+            ((0, 0, float("inf"), 5), "right is not a finite number"),
+            ((0, 0, 1e200, 1e200), "box area overflows"),
+        ],
     )
     def test_rejects_degenerate_boxes(self, coords):
-        with pytest.raises(ValueError):
-            BoundingBox(*coords)
+        row, reason = coords
+        with pytest.raises(ValueError, match=f"^box 1: {reason}"):
+            ImageAnnotations("img", ["c"], [row])
+        with pytest.raises(ValueError, match=f"^box 1: {reason}"):
+            ImageDetections("img", ["c"], [row], [0.5])
 
     def test_subpixel_coordinates_allowed(self):
-        box = BoundingBox(0.25, 0.5, 10.75, 9.5)
-        assert box.width == 10.5
+        ann = ImageAnnotations("img", ["c"], [(0.25, 0.5, 10.75, 9.5)])
+        assert dims_of(ann)[0][0] == 10.5
 
 
 class TestParseGroundTruth:
     def test_reference_row(self):
         ann = parse_ground_truth("sorghumHeadyieldTrail 16 618 41 639", "img")
-        assert len(ann.boxes) == 1
-        gt = ann.boxes[0]
-        assert gt.class_name == "sorghumHeadyieldTrail"
-        assert gt.box.as_tuple() == (16.0, 618.0, 41.0, 639.0)
-        assert (gt.box.width, gt.box.height) == (25.0, 21.0)
+        assert len(ann) == 1
+        assert ann.class_names == ("sorghumHeadyieldTrail",)
+        assert ann.edges.tolist() == [[16.0, 618.0, 41.0, 639.0]]
+        assert dims_of(ann) == [[25.0, 21.0]]
         assert ann.width is None and ann.height is None
 
     def test_empty_text_yields_no_boxes(self):
         ann = parse_ground_truth("", "img")
-        assert ann.boxes == ()
+        assert ann.class_names == () and ann.edges.shape == (0, 4)
 
     def test_blank_lines_ignored_order_preserved(self):
         ann = parse_ground_truth("a 0 0 1 1\n\n  \nb 1 1 2 2\n\n", "img")
-        assert [gt.class_name for gt in ann.boxes] == ["a", "b"]
+        assert ann.class_names == ("a", "b")
+        assert ann.edges.tolist() == [[0, 0, 1, 1], [1, 1, 2, 2]]
 
     def test_tab_separated(self):
         ann = parse_ground_truth("c\t1\t2\t3\t4", "img")
-        assert ann.boxes[0].box.as_tuple() == (1.0, 2.0, 3.0, 4.0)
+        assert ann.edges.tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
     def test_zero_width_box_reports_line(self):
         with pytest.raises(ParseError) as excinfo:
@@ -93,13 +109,13 @@ class TestParseGroundTruth:
 class TestParsePredictions:
     def test_reference_row(self):
         dets = parse_predictions("sorghumHeadyieldTrail 0.981597 26 448 58 477", "img")
-        det = dets.detections[0]
-        assert det.confidence == 0.981597
-        assert det.box.as_tuple() == (26.0, 448.0, 58.0, 477.0)
+        assert dets.class_names == ("sorghumHeadyieldTrail",)
+        assert dets.confidences.tolist() == [0.981597]
+        assert dets.edges.tolist() == [[26.0, 448.0, 58.0, 477.0]]
 
     def test_boundary_confidences(self):
         dets = parse_predictions("c 1.0 0 0 1 1\nc 0.0 0 0 1 1", "img")
-        assert [d.confidence for d in dets.detections] == [1.0, 0.0]
+        assert dets.confidences.tolist() == [1.0, 0.0]
 
     def test_confidence_out_of_range(self):
         with pytest.raises(ParseError) as excinfo:
@@ -113,7 +129,8 @@ class TestParsePredictions:
 
     def test_order_preserved(self):
         dets = parse_predictions("a 0.1 0 0 1 1\nb 0.9 0 0 1 1", "img")
-        assert [d.class_name for d in dets.detections] == ["a", "b"]
+        assert dets.class_names == ("a", "b")
+        assert dets.confidences.tolist() == [0.1, 0.9]
 
 
 finite_coord = st.floats(min_value=0, max_value=1000, allow_nan=False, allow_infinity=False)
@@ -122,9 +139,10 @@ positive_extent = st.floats(min_value=0.5, max_value=500, allow_nan=False, allow
 
 @st.composite
 def boxes(draw):
+    """One (left, top, right, bottom) edge row."""
     left = draw(finite_coord)
     top = draw(finite_coord)
-    return BoundingBox(left, top, left + draw(positive_extent), top + draw(positive_extent))
+    return (left, top, left + draw(positive_extent), top + draw(positive_extent))
 
 
 class_names = st.text(
@@ -137,9 +155,7 @@ class_names = st.text(
 class TestRoundTrip:
     @given(st.lists(st.tuples(class_names, boxes()), max_size=8))
     def test_ground_truth_round_trip(self, items):
-        ann = ImageAnnotations(
-            "img", [name for name, _ in items], [box.as_tuple() for _, box in items]
-        )
+        ann = ImageAnnotations("img", [name for name, _ in items], [box for _, box in items])
         assert parse_ground_truth(format_ground_truth(ann), "img") == ann
 
     @given(
@@ -156,7 +172,7 @@ class TestRoundTrip:
         dets = ImageDetections(
             "img",
             [name for name, _, _ in items],
-            [box.as_tuple() for _, _, box in items],
+            [box for _, _, box in items],
             [conf for _, conf, _ in items],
         )
         assert parse_predictions(format_predictions(dets), "img") == dets
@@ -166,6 +182,13 @@ class TestImageAnnotations:
     def test_dims_must_come_together(self):
         with pytest.raises(DatasetError):
             ImageAnnotations("img", (), width=100, height=None)
+
+    def test_inferred_dims_must_be_set(self):
+        with pytest.raises(DatasetError, match="'img': inferred dimensions must be set"):
+            ImageAnnotations("img", ["c"], [(0, 0, 1, 1)], dims_inferred=True)
+        ann = ImageAnnotations("img", ["c"], [(0, 0, 1, 1)], 1.0, 1.0, dims_inferred=True)
+        with pytest.raises(DatasetError, match="inferred dimensions must be set"):
+            dataclasses.replace(ann, width=None, height=None)
 
     def test_box_must_fit_inside_dims(self):
         with pytest.raises(DatasetError) as excinfo:
@@ -216,6 +239,19 @@ class TestDataset:
         )
         assert ds.image_ids == ("a", "b", "c")
         assert [ann.image_id for ann in ds] == ["a", "b", "c"]
+        unsorted = Dataset({"b": ImageAnnotations("b"), "a": ImageAnnotations("a")})
+        assert list(unsorted.images) == ["a", "b"]
+        assert [ann.image_id for ann in unsorted] == ["a", "b"]
+        with pytest.raises(TypeError):
+            unsorted.images["0"] = ImageAnnotations("0")
+
+    def test_key_must_be_the_image_id(self):
+        images = {"x": ImageAnnotations("y", ["h"], [[0, 0, 5, 5]]), "z": ImageAnnotations("z")}
+        with pytest.raises(DatasetError, match="image 'y' is keyed as 'x'"):
+            Dataset(images=images)
+        ds = Dataset.from_images([ImageAnnotations("z")])
+        with pytest.raises(DatasetError, match="image 'y' is keyed as 'x'"):
+            dataclasses.replace(ds, images=images)
 
 
 class TestLoadDataset:
@@ -375,11 +411,11 @@ class TestByteOrderMark:
 
     def test_ground_truth_file(self, tmp_path):
         gt_dir = write_corpus(tmp_path / "gt", {"a": f"{self.BOM}head 0 0 10 10\n"})
-        assert load_dataset(gt_dir).images["a"].boxes[0].class_name == "head"
+        assert load_dataset(gt_dir).images["a"].class_names == ("head",)
 
     def test_prediction_file(self, tmp_path):
         pred_dir = write_corpus(tmp_path / "pred", {"a": f"{self.BOM}head 0.9 0 0 10 10\n"})
-        assert load_predictions_dir(pred_dir)["a"].detections[0].class_name == "head"
+        assert load_predictions_dir(pred_dir)["a"].class_names == ("head",)
 
     def test_manifest(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -389,9 +425,14 @@ class TestByteOrderMark:
 
 class TestImmutability:
     def test_types_are_frozen(self):
-        box = BoundingBox(0, 0, 1, 1)
+        ann = ImageAnnotations("img", ["c"], [(0, 0, 1, 1)])
         with pytest.raises(dataclasses.FrozenInstanceError):
-            box.left = 5
+            ann.image_id = "other"
+        dets = ImageDetections("img", ["c"], [(0, 0, 1, 1)], [0.5])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dets.confidences = np.ones(1)
+        with pytest.raises(AttributeError):
+            ann.boxes[0].left = 5
 
 
 class TestColumns:
@@ -450,22 +491,18 @@ class TestColumns:
         )
     )
     def test_records_and_columns_agree(self, items):
-        """Records taken apart into columns come back unchanged as the view."""
-        ground_truth = tuple(GroundTruthBox(name, box) for name, _, box in items)
-        ann = ImageAnnotations(
-            "img",
-            [gt.class_name for gt in ground_truth],
-            [gt.box.as_tuple() for gt in ground_truth],
-        )
-        assert ann.boxes == ground_truth
-        detections = tuple(Detection(name, conf, box) for name, conf, box in items)
-        dets = ImageDetections(
-            "img",
-            [d.class_name for d in detections],
-            [d.box.as_tuple() for d in detections],
-            [d.confidence for d in detections],
-        )
-        assert dets.detections == detections
+        """Rows taken apart into columns come back unchanged, as columns and as the row view."""
+        names = [name for name, _, _ in items]
+        rows = [box for _, _, box in items]
+        ann = ImageAnnotations("img", names, rows)
+        assert ann.class_names == tuple(names)
+        assert ann.edges.tolist() == [list(row) for row in rows]
+        assert ann.boxes == tuple(GroundTruthBox(name, *row) for name, row in zip(names, rows))
+        confidences = [conf for _, conf, _ in items]
+        dets = ImageDetections("img", names, rows, confidences)
+        assert dets.class_names == tuple(names)
+        assert dets.edges.tolist() == [list(row) for row in rows]
+        assert dets.confidences.tolist() == confidences
 
     def test_detections_differing_only_in_confidence_are_unequal(self):
         dets = ImageDetections("img", ["a"], [[0, 0, 1, 2]], [0.5])
@@ -642,8 +679,6 @@ class TestAgainstReferenceParser:
         pred_text = "head 0.5 0 0 1e200 1e200"
         assert _outcome(parse_predictions, pred_text) == ("error", 1, reason)
         assert _reference_outcome(reference_parse_predictions, pred_text) == ("error", 1, reason)
-        with pytest.raises(ValueError, match="area overflows"):
-            BoundingBox(0, 0, 1e200, 1e200)
         with pytest.raises(ValueError, match="box 2: box area overflows"):
             ImageAnnotations("img", ["head"] * 2, [[0, 0, 1, 1], [0, 0, 1e200, 1e200]])
 

@@ -2,10 +2,12 @@ import argparse
 import csv
 import hashlib
 import os
+import re
 import stat
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boxlab import annotations, cli, evalcore
 from conftest import DATA_DIR, run_cli, write_corpus
@@ -873,16 +875,15 @@ class TestStatsAreaOverflow:
 
 
 class TestNoPerBoxRecords:
-    """The commands read the corpus columns and never build a per-box record."""
+    """The commands read the corpus columns and never build the per-box row view."""
 
     def test_commands_run_with_record_construction_refused(self, tmp_path, monkeypatch):
-        def refuse(record):
-            raise AssertionError(f"{type(record).__name__} built on a command path")
+        def refuse(image):
+            raise AssertionError(f"rows of {image.image_id!r} built on a command path")
 
-        for record in (annotations.BoundingBox, annotations.GroundTruthBox, annotations.Detection):
-            monkeypatch.setattr(record, "__post_init__", refuse)
+        monkeypatch.setattr(annotations.ImageAnnotations, "boxes", property(refuse))
         with pytest.raises(AssertionError):
-            annotations.BoundingBox(0, 0, 1, 1)
+            annotations.ImageAnnotations("img", ["h"], [(0, 0, 1, 1)]).boxes
 
         synth = tmp_path / "synth"
         mixed_gt = write_corpus(
@@ -1038,6 +1039,76 @@ class TestDoubledCoordinates:
         # The summed box areas do move: the corpus really was doubled.
         assert (a / "per_image.csv").read_bytes() != (b / "per_image.csv").read_bytes()
         assert (a / "coverage_hist.csv").read_bytes() == (b / "coverage_hist.csv").read_bytes()
+
+
+SYNTH_ID = re.compile(r"img_\d{4}")
+
+
+class TestRenamedImages:
+    """Renaming the images in an order-preserving way changes only the ids in the outputs.
+
+    Every file that ``stats`` and ``eval`` write, overlay file names included,
+    must equal the original run's with each old id replaced by its new one;
+    only ``run_manifest.txt``, which records the input paths, may differ.
+    """
+
+    N_IMAGES = 12
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("original")
+        assert cli.main([
+            "synth", "--images", str(self.N_IMAGES), "--count-mean", "9", "--count-sd", "3",
+            "--seed", "5", "--simulate", "--miss-rate", "0.2", "--fp-rate", "2",
+            "--jitter", "2", "--out", str(root / "corpus"), "--quiet",
+        ]) == 0
+        return root / "corpus", self.outputs(root / "corpus", root)
+
+    @staticmethod
+    def outputs(corpus: Path, root: Path) -> dict[str, bytes]:
+        """Every file but ``run_manifest.txt`` that ``stats`` and ``eval`` write, by path."""
+        manifest = str(corpus / "gt" / "manifest.csv")
+        files = {}
+        for command, *inputs in (("stats", "gt"), ("eval", "gt", "pred")):
+            out = root / command
+            argv = [command, *(str(corpus / kind) for kind in inputs), "--manifest", manifest]
+            assert cli.main([*argv, "--out", str(out), "--quiet"]) == 0
+            files.update(
+                (f"{command}/{name}", data)
+                for name, data in tree_bytes(out).items()
+                if name != "run_manifest.txt"
+            )
+        return files
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.text(alphabet="aZ09_-é字", min_size=1, max_size=6),
+            min_size=N_IMAGES, max_size=N_IMAGES, unique=True,
+        ).map(sorted)
+    )
+    def test_only_the_ids_change(self, original, tmp_path_factory, new_ids):
+        corpus, expected = original
+        old_ids = sorted(path.stem for path in (corpus / "gt").glob("*.txt"))
+        rename = dict(zip(old_ids, new_ids))
+
+        def substituted(text: str) -> str:
+            return SYNTH_ID.sub(lambda match: rename[match.group()], text)
+
+        root = tmp_path_factory.mktemp("renamed")
+        for kind in ("gt", "pred"):
+            (root / "corpus" / kind).mkdir(parents=True)
+            for path in (corpus / kind).iterdir():
+                (root / "corpus" / kind / substituted(path.name)).write_bytes(path.read_bytes())
+        manifest = root / "corpus" / "gt" / "manifest.csv"
+        manifest.write_text(substituted(manifest.read_text(encoding="utf-8")), encoding="utf-8")
+
+        renamed = self.outputs(root / "corpus", root)
+        assert renamed == {
+            substituted(name): substituted(data.decode("utf-8")).encode("utf-8")
+            for name, data in expected.items()
+        }
+        assert f"eval/overlays/{new_ids[0]}.csv" in renamed
 
 
 class TestPipeline:

@@ -71,8 +71,8 @@ class TestComputeStats:
         edges = np.column_stack([corners, corners + rng.uniform(0.5, 40, (200, 2))])
         ann = ImageAnnotations("a", ["h"] * 200, edges, width=100.0, height=100.0)
         expected = 0.0
-        for gt in ann.boxes:
-            expected += gt.box.area
+        for left, top, right, bottom in ann.edges.tolist():
+            expected += (right - left) * (bottom - top)
         stats = compute_stats(Dataset.from_images([ann]))
         assert stats.per_image[0].total_box_area == expected
 

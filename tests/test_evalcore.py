@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from boxlab.annotations import (
-    BoundingBox,
-    Dataset,
-    ImageAnnotations,
-    ImageDetections,
-)
+from boxlab.annotations import Dataset, ImageAnnotations, ImageDetections
 from boxlab.evalcore import (
     EvalError,
     PRCurve,
@@ -18,12 +13,12 @@ from boxlab.evalcore import (
     average_precision,
     count_regression,
     evaluate,
-    iou,
     iou_matrix,
     match_detections,
     mean_average_precision,
 )
 from boxlab.synthgen import DetectorNoise, SynthConfig, generate_dataset, simulate_detector
+from conftest import iou
 from oracles import (
     cutoff_scan_ap,
     pearson_r_squared,
@@ -64,31 +59,36 @@ def oracle_matches(table):
     ]
 
 
+def edge_row(spec):
+    """A (left, top, width, height) spec as a (left, top, right, bottom) row."""
+    left, top, width, height = spec
+    return (left, top, left + width, top + height)
+
+
 class TestIou:
     def test_identical_boxes_give_exactly_one(self):
-        box = BoundingBox(3, 7, 45, 91)
+        box = (3, 7, 45, 91)
         assert iou(box, box) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoundingBox(0, 0, 10, 10), BoundingBox(50, 50, 60, 60)) == 0.0
+        assert iou((0, 0, 10, 10), (50, 50, 60, 60)) == 0.0
 
     def test_edge_touching_boxes_do_not_overlap(self):
-        assert iou(BoundingBox(0, 0, 10, 10), BoundingBox(10, 0, 20, 10)) == 0.0
+        assert iou((0, 0, 10, 10), (10, 0, 20, 10)) == 0.0
 
     def test_half_shifted_squares(self):
-        value = iou(BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10))
+        value = iou((0, 0, 10, 10), (5, 0, 15, 10))
         assert value == pytest.approx(1 / 3, abs=1e-12)
 
     def test_contained_box(self):
-        assert iou(BoundingBox(0, 0, 10, 10), BoundingBox(2, 2, 4, 4)) == 0.04
+        assert iou((0, 0, 10, 10), (2, 2, 4, 4)) == 0.04
 
     @given(
         st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(1, 30), st.integers(1, 30)),
         st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(1, 30), st.integers(1, 30)),
     )
     def test_matches_pixel_counting(self, spec_a, spec_b):
-        a = BoundingBox(spec_a[0], spec_a[1], spec_a[0] + spec_a[2], spec_a[1] + spec_a[3])
-        b = BoundingBox(spec_b[0], spec_b[1], spec_b[0] + spec_b[2], spec_b[1] + spec_b[3])
+        a, b = edge_row(spec_a), edge_row(spec_b)
         assert iou(a, b) == pytest.approx(raster_iou(a, b, frame=128), abs=1e-9)
 
     @given(
@@ -100,22 +100,17 @@ class TestIou:
         st.floats(0, 100, allow_nan=False),
     )
     def test_symmetric_and_translation_invariant(self, spec_a, spec_b, dx, dy):
-        a = BoundingBox(spec_a[0], spec_a[1], spec_a[0] + spec_a[2], spec_a[1] + spec_a[3])
-        b = BoundingBox(spec_b[0], spec_b[1], spec_b[0] + spec_b[2], spec_b[1] + spec_b[3])
+        a, b = edge_row(spec_a), edge_row(spec_b)
         value = iou(a, b)
         assert value == iou(b, a)
         assert 0.0 <= value <= 1.0
-        shifted_a = BoundingBox(a.left + dx, a.top + dy, a.right + dx, a.bottom + dy)
-        shifted_b = BoundingBox(b.left + dx, b.top + dy, b.right + dx, b.bottom + dy)
-        assert iou(shifted_a, shifted_b) == pytest.approx(value, abs=1e-9)
+        shift = np.array([dx, dy, dx, dy])
+        assert iou(a + shift, b + shift) == pytest.approx(value, abs=1e-9)
 
     def test_matrix_agrees_with_scalar(self):
-        boxes_a = [BoundingBox(0, 0, 10, 10), BoundingBox(5, 5, 25, 30)]
-        boxes_b = [BoundingBox(2, 2, 12, 12), BoundingBox(100, 100, 110, 110), BoundingBox(0, 0, 10, 10)]
-        matrix = iou_matrix(
-            np.array([b.as_tuple() for b in boxes_a]),
-            np.array([b.as_tuple() for b in boxes_b]),
-        )
+        boxes_a = [(0, 0, 10, 10), (5, 5, 25, 30)]
+        boxes_b = [(2, 2, 12, 12), (100, 100, 110, 110), (0, 0, 10, 10)]
+        matrix = iou_matrix(np.array(boxes_a, dtype=float), np.array(boxes_b, dtype=float))
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
                 assert matrix[i, j] == pytest.approx(iou(a, b), abs=1e-12)

@@ -7,13 +7,11 @@ PUBLIC_API = [
     "Anchor",
     "AnchorError",
     "AnchorSet",
-    "BoundingBox",
     "CoverageDiagnostic",
     "DarknetConfigFragment",
     "Dataset",
     "DatasetError",
     "DatasetStats",
-    "Detection",
     "DetectorNoise",
     "EvalError",
     "EvalReport",
@@ -28,7 +26,6 @@ PUBLIC_API = [
     "SynthError",
     "Verdicts",
     "average_precision",
-    "centered_iou",
     "compute_stats",
     "count_regression",
     "coverage",
@@ -37,7 +34,6 @@ PUBLIC_API = [
     "extract_dims",
     "flag_outliers",
     "generate_dataset",
-    "iou",
     "kmeans_anchors",
     "linefit_anchors",
     "load_dataset",

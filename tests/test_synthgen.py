@@ -17,6 +17,16 @@ from boxlab.synthgen import (
 from oracles import reference_simulate_detector
 
 
+def rows(image):
+    """The (left, top, right, bottom) tuple of each box of one image, in file order."""
+    return [tuple(row) for row in image.edges.tolist()]
+
+
+def dims(image):
+    """The (width, height) of each box of one image, in file order."""
+    return [(right - left, bottom - top) for left, top, right, bottom in rows(image)]
+
+
 def small_config(**overrides):
     defaults = dict(n_images=6, count_mean=12.0, count_sd=3.0, seed=5)
     defaults.update(overrides)
@@ -119,38 +129,35 @@ class TestGenerateDataset:
             small_config(line_slope=1.0, line_intercept=0.0, residual_sd=0.0)
         )
         for ann in ds:
-            for gt in ann.boxes:
-                assert gt.box.height == pytest.approx(gt.box.width, abs=1e-9)
+            for width, height in dims(ann):
+                assert height == pytest.approx(width, abs=1e-9)
 
     def test_intercept_shifts_heights(self):
         ds = generate_dataset(
             small_config(line_slope=0.5, line_intercept=20.0, residual_sd=0.0)
         )
         for ann in ds:
-            for gt in ann.boxes:
-                assert gt.box.height == pytest.approx(
-                    0.5 * gt.box.width + 20.0, abs=1e-9
-                )
+            for width, height in dims(ann):
+                assert height == pytest.approx(0.5 * width + 20.0, abs=1e-9)
 
     def test_boxes_stay_inside_the_frame(self):
         ds = generate_dataset(small_config(n_images=20, residual_sd=40.0, seed=17))
         for ann in ds:
-            for gt in ann.boxes:
-                box = gt.box
-                assert 0.0 <= box.left < box.right <= 1200.0
-                assert 0.0 <= box.top < box.bottom <= 1200.0
+            for left, top, right, bottom in rows(ann):
+                assert 0.0 <= left < right <= 1200.0
+                assert 0.0 <= top < bottom <= 1200.0
 
     def test_widths_respect_the_range(self):
         ds = generate_dataset(small_config(width_range=(30.0, 40.0)))
         for ann in ds:
-            for gt in ann.boxes:
-                assert 30.0 <= gt.box.width <= 40.0
+            for width, _ in dims(ann):
+                assert 30.0 <= width <= 40.0
 
     def test_huge_residuals_are_clamped_to_the_frame(self):
         ds = generate_dataset(
             small_config(n_images=10, residual_sd=2000.0, seed=2)
         )
-        heights = [gt.box.height for ann in ds for gt in ann.boxes]
+        heights = [height for ann in ds for _, height in dims(ann)]
         assert min(heights) >= 0.5  # clamped to 1, minus any right-edge trim
         assert max(heights) <= 1200.0
 
@@ -162,7 +169,7 @@ class TestGenerateDataset:
 
     def test_class_name_is_carried(self):
         ds = generate_dataset(small_config(class_name="head"))
-        assert {gt.class_name for ann in ds for gt in ann.boxes} == {"head"}
+        assert {name for ann in ds for name in ann.class_names} == {"head"}
 
 
 class TestDetectorNoiseValidation:
@@ -231,12 +238,11 @@ class TestSimulateDetector:
         preds = simulate_detector(ds, DetectorNoise())
         assert set(preds) == set(ds.images)
         for ann in ds:
-            dets = preds[ann.image_id].detections
-            assert len(dets) == len(ann.boxes)
-            for gt, det in zip(ann.boxes, dets):
-                assert det.box == gt.box
-                assert det.class_name == gt.class_name
-                assert 0.5 <= det.confidence < 1.0
+            dets = preds[ann.image_id]
+            assert len(dets) == len(ann)
+            assert rows(dets) == rows(ann)
+            assert dets.class_names == ann.class_names
+            assert all(0.5 <= c < 1.0 for c in dets.confidences.tolist())
 
     def test_zero_noise_evaluates_perfectly(self):
         ds = generate_dataset(small_config(n_images=8))
@@ -277,8 +283,8 @@ class TestSimulateDetector:
         preds_lo = simulate_detector(ds, noise_lo)
         preds_hi = simulate_detector(ds, noise_hi)
         for image_id in preds_lo:
-            boxes_lo = {d.box.as_tuple() for d in preds_lo[image_id].detections}
-            boxes_hi = {d.box.as_tuple() for d in preds_hi[image_id].detections}
+            boxes_lo = set(rows(preds_lo[image_id]))
+            boxes_hi = set(rows(preds_hi[image_id]))
             assert boxes_hi <= boxes_lo
 
     def test_jitter_moves_boxes_but_keeps_them_valid(self):
@@ -286,21 +292,21 @@ class TestSimulateDetector:
         preds = simulate_detector(ds, DetectorNoise(jitter_sd=5.0, seed=8))
         moved = 0
         for ann in ds:
-            originals = {gt.box.as_tuple() for gt in ann.boxes}
-            for det in preds[ann.image_id].detections:
-                box = det.box
-                assert 0.0 <= box.left < box.right <= ann.width
-                assert 0.0 <= box.top < box.bottom <= ann.height
-                moved += box.as_tuple() not in originals
+            originals = set(rows(ann))
+            for box in rows(preds[ann.image_id]):
+                left, top, right, bottom = box
+                assert 0.0 <= left < right <= ann.width
+                assert 0.0 <= top < bottom <= ann.height
+                moved += box not in originals
         assert moved > 0
 
     def test_extreme_jitter_never_breaks_box_validity(self):
         ds = generate_dataset(small_config(n_images=6))
         preds = simulate_detector(ds, DetectorNoise(jitter_sd=500.0, seed=13))
         for dets in preds.values():
-            for det in dets.detections:
-                assert det.box.right > det.box.left
-                assert det.box.bottom > det.box.top
+            for left, top, right, bottom in rows(dets):
+                assert right > left
+                assert bottom > top
 
     @pytest.mark.parametrize("jitter_sd", [1e16, 1e300])
     def test_jitter_larger_than_the_frame_keeps_boxes_inside_it(self, jitter_sd):
@@ -377,24 +383,19 @@ class TestSimulateDetector:
                 seed=3,
             ),
         )
-        confidences = [d.confidence for dets in preds.values() for d in dets.detections]
+        confidences = [c for dets in preds.values() for c in dets.confidences.tolist()]
         assert confidences
         assert all(0.05 <= c < 0.4 for c in confidences)
 
     def test_false_positive_dims_come_from_the_corpus(self):
         ds = generate_dataset(small_config(n_images=6, width_range=(20.0, 25.0)))
-        corpus_dims = {
-            (round(gt.box.width, 6), round(gt.box.height, 6))
-            for ann in ds
-            for gt in ann.boxes
-        }
+        corpus_dims = {(round(w, 6), round(h, 6)) for ann in ds for w, h in dims(ann)}
         preds = simulate_detector(
             ds, DetectorNoise(miss_rate=1.0, false_positive_rate=4.0, seed=5)
         )
         for dets in preds.values():
-            for det in dets.detections:
-                dims = (round(det.box.width, 6), round(det.box.height, 6))
-                assert dims in corpus_dims
+            for width, height in dims(dets):
+                assert (round(width, 6), round(height, 6)) in corpus_dims
 
     def test_empty_corpus_cannot_emit_false_positives(self):
         ds = generate_dataset(small_config(count_mean=1.0, count_sd=0.0))
