@@ -1,12 +1,13 @@
 """Command-line surface: ``stats``, ``anchors``, ``eval``, ``synth``.
 
 Exit codes: 0 success, 1 data error (unreadable/invalid inputs), 2 usage
-error (bad flags). Every command writes a ``run_manifest.txt`` beside its
-outputs. Each ``param.<name>`` line holds a value that ``--<name>`` accepts
-(``true`` for a bare flag, empty or ``false`` for one left out), floats are
-written losslessly, and the inputs (as absolute paths) and seeds are recorded
-too, so re-running with those values, from any directory, reproduces all
-other files byte-identically.
+error (bad flags). After a command succeeds, ``main`` writes a
+``run_manifest.txt`` beside its outputs from every parsed flag. Each
+``param.<name>`` line holds a value that ``--<name>`` accepts (``true`` for a
+bare flag, empty or ``false`` for one left out), floats are written
+losslessly, and the inputs (as absolute paths) and seeds are recorded too, so
+re-running with those values, from any directory, reproduces all other files
+byte-identically.
 """
 
 from __future__ import annotations
@@ -140,6 +141,16 @@ def layer_spec(text: str) -> tuple[int, ...] | None:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+# Manifest text of the flags whose parsed value is not a scalar, as their types read it back.
+MANIFEST_TEXT = {
+    "anchors": lambda pairs: _format_pairs(pairs or ()),
+    "floor": lambda pair: "none" if pair is None else _format_pairs([pair]),
+    "layers": lambda sizes: "auto" if sizes is None else ",".join(map(str, sizes)),
+    "tp_conf": lambda pair: ",".join(map(format_coordinate, pair)),
+    "fp_conf": lambda pair: ",".join(map(format_coordinate, pair)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,13 +377,7 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _input_paths(args, *names: str) -> dict[str, Path | None]:
-    """The named path arguments made absolute, so the manifest replays from any directory."""
-    paths = {name: getattr(args, name) for name in names}
-    return {name: None if path is None else path.absolute() for name, path in paths.items()}
-
-
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     dataset = load_dataset(args.gt_dir, args.manifest)
     stats = compute_stats(dataset)
     outliers = flag_outliers(stats, args.min_count, args.min_coverage)
@@ -416,27 +421,15 @@ def cmd_stats(args) -> int:
         svg = histogram_svg(rows, x_label=label, y_label="images", title=f"{label} distribution")
         atomic_write(out / f"{name}.svg", svg)
 
-    write_run_manifest(
-        out,
-        "stats",
-        parameters={
-            "min_count": args.min_count,
-            "min_coverage": args.min_coverage,
-            "bins": args.bins,
-        },
-        inputs=_input_paths(args, "gt_dir", "manifest"),
-    )
-
     _say(args, f"images = {stats.image_count}")
     _say(args, f"total heads = {stats.total_heads}")
     _say(args, f"mean count = {fmt_num(stats.mean_count)}")
     _say(args, f"sd count = {fmt_num(stats.sd_count)}")
     for image_id, reason in outliers:
         _say(args, f"outlier {image_id}: {reason}")
-    return 0
 
 
-def cmd_anchors(args) -> int:
+def cmd_anchors(args) -> None:
     runs_linefit = args.compare or (args.anchors is None and args.method == "linefit")
     if runs_linefit and args.n_total < args.n_line + 1:
         raise UsageError(
@@ -506,28 +499,6 @@ def cmd_anchors(args) -> int:
     if args.emit_darknet:
         atomic_write(out / "darknet.cfg", emit_darknet_fragment(fragment))
 
-    write_run_manifest(
-        out,
-        "anchors",
-        parameters={
-            "method": args.method,
-            "anchors": _format_pairs(args.anchors or ()),
-            "k": args.k,
-            "distance": args.distance,
-            "n_line": args.n_line,
-            "n_total": args.n_total,
-            "floor": "none" if args.floor is None else _format_pairs([args.floor]),
-            "variance_bins": args.variance_bins,
-            "recall_threshold": args.recall_threshold,
-            "layers": ",".join(map(str, fragment.layers)),
-            "compare": args.compare,
-            "emit_darknet": args.emit_darknet,
-            "classes": args.classes,
-        },
-        inputs=_input_paths(args, "gt_dir", "manifest"),
-        seeds=(args.seed,),
-    )
-
     rendered = ", ".join(f"{fmt_num(a.width)}x{fmt_num(a.height)}" for a in anchor_set.anchors)
     _say(args, f"anchors ({method}) = {rendered}")
     _say(args, f"mean_best_iou = {diag.mean_best_iou:.4f}")
@@ -537,7 +508,6 @@ def cmd_anchors(args) -> int:
             if name != method:
                 _say(args, f"compare {name}: mean_best_iou = {d.mean_best_iou:.4f}, "
                            f"recall@{fmt_num(d.threshold_t)} = {d.recall_at_t:.4f}")
-    return 0
 
 
 def _overlay_blocks(ann, pred, verdicts) -> list[list]:
@@ -565,7 +535,7 @@ def _overlay_blocks(ann, pred, verdicts) -> list[list]:
     return [["gt", ann.class_names, "", *ann.edges.T, gt_verdicts, gt_partners], *pred_blocks]
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     gt = load_dataset(args.gt_dir, args.manifest)
     predictions = load_predictions_dir(args.pred_dir)
     report = evaluate(
@@ -642,23 +612,11 @@ def cmd_eval(args) -> int:
                             report.verdicts[bounds[position]:bounds[position + 1]]),
         )
 
-    write_run_manifest(
-        out,
-        "eval",
-        parameters={
-            "iou_threshold": args.iou_threshold,
-            "confidence_threshold": args.confidence_threshold,
-            "r2_mode": args.r2_mode,
-        },
-        inputs=_input_paths(args, "gt_dir", "pred_dir", "manifest"),
-    )
-
     _say(args, f"mAP = {report.map_score:.4f}")
     _say(args, f"R^2 = {r2_text}")
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     try:
         config = SynthConfig(
             n_images=args.images,
@@ -690,39 +648,37 @@ def cmd_synth(args) -> int:
 
     dataset = generate_dataset(config)
     save_dataset(dataset, out / "gt")
-    parameters = {
-        "images": args.images,
-        "image_width": args.image_width,
-        "image_height": args.image_height,
-        "count_mean": args.count_mean,
-        "count_sd": args.count_sd,
-        "width_min": args.width_min,
-        "width_max": args.width_max,
-        "slope": args.slope,
-        "intercept": args.intercept,
-        "residual_sd": args.residual_sd,
-        "class_name": args.class_name,
-        "simulate": args.simulate,
-    }
-    seeds = [args.seed]
     _say(args, f"wrote {len(dataset)} images, {dataset.total_boxes} boxes to {out / 'gt'}")
     if args.simulate:
         predictions = simulate_detector(dataset, noise)
         save_predictions(predictions, out / "pred")
         total = sum(len(p) for p in predictions.values())
-        parameters.update(
-            {
-                "miss_rate": args.miss_rate,
-                "fp_rate": args.fp_rate,
-                "jitter": args.jitter,
-                "tp_conf": ",".join(map(format_coordinate, noise.tp_confidence)),
-                "fp_conf": ",".join(map(format_coordinate, noise.fp_confidence)),
-            }
-        )
-        seeds.append(args.noise_seed)
         _say(args, f"wrote {total} detections to {out / 'pred'}")
-    write_run_manifest(out, "synth", parameters=parameters, inputs={}, seeds=seeds)
-    return 0
+
+
+def _write_manifest(args) -> None:
+    """``run_manifest.txt`` from every parsed flag but ``--out`` and ``--quiet``.
+
+    The path arguments become absolute ``input.*`` lines, ``--seed`` then
+    ``--noise-seed`` make up ``seeds``, and every other flag is a ``param.*``.
+    """
+    values = vars(args).copy()
+    for name in ("command", "func", "out", "quiet"):
+        del values[name]
+    paths = {
+        name: values.pop(name) for name in ("gt_dir", "pred_dir", "manifest") if name in values
+    }
+    seeds = [values.pop(name) for name in ("seed", "noise_seed") if name in values]
+    write_run_manifest(
+        args.out,
+        args.command,
+        parameters={
+            name: MANIFEST_TEXT[name](value) if name in MANIFEST_TEXT else value
+            for name, value in values.items()
+        },
+        inputs={name: None if path is None else path.absolute() for name, path in paths.items()},
+        seeds=seeds,
+    )
 
 
 def main(argv=None) -> int:
@@ -732,7 +688,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
+        _write_manifest(args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -203,9 +203,15 @@ def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
 
 
 def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]:
-    """Predictions keyed by image id; a duplicate or an image unknown to ``gt`` is an error."""
+    """Predictions keyed by image id; a mis-keyed, duplicate or unknown image is an error."""
     by_id: dict[str, ImageDetections] = {}
-    for pred in predictions.values() if isinstance(predictions, Mapping) else predictions:
+    if isinstance(predictions, Mapping):
+        pairs = predictions.items()
+    else:
+        pairs = ((pred.image_id, pred) for pred in predictions)
+    for key, pred in pairs:
+        if key != pred.image_id:
+            raise EvalError(f"predictions for image {pred.image_id!r} are keyed as {key!r}")
         if pred.image_id in by_id:
             raise EvalError(f"duplicate predictions for image {pred.image_id!r}")
         by_id[pred.image_id] = pred

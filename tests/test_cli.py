@@ -667,11 +667,13 @@ def test_report_files_get_the_mode_a_plain_open_gives(tmp_path, umask):
         assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask, name
 
 
+def manifest_entries(manifest: Path) -> dict[str, str]:
+    return dict(line.split(" = ", 1) for line in manifest.read_text(encoding="utf-8").splitlines())
+
+
 def replay_argv(manifest: Path) -> list[str]:
     """Rebuild a command line from ``run_manifest.txt`` by the README's replay rule."""
-    entries = dict(
-        line.split(" = ", 1) for line in manifest.read_text(encoding="utf-8").splitlines()
-    )
+    entries = manifest_entries(manifest)
     argv = [entries["command"]]
     argv += [entries[key] for key in ("input.gt_dir", "input.pred_dir") if key in entries]
     if entries.get("input.manifest"):
@@ -712,6 +714,12 @@ class TestManifestReplay:
             tmp_path, "synth", "--images", "3", "--count-mean", "8", "--count-sd", "2",
             "--seed", "4", "--simulate", "--noise-seed", "9", "--width-min", "8.1234567",
             "--tp-conf", "0.51234567", "1", "--jitter", "1.5", "--fp-rate", "2",
+        )
+
+    def test_synth_without_simulate(self, tmp_path):
+        self.assert_replays(
+            tmp_path, "synth", "--images", "3", "--count-mean", "8", "--seed", "4",
+            "--width-min", "8.1234567", "--slope", "0.912345678", "--class-name", "leaf",
         )
 
     def test_anchors_given_verbatim(self, tmp_path):
@@ -763,6 +771,39 @@ class TestManifestReplay:
             tmp_path, "eval", WORKED_GT, WORKED_PRED, "--iou-threshold", "0.512345678",
             "--confidence-threshold", "0.312345678", "--r2-mode", "identity",
         )
+
+    @pytest.mark.parametrize("command", ["stats", "anchors", "eval", "synth"])
+    def test_every_parsed_flag_is_recorded(self, tmp_path, command):
+        inputs = {
+            "stats": [WORKED_GT],
+            "anchors": [TestAnchors().corpus(tmp_path)],
+            "eval": [WORKED_GT, WORKED_PRED],
+            "synth": ["--images", "2"],
+        }
+        argv = [command, *map(str, inputs[command]), "--out", str(tmp_path / "out")]
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+        entries = manifest_entries(tmp_path / "out" / "run_manifest.txt")
+        seeds = entries["seeds"].split(",") if entries["seeds"] else []
+        recorded = {key.split(".", 1)[1] for key in entries if key.startswith(("param.", "input."))}
+        recorded |= set(("seed", "noise_seed")[:len(seeds)])
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert recorded == set(parsed) - {"command", "func", "out", "quiet"}
+
+
+@pytest.mark.parametrize("failure, expected_code", [("usage", 2), ("data", 1)])
+def test_a_failed_run_writes_no_manifest(tmp_path, failure, expected_code):
+    gt = TestAnchors().corpus(tmp_path)
+    if failure == "usage":
+        argv = ["anchors", gt, "--layers", "2,2"]
+    else:
+        pred = write_corpus(tmp_path / "pred", {"ghost": "head 0.9 0 0 10 10\n"})
+        argv = ["eval", gt, pred]
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, err = run_cli(*argv, "--out", out)
+    assert code == expected_code, err
+    assert list(out.iterdir()) == []
 
 
 class TestNegativeSeeds:

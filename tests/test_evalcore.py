@@ -643,6 +643,17 @@ class TestMeanAveragePrecision:
             mean_average_precision(gt, preds)
         assert "'ghost'" in str(excinfo.value)
 
+    @pytest.mark.parametrize("score", [evaluate, mean_average_precision, count_regression])
+    def test_prediction_keyed_under_another_id_rejected(self, score):
+        gt = Dataset.from_images(
+            [gt_image("x", [(0, 0, 10, 10)]), gt_image("z", [(0, 0, 10, 10), (20, 20, 30, 30)])]
+        )
+        x = det_image("x", [(0.9, (0, 0, 10, 10))])
+        z = det_image("z", [(0.9, (0, 0, 10, 10)), (0.8, (20, 20, 30, 30))])
+        assert evaluate(gt, {"x": x, "z": z}).map_score == 1.0
+        with pytest.raises(EvalError, match="predictions for image 'z' are keyed as 'x'"):
+            score(gt, {"x": z, "z": x})
+
     def test_empty_ground_truth_rejected(self):
         gt = Dataset.from_images([ImageAnnotations("a", ())])
         with pytest.raises(EvalError):
