@@ -11,7 +11,6 @@ detector to exercise the whole pipeline end to end.
 __version__ = "0.1.0"
 
 from .anchorlab import (
-    Anchor,
     AnchorError,
     AnchorSet,
     CoverageDiagnostic,
@@ -59,7 +58,6 @@ from .synthgen import DetectorNoise, SynthConfig, SynthError, generate_dataset, 
 
 __all__ = [
     "__version__",
-    "Anchor",
     "AnchorError",
     "AnchorSet",
     "CoverageDiagnostic",

@@ -5,18 +5,21 @@ conventional clustering search over box dimensions. ``linefit_anchors``
 fits a least-squares line of height on width, samples anchors at evenly
 spaced width quantiles along that line, optionally adds a small floor
 anchor below the smallest sample, and spends the remaining budget in
-width regions where the fit residuals vary the most.
+width regions where the fit residuals vary the most. An anchor set is one
+``(k, 2)`` array, ``AnchorSet.dims``, and a Darknet fragment writes it
+losslessly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
+
+from .annotations import format_coordinate
 
 KMEANS_MAX_ITERATIONS = 1000
 # Rows per block of a point-by-centroid (or point-by-anchor) cost matrix, and
@@ -30,49 +33,46 @@ class AnchorError(ValueError):
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """A prior (width, height) rectangle, in pixels."""
-
-    width: float
-    height: float
-
-    def __post_init__(self):
-        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
-            raise AnchorError(f"anchor dims must be finite and > 0: {self.width}x{self.height}")
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-
-@dataclass(frozen=True)
 class AnchorSet:
-    """Anchors sorted by area ascending, without exact duplicates."""
+    """Anchors as a read-only (k, 2) float64 array of (width, height) rows.
 
-    anchors: tuple[Anchor, ...]
+    The rows are finite, positive, of finite area, sorted by area ascending,
+    and without exact duplicates; anything else raises ``AnchorError``.
+    """
+
+    dims: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "anchors", tuple(self.anchors))
-        if not self.anchors:
+        dims = np.array(_dims_array(self.dims, "anchors"))
+        if len(dims) == 0:
             raise AnchorError("anchor set is empty")
-        areas = [a.area for a in self.anchors]
-        if any(lo > hi for lo, hi in zip(areas, areas[1:])):
+        areas = dims[:, 0] * dims[:, 1]
+        if np.any(areas[:-1] > areas[1:]):
             raise AnchorError("anchors must be sorted by area, ascending")
-        pairs = self.pairs()
-        if len(set(pairs)) != len(pairs):
+        if len(set(map(tuple, dims.tolist()))) != len(dims):
             raise AnchorError("anchor set contains exact duplicates")
+        dims.flags.writeable = False
+        object.__setattr__(self, "dims", dims)
 
     @classmethod
     def from_dims(cls, dims: Iterable[tuple[float, float]]) -> "AnchorSet":
-        """Build from (width, height) pairs: sorts by area and drops duplicates."""
-        unique = sorted(set((float(w), float(h)) for w, h in dims), key=lambda p: (p[0] * p[1], p))
-        return cls(tuple(Anchor(w, h) for w, h in unique))
+        """Build from (width, height) pairs: sorts by area, width, height; drops duplicates."""
+        points = _dims_array(list(dims), "anchors")
+        w, h = points.T
+        points = points[np.lexsort((h, w, w * h))]
+        return cls(points[np.append(True, np.any(points[1:] != points[:-1], axis=1))])
 
     def __len__(self) -> int:
-        return len(self.anchors)
+        return len(self.dims)
+
+    def __eq__(self, other):
+        if not isinstance(other, AnchorSet):
+            return NotImplemented
+        return np.array_equal(self.dims, other.dims)
 
     def pairs(self) -> list[tuple[float, float]]:
-        return [(a.width, a.height) for a in self.anchors]
+        """The rows as a list of (width, height) tuples of floats."""
+        return list(map(tuple, self.dims.tolist()))
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,12 @@ class CoverageDiagnostic:
     mean_best_iou: float
     recall_at_t: float
     threshold_t: float
-    per_anchor_assignment_counts: tuple[int, ...]
+    per_anchor_assignment_counts: np.ndarray  # read-only int array, one count per anchor
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverageDiagnostic):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 # The per-section training parameters boxlab writes; a parsed fragment must match.
@@ -124,22 +129,20 @@ class DarknetConfigFragment:
         return tuple(tuple(range(end - size, end)) for size, end in zip(self.layers, ends))
 
 
-def _dims_array(dims: ArrayLike) -> np.ndarray:
-    """Box dimensions as an (n, 2) float array; AnchorError unless finite and > 0.
-
-    A width times height that overflows is rejected too, as in a box file.
-    """
+def _dims_array(dims: ArrayLike, what: str = "box dimensions") -> np.ndarray:
+    """(width, height) pairs as an (n, 2) float array; AnchorError, naming them ``what``,
+    unless every value is finite and > 0 and every width times height is finite."""
     try:
         points = np.asarray(dims, dtype=float)
     except (TypeError, ValueError):
-        raise AnchorError("box dimensions must be numeric (width, height) pairs") from None
+        raise AnchorError(f"{what} must be numeric (width, height) pairs") from None
     if points.ndim != 2 or points.shape[1] != 2:
-        raise AnchorError(f"box dimensions must have shape (n, 2), got {points.shape}")
+        raise AnchorError(f"{what} must have shape (n, 2), got {points.shape}")
     if not np.all((points > 0) & np.isfinite(points)):
-        raise AnchorError("box dimensions must be finite and positive")
+        raise AnchorError(f"{what} must be finite and positive")
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(points[:, 0] * points[:, 1])):
-            raise AnchorError("box dimensions must have a finite area")
+            raise AnchorError(f"{what} must have a finite area")
     return points
 
 
@@ -319,14 +322,15 @@ def _round_anchor(width: float, height: float) -> tuple[float, float]:
 def linefit_anchors(
     dims: ArrayLike,
     n_line: int = 9,
-    floor: Anchor | None = Anchor(10, 10),
+    floor: tuple[float, float] | None = (10.0, 10.0),
     n_total: int = 13,
     variance_bins: int = 10,
 ) -> AnchorSet:
     """Sample anchors along a least-squares height-on-width line.
 
     ``n_line`` anchors sit at the interior width quantiles i/(n_line+1) of
-    the fitted line. The ``floor`` anchor is added when its area falls below
+    the fitted line. The ``floor`` (width, height) pair, or ``None`` for
+    none, is checked like any anchor and added when its area falls below
     the smallest line sample, covering the extreme lower tail. The budget up
     to ``n_total`` is then spent one anchor per width bin, bins ranked by
     residual variance, each placed one residual standard deviation off the
@@ -339,6 +343,7 @@ def linefit_anchors(
         raise AnchorError(f"n_total must be >= n_line + 1, got {n_total}")
     if variance_bins < 1:
         raise AnchorError(f"variance_bins must be >= 1, got {variance_bins}")
+    floor_dims = None if floor is None else _dims_array([floor], "floor")
     widths, heights = _dims_array(dims).T.copy()
     if len(widths) < 2 or np.unique(widths).size < 2:
         raise AnchorError(
@@ -355,8 +360,8 @@ def linefit_anchors(
     sample_widths = np.quantile(widths, quantiles, method="linear")
     anchors = [_round_anchor(w, slope * w + intercept) for w in sample_widths]
 
-    if floor is not None and floor.area < min(w * h for w, h in anchors):
-        anchors.append((float(floor.width), float(floor.height)))
+    if floor_dims is not None and floor_dims.prod() < min(w * h for w, h in anchors):
+        anchors.append(floor_dims[0])
 
     extras_needed = n_total - len(anchors)
     if extras_needed > 0:
@@ -398,37 +403,32 @@ def coverage(
     points = _dims_array(dims)
     if len(points) == 0:
         raise AnchorError("no box dimensions to cover")
-    pairs = np.array(anchors.pairs(), dtype=float)
     best_index = np.empty(len(points), dtype=np.intp)
     best_iou = np.empty(len(points))
     for start in range(0, len(points), ROW_BLOCK):
-        matrix = centered_iou_matrix(points[start : start + ROW_BLOCK], pairs)
+        matrix = centered_iou_matrix(points[start : start + ROW_BLOCK], anchors.dims)
         block = slice(start, start + len(matrix))
         best_index[block] = np.argmax(matrix, axis=1)
         best_iou[block] = matrix[np.arange(len(matrix)), best_index[block]]
     counts = np.bincount(best_index, minlength=len(anchors))
+    counts.flags.writeable = False
     return CoverageDiagnostic(
         mean_best_iou=float(best_iou.mean()),
         recall_at_t=float((best_iou >= threshold_t).mean()),
         threshold_t=float(threshold_t),
-        per_anchor_assignment_counts=tuple(int(c) for c in counts),
+        per_anchor_assignment_counts=counts,
     )
-
-
-def _fmt_value(value: float) -> str:
-    v = float(value)
-    return str(int(v)) if v.is_integer() else repr(round(v, 6))
 
 
 def emit_darknet_fragment(config: DarknetConfigFragment) -> str:
     """Render the detection-layer config sections as deterministic text.
 
     One ``[yolo]`` section per layer; all sections share the anchor list,
-    the class count and ``DARKNET_SCALARS``. Integral anchor values render
-    as integers.
+    the class count and ``DARKNET_SCALARS``. Anchors are written with
+    ``format_coordinate``: integral values as integers, others losslessly.
     """
     anchor_text = ", ".join(
-        f"{_fmt_value(a.width)},{_fmt_value(a.height)}" for a in config.anchors.anchors
+        f"{format_coordinate(w)},{format_coordinate(h)}" for w, h in config.anchors.dims.tolist()
     )
     shared = [f"anchors = {anchor_text}", f"classes = {config.classes}"]
     shared += [f"num = {len(config.anchors)}"]
@@ -494,7 +494,7 @@ def parse_darknet_fragment(text: str) -> DarknetConfigFragment:
     if num != len(pairs):
         raise AnchorError(f"num = {num} does not match {len(pairs)} anchors in the fragment")
     return DarknetConfigFragment(
-        anchors=AnchorSet(tuple(Anchor(w, h) for w, h in pairs)),
+        anchors=AnchorSet(pairs),
         classes=_fragment_number("classes", first["classes"], int),
         layers=[len(mask) for mask in masks],
     )

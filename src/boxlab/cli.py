@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .anchorlab import (
-    Anchor,
     AnchorError,
     AnchorSet,
     DarknetConfigFragment,
@@ -113,7 +112,10 @@ def dimension_pair(text: str) -> tuple[float, float]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
-    return positive_float(parts[0]), positive_float(parts[1])
+    width, height = positive_float(parts[0]), positive_float(parts[1])
+    if not math.isfinite(width * height):
+        raise argparse.ArgumentTypeError(f"area of {text!r} overflows")
+    return width, height
 
 
 def floor_anchor(text: str) -> tuple[float, float] | None:
@@ -441,7 +443,6 @@ def cmd_anchors(args) -> None:
     if len(dims) == 0:
         raise DatasetError("corpus contains no boxes")
 
-    floor = None if args.floor is None else Anchor(*args.floor)
     selected: dict[str, AnchorSet] = {}
     if args.anchors is not None:
         method = "fixed"
@@ -453,7 +454,7 @@ def cmd_anchors(args) -> None:
     if runs_linefit:
         selected.setdefault(
             "linefit",
-            linefit_anchors(dims, args.n_line, floor, args.n_total, args.variance_bins),
+            linefit_anchors(dims, args.n_line, args.floor, args.n_total, args.variance_bins),
         )
     anchor_set = selected[method]
 
@@ -467,13 +468,12 @@ def cmd_anchors(args) -> None:
     diag = diagnostics[method]
 
     out = args.out
-    pairs = np.array(anchor_set.pairs())
-    widths, heights = pairs.T
-    counts = np.array(diag.per_anchor_assignment_counts)
+    widths, heights = anchor_set.dims.T
     write_csv(
         out / "anchors.csv",
         ("index", "width", "height", "area", "assigned_count"),
-        [[np.arange(len(pairs)), widths, heights, widths * heights, counts]],
+        [[np.arange(len(anchor_set)), widths, heights, widths * heights,
+          diag.per_anchor_assignment_counts]],
     )
     names = sorted(diagnostics)
     figures = [(diagnostics[n].mean_best_iou, diagnostics[n].recall_at_t,
@@ -489,7 +489,7 @@ def cmd_anchors(args) -> None:
         [["box", *dims.T], ["anchor", widths, heights]],
     )
     svg = scatter_svg(
-        [Series("boxes", dims, "circle"), Series("anchors", pairs, "cross")],
+        [Series("boxes", dims, "circle"), Series("anchors", anchor_set.dims, "cross")],
         x_label="width (px)",
         y_label="height (px)",
         title="box dimensions and anchors",
@@ -499,7 +499,7 @@ def cmd_anchors(args) -> None:
     if args.emit_darknet:
         atomic_write(out / "darknet.cfg", emit_darknet_fragment(fragment))
 
-    rendered = ", ".join(f"{fmt_num(a.width)}x{fmt_num(a.height)}" for a in anchor_set.anchors)
+    rendered = ", ".join(f"{fmt_num(w)}x{fmt_num(h)}" for w, h in anchor_set.dims.tolist())
     _say(args, f"anchors ({method}) = {rendered}")
     _say(args, f"mean_best_iou = {diag.mean_best_iou:.4f}")
     _say(args, f"recall@{fmt_num(diag.threshold_t)} = {diag.recall_at_t:.4f}")

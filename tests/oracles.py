@@ -42,6 +42,11 @@ def raster_iou(a, b, frame: int = 512) -> float:
     return inter / union
 
 
+def reference_anchor_order(dims) -> list[tuple[float, float]]:
+    """Distinct (width, height) pairs as floats, sorted by area, then width, then height."""
+    return sorted(set((float(w), float(h)) for w, h in dims), key=lambda p: (p[0] * p[1], p))
+
+
 def raster_centered_iou(wa: int, ha: int, wb: int, hb: int) -> float:
     """Centered IoU of two integer dimension pairs by pixel counting.
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from boxlab.anchorlab import (
-    Anchor,
     AnchorSet,
     DarknetConfigFragment,
     coverage,
@@ -145,7 +144,7 @@ def test_criterion_05_linefit_beats_kmeans_on_bimodal_dims():
     worst_recall_margin = 1.0
     for seed in range(10):
         dims = bimodal_dims(seed)
-        line_set = linefit_anchors(dims, n_line=9, floor=Anchor(10, 10), n_total=13)
+        line_set = linefit_anchors(dims, n_line=9, floor=(10, 10), n_total=13)
         kmeans_set = kmeans_anchors(dims, k=9, distance="euclidean", seed=seed)
         line_cov = coverage(dims, line_set, threshold_t=0.5)
         kmeans_cov = coverage(dims, kmeans_set, threshold_t=0.5)

@@ -8,7 +8,6 @@ from boxlab.anchorlab import (
     DISTANCES,
     KMEANS_MAX_ITERATIONS,
     ROW_BLOCK,
-    Anchor,
     AnchorError,
     AnchorSet,
     DarknetConfigFragment,
@@ -26,6 +25,7 @@ from oracles import (
     _reference_costs,
     bin_residual_variances,
     raster_centered_iou,
+    reference_anchor_order,
     reference_run_kmeans,
 )
 
@@ -33,6 +33,12 @@ GOLDEN_ANCHORS = [
     (10, 10), (16, 16), (19, 19), (16, 24), (24, 20), (23, 24), (28, 27),
     (23, 35), (32, 32), (38, 39), (50, 50), (60, 60), (80, 80),
 ]
+
+
+# Anchor sides: small whole and half values give repeats and equal-area ties.
+ANCHOR_SIDES = st.one_of(
+    st.sampled_from([0.5, 1, 1.5, 2, 3, 4, 6, 8, 12]), st.floats(1e-9, 1e9), st.integers(1, 640)
+)
 
 
 def dims_of(pairs):
@@ -91,26 +97,56 @@ class TestAnchorSet:
         s = AnchorSet.from_dims([(20, 10), (10, 20)])
         assert s.pairs() == [(10.0, 20.0), (20.0, 10.0)]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(ANCHOR_SIDES, ANCHOR_SIDES), min_size=1, max_size=30))
+    def test_from_dims_matches_the_sorted_set_rule(self, pairs):
+        expected = reference_anchor_order(pairs)
+        assert AnchorSet.from_dims(pairs).pairs() == expected
+        assert AnchorSet.from_dims(np.array(pairs, dtype=float)).pairs() == expected
+
+    def test_dims_are_a_read_only_float64_copy(self):
+        source = np.array([[10, 10], [20, 20]])
+        s = AnchorSet(source)
+        source[0, 0] = 99
+        assert s.dims.dtype == np.float64 and s.dims.shape == (2, 2)
+        assert s.dims.tolist() == [[10.0, 10.0], [20.0, 20.0]]
+        with pytest.raises(ValueError):
+            s.dims[0, 0] = 5.0
+
+    def test_equality_compares_the_arrays(self):
+        s = AnchorSet.from_dims([(20, 20), (10, 10)])
+        assert s == AnchorSet(np.array([[10.0, 10.0], [20.0, 20.0]]))
+        assert s != AnchorSet.from_dims([(10, 10), (20, 21)])
+        assert s != AnchorSet.from_dims([(10, 10)])
+
     def test_unsorted_construction_rejected(self):
         with pytest.raises(AnchorError):
-            AnchorSet((Anchor(20, 20), Anchor(10, 10)))
+            AnchorSet([(20, 20), (10, 10)])
 
     def test_duplicate_anchor_rejected(self):
         with pytest.raises(AnchorError):
-            AnchorSet((Anchor(10, 10), Anchor(10, 10)))
+            AnchorSet([(10, 10), (10, 10)])
 
     def test_empty_rejected(self):
         with pytest.raises(AnchorError):
             AnchorSet(())
+        with pytest.raises(AnchorError, match="empty"):
+            AnchorSet(np.empty((0, 2)))
 
     def test_non_positive_anchor_rejected(self):
         with pytest.raises(AnchorError):
-            Anchor(0, 10)
+            AnchorSet([(0, 10)])
 
     @pytest.mark.parametrize("width", [float("nan"), float("inf")])
     def test_non_finite_anchor_rejected(self, width):
         with pytest.raises(AnchorError):
-            Anchor(width, 10)
+            AnchorSet([(width, 10)])
+
+    def test_overflowing_area_rejected(self):
+        with pytest.raises(AnchorError, match="finite area"):
+            AnchorSet.from_dims([(1e200, 1e200)])
+        with pytest.raises(AnchorError, match="finite area"):
+            AnchorSet([(10, 10), (1e200, 1e200)])
 
 
 class TestKMeans:
@@ -328,7 +364,7 @@ class TestScaleEquivariance:
     def test_coverage_of_doubled_dims_and_anchors(self, distance, seed):
         dims = extract_dims(generate_dataset(SynthConfig(n_images=40, seed=seed)))
         anchors = kmeans_anchors(dims, 9, distance, 0)
-        doubled = AnchorSet.from_dims(2 * np.array(anchors.pairs()))
+        doubled = AnchorSet.from_dims(2 * anchors.dims)
         assert coverage(2 * dims, doubled) == coverage(dims, anchors)
 
 
@@ -337,7 +373,7 @@ class TestLineFit:
         # Heights are exactly 2x the widths, so the fit is h = 2w and every
         # residual is zero; all sampled anchors sit on the line.
         dims = dims_of([(10, 20), (20, 40), (30, 60), (40, 80)])
-        anchors = linefit_anchors(dims, n_line=3, floor=Anchor(10, 10), n_total=5, variance_bins=2)
+        anchors = linefit_anchors(dims, n_line=3, floor=(10, 10), n_total=5, variance_bins=2)
         assert anchors.pairs() == [
             (10.0, 10.0),
             (15.0, 30.0),
@@ -348,7 +384,7 @@ class TestLineFit:
 
     def test_identity_line_wide_corpus(self):
         dims = dims_of([(w, w) for w in range(10, 101)])
-        anchors = linefit_anchors(dims, n_line=9, floor=Anchor(10, 10), n_total=13)
+        anchors = linefit_anchors(dims, n_line=9, floor=(10, 10), n_total=13)
         assert anchors.pairs() == [
             (10.0, 10.0), (14.0, 14.0), (19.0, 19.0), (23.0, 23.0), (28.0, 28.0),
             (32.0, 32.0), (37.0, 37.0), (46.0, 46.0), (55.0, 55.0), (64.0, 64.0),
@@ -366,9 +402,19 @@ class TestLineFit:
 
     def test_floor_skipped_when_boxes_are_smaller(self):
         dims = dims_of([(w, w) for w in (2, 3, 4, 5, 6)])
-        anchors = linefit_anchors(dims, n_line=3, floor=Anchor(10, 10), n_total=5)
+        anchors = linefit_anchors(dims, n_line=3, floor=(10, 10), n_total=5)
         assert (10.0, 10.0) not in anchors.pairs()
-        assert all(a.width < 10 for a in anchors.anchors)
+        assert np.all(anchors.dims[:, 0] < 10)
+
+    @pytest.mark.parametrize(
+        "floor",
+        [(1e200, 1e200), (float("nan"), 10.0), (10.0, float("inf")), (10.0, 10.0, 10.0)],
+        ids=["overflowing-area", "nan", "inf", "three-values"],
+    )
+    def test_floor_is_checked_even_when_not_added(self, floor):
+        dims = dims_of([(w, w) for w in (2, 3, 4, 5, 6)])
+        with pytest.raises(AnchorError, match="floor"):
+            linefit_anchors(dims, n_line=3, floor=floor, n_total=5)
 
     def test_floor_is_exactly_the_extra_anchor(self):
         # With the floor in the budget, the remaining extras are the same
@@ -379,7 +425,7 @@ class TestLineFit:
             widths = rng.uniform(15, 100, 150)
             heights = widths * rng.uniform(0.8, 1.25, 150)
             dims = dims_of(zip(widths, heights))
-            floored = linefit_anchors(dims, n_line=9, floor=Anchor(10, 10), n_total=13)
+            floored = linefit_anchors(dims, n_line=9, floor=(10, 10), n_total=13)
             floorless = linefit_anchors(dims, n_line=9, floor=None, n_total=12)
             assert (10.0, 10.0) in floored.pairs()
             assert set(floored.pairs()) == set(floorless.pairs()) | {(10.0, 10.0)}
@@ -412,7 +458,7 @@ class TestLineFit:
         # large-width end; those anchors must still be valid.
         dims = dims_of([(10, 40), (20, 30), (30, 20), (40, 1), (50, 1)])
         anchors = linefit_anchors(dims, n_line=4, floor=None, n_total=5, variance_bins=2)
-        assert all(a.height >= 1 for a in anchors.anchors)
+        assert np.all(anchors.dims[:, 1] >= 1)
 
 
 class TestCoverage:
@@ -421,18 +467,20 @@ class TestCoverage:
         diag = coverage(dims, AnchorSet.from_dims([(10, 10), (20, 20)]))
         assert diag.mean_best_iou == 1.0
         assert diag.recall_at_t == 1.0
-        assert diag.per_anchor_assignment_counts == (1, 1)
+        assert diag.per_anchor_assignment_counts.tolist() == [1, 1]
+        assert diag.per_anchor_assignment_counts.dtype.kind == "i"
+        assert not diag.per_anchor_assignment_counts.flags.writeable
 
     def test_mean_and_recall_hand_values(self):
         dims = dims_of([(10, 10), (20, 20)])
         diag = coverage(dims, AnchorSet.from_dims([(10, 10)]), threshold_t=0.5)
         assert diag.mean_best_iou == pytest.approx(0.625, abs=1e-12)
         assert diag.recall_at_t == 0.5
-        assert diag.per_anchor_assignment_counts == (2,)
+        assert diag.per_anchor_assignment_counts.tolist() == [2]
 
     def test_iou_tie_assigns_lower_index(self):
         diag = coverage(dims_of([(15, 15)]), AnchorSet.from_dims([(10, 20), (20, 10)]))
-        assert diag.per_anchor_assignment_counts == (1, 0)
+        assert diag.per_anchor_assignment_counts.tolist() == [1, 0]
 
     def test_assignment_counts_sum_to_box_count(self):
         rng = np.random.default_rng(4)
@@ -559,6 +607,21 @@ class TestDarknetFragment:
         assert parsed.masks == fragment.masks
         assert parsed.classes == 2
         assert emit_darknet_fragment(parsed) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(ANCHOR_SIDES, ANCHOR_SIDES), min_size=1, max_size=13),
+        st.integers(1, 80),
+    )
+    def test_emit_then_parse_is_exact(self, pairs, classes):
+        fragment = DarknetConfigFragment(AnchorSet.from_dims(pairs), classes=classes)
+        assert parse_darknet_fragment(emit_darknet_fragment(fragment)) == fragment
+
+    def test_sub_micro_anchor_is_written_losslessly(self):
+        fragment = DarknetConfigFragment(AnchorSet.from_dims([(4e-7, 5), (3, 3)]))
+        text = emit_darknet_fragment(fragment)
+        assert "anchors = 4e-07,5, 3,3\n" in text
+        assert parse_darknet_fragment(text) == fragment
 
     def test_parse_rejects_missing_key(self):
         with pytest.raises(AnchorError):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxlab import annotations, cli, evalcore
+from boxlab.anchorlab import parse_darknet_fragment
 from conftest import DATA_DIR, run_cli, write_corpus
 from oracles import reference_write_csv
 
@@ -361,6 +362,28 @@ class TestAnchors:
         assert "anchors (fixed) = 10x10, 16x16," in stdout
         golden = (data_dir / "darknet_golden.cfg").read_bytes()
         assert (out / "darknet.cfg").read_bytes() == golden
+
+    @pytest.mark.parametrize("flag", ["--anchors", "--floor"])
+    def test_overflowing_anchor_area_is_a_usage_error(self, tmp_path, flag):
+        gt = self.corpus(tmp_path)
+        code, _, err = run_cli(
+            "anchors", gt, flag, "1e200x1e200", "--compare", "--out", tmp_path / "out"
+        )
+        assert code == 2
+        assert "area of '1e200x1e200' overflows" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sub_micro_anchor_round_trips_through_darknet_cfg(self, tmp_path):
+        gt = self.corpus(tmp_path)
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            "anchors", gt, "--anchors", "0.0000004x5,3x3", "--emit-darknet", "--out", out
+        )
+        assert code == 0, err
+        text = (out / "darknet.cfg").read_text(encoding="utf-8")
+        assert "anchors = 4e-07,5, 3,3\n" in text
+        assert parse_darknet_fragment(text).anchors.pairs() == [(4e-07, 5.0), (3.0, 3.0)]
 
     def test_layer_mismatch_is_a_usage_error(self, tmp_path):
         gt = self.corpus(tmp_path)
@@ -729,8 +752,8 @@ class TestManifestReplay:
         )
 
     def test_anchors_compared_with_a_precise_floor(self, tmp_path):
-        # The config fragment writes anchors to 6 decimals, so a floor rounded
-        # to 6 significant digits shows there.
+        # The config fragment writes anchors losslessly, so the precise floor
+        # shows there as given.
         gt = TestAnchors().corpus(tmp_path)
         self.assert_replays(
             tmp_path, "anchors", gt, "--floor", "10.1234567x10", "--compare", "--k", "5",

@@ -4,7 +4,6 @@ import boxlab
 
 PUBLIC_API = [
     "__version__",
-    "Anchor",
     "AnchorError",
     "AnchorSet",
     "CoverageDiagnostic",
