@@ -36,7 +36,7 @@ class AnchorError(ValueError):
 class AnchorSet:
     """Anchors as a read-only (k, 2) float64 array of (width, height) rows.
 
-    The rows are finite, positive, of finite area, sorted by area ascending,
+    The rows are finite, positive, of finite area above 0, sorted by area ascending,
     and without exact duplicates; anything else raises ``AnchorError``.
     """
 
@@ -131,7 +131,7 @@ class DarknetConfigFragment:
 
 def _dims_array(dims: ArrayLike, what: str = "box dimensions") -> np.ndarray:
     """(width, height) pairs as an (n, 2) float array; AnchorError, naming them ``what``,
-    unless every value is finite and > 0 and every width times height is finite."""
+    unless every value is finite and > 0 and every width times height is finite and > 0."""
     try:
         points = np.asarray(dims, dtype=float)
     except (TypeError, ValueError):
@@ -141,8 +141,9 @@ def _dims_array(dims: ArrayLike, what: str = "box dimensions") -> np.ndarray:
     if not np.all((points > 0) & np.isfinite(points)):
         raise AnchorError(f"{what} must be finite and positive")
     with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(points[:, 0] * points[:, 1])):
-            raise AnchorError(f"{what} must have a finite area")
+        areas = points[:, 0] * points[:, 1]
+    if not np.all(np.isfinite(areas) & (areas > 0)):
+        raise AnchorError(f"{what} must have a finite area above 0")
     return points
 
 

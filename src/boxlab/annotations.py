@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -305,9 +306,11 @@ def _first_bad_line(text_content: str, value_names: tuple[str, ...]) -> ParseErr
 def _parse_columns(text_content: str, value_names: tuple[str, ...], build):
     """Split every non-blank line into a class name and a row of numbers, then ``build``.
 
-    ``build(class_names, values)`` receives an ``(n, len(value_names))``
-    array and validates it; any failure is reported as the ParseError of the
-    first malformed line.
+    ``build(class_names, values)`` receives the names and an
+    ``(n, len(value_names))`` array and validates them; any failure is
+    reported as the ParseError of the first malformed line. Each name is
+    interned, so all rows and files share one ``str`` per distinct class
+    name instead of one per row.
     """
     rows = [tokens for tokens in map(str.split, text_content.splitlines()) if tokens]
     width = len(value_names)
@@ -316,7 +319,8 @@ def _parse_columns(text_content: str, value_names: tuple[str, ...], build):
         try:
             numbers = map(float, chain.from_iterable(tokens[1:] for tokens in rows))
             values = np.fromiter(numbers, dtype=np.float64, count=width * len(rows))
-            return build(tuple(tokens[0] for tokens in rows), values.reshape(len(rows), width))
+            names = tuple(sys.intern(tokens[0]) for tokens in rows)
+            return build(names, values.reshape(len(rows), width))
         except ValueError as exc:
             failure = exc
     raise _first_bad_line(text_content, value_names) or failure

@@ -115,6 +115,8 @@ def dimension_pair(text: str) -> tuple[float, float]:
     width, height = positive_float(parts[0]), positive_float(parts[1])
     if not math.isfinite(width * height):
         raise argparse.ArgumentTypeError(f"area of {text!r} overflows")
+    if width * height == 0:
+        raise argparse.ArgumentTypeError(f"area of {text!r} underflows to 0")
     return width, height
 
 
@@ -566,13 +568,15 @@ def cmd_eval(args) -> None:
     curves = sorted(report.pr_per_class.items())
     pr_blocks = []
     for class_name, curve in curves:
-        recalls, precisions = np.array(curve.points).reshape(-1, 2).T
-        ranks = np.arange(1, len(recalls) + 1)
-        pr_blocks.append([class_name, ranks, np.array(curve.confidences), precisions, recalls])
+        ranks = np.arange(1, len(curve.recall) + 1)
+        pr_blocks.append([class_name, ranks, curve.confidences, curve.precision, curve.recall])
     write_csv(
         out / "pr_curve.csv", ("class", "rank", "confidence", "precision", "recall"), pr_blocks
     )
-    pr_series = [Series(class_name, curve.points, "line") for class_name, curve in curves]
+    pr_series = [
+        Series(class_name, np.column_stack((curve.recall, curve.precision)), "line")
+        for class_name, curve in curves
+    ]
     pr_svg = line_svg(
         pr_series,
         x_label="recall",

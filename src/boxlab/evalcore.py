@@ -72,22 +72,49 @@ class Verdicts:
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _COLUMNS)
 
 
-@dataclass(frozen=True)
-class PRCurve:
-    """Precision-recall points in rank order, plus the area under the envelope."""
+# Column names of a PRCurve, in constructor order; each is float64.
+_CURVE_COLUMNS = ("recall", "precision", "confidences")
 
-    points: tuple[tuple[float, float], ...]
-    confidences: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False)
+class PRCurve:
+    """A PR curve as equal-length, read-only float64 columns in rank order, plus its AP.
+
+    Row i holds the recall and precision after the i + 1 best-ranked
+    detections and the confidence of the last of them. Recall must not
+    decrease along the ranks. ``points`` is the same curve as a tuple of
+    (recall, precision) pairs, built anew on each access; it is kept for
+    perfbench's eval output check, which reads pairs.
+    """
+
+    recall: np.ndarray
+    precision: np.ndarray
+    confidences: np.ndarray
     ap: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "confidences", tuple(self.confidences))
-        if len(self.points) != len(self.confidences):
+        columns = {name: np.array(getattr(self, name), np.float64) for name in _CURVE_COLUMNS}
+        recall, precision, confidences = columns.values()
+        if recall.ndim != 1 or recall.shape != precision.shape:
+            raise EvalError("recall and precision must be one-dimensional and of equal length")
+        if confidences.shape != recall.shape:
             raise EvalError("one confidence per PR point required")
-        recalls = [r for r, _ in self.points]
-        if any(lo > hi for lo, hi in zip(recalls, recalls[1:])):
+        if np.any(recall[1:] < recall[:-1]):
             raise EvalError("recall must be non-decreasing along ranks")
+        for column in columns.values():
+            column.flags.writeable = False
+        self.__dict__.update(columns)
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.recall.tolist(), self.precision.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, PRCurve):
+            return NotImplemented
+        return self.ap == other.ap and all(
+            np.array_equal(getattr(self, n), getattr(other, n)) for n in _CURVE_COLUMNS
+        )
 
 
 @dataclass(frozen=True)
@@ -179,9 +206,12 @@ def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
     PASCAL VOC definition since 2010). A box matched twice within an
     image, or more TPs than ``total_gt``, is an EvalError.
 
-    Each point is an integer true division, which numpy and Python both
-    round correctly, and a rank that adds no recall adds an exact 0.0 to
-    a ``math.fsum``, so the curve and AP equal a rank-by-rank loop's.
+    The curve's recall and precision columns go into the PRCurve as the
+    arrays computed here, with the confidences in rank order; no
+    per-rank Python object is made. Each value is an integer true
+    division, which numpy and Python both round correctly, and a rank that
+    adds no recall adds an exact 0.0 to a ``math.fsum``, so the curve and
+    AP equal a rank-by-rank loop's.
     """
     if total_gt < 1:
         raise EvalError(f"total_gt must be >= 1, got {total_gt}")
@@ -198,8 +228,7 @@ def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
     precision = true_positives / np.arange(1, len(order) + 1)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     ap = math.fsum((np.diff(recall, prepend=0.0) * envelope).tolist())
-    points = tuple(zip(recall.tolist(), precision.tolist()))
-    return PRCurve(points, tuple(verdicts.confidence[order].tolist()), ap)
+    return PRCurve(recall, precision, verdicts.confidence[order], ap)
 
 
 def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]:

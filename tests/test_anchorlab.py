@@ -148,6 +148,12 @@ class TestAnchorSet:
         with pytest.raises(AnchorError, match="finite area"):
             AnchorSet([(10, 10), (1e200, 1e200)])
 
+    def test_underflowing_area_rejected(self):
+        with pytest.raises(AnchorError, match="finite area above 0"):
+            AnchorSet.from_dims([(1e-200, 1e-200)])
+        with pytest.raises(AnchorError, match="finite area above 0"):
+            AnchorSet([(1e-200, 1e-200), (10, 10)])
+
 
 class TestKMeans:
     def test_recovers_two_well_separated_clusters_exactly(self):
@@ -275,6 +281,17 @@ class TestKMeans:
         with pytest.raises(AnchorError, match="finite area"):
             linefit_anchors(dims)
         with pytest.raises(AnchorError, match="finite area"):
+            coverage(dims, AnchorSet.from_dims([(10, 10)]))
+
+    @pytest.mark.parametrize("distance", ["one_minus_iou", "euclidean"])
+    def test_underflowing_area_rejected(self, distance):
+        # Each value is a positive float, but every width times height rounds to 0.
+        dims = dims_of([(1e-200, 1e-200), (2e-200, 2e-200), (3e-200, 1e-200)])
+        with pytest.raises(AnchorError, match="finite area above 0"):
+            run_kmeans(dims, k=2, distance=distance)
+        with pytest.raises(AnchorError, match="finite area above 0"):
+            linefit_anchors(dims)
+        with pytest.raises(AnchorError, match="finite area above 0"):
             coverage(dims, AnchorSet.from_dims([(10, 10)]))
 
     def test_overflowing_seeding_weights_rejected(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -468,6 +469,22 @@ class TestColumns:
         assert [(ann.width, ann.dims_inferred) for ann in ds] == [
             (5.0, False), (3.0, True), (None, False)
         ]
+
+    def test_loaders_share_one_string_per_class_name(self, tmp_path):
+        # "head" is built at run time, so only interning can make it the loaded names' object.
+        head = "".join(["he", "ad"])
+        gt = load_dataset(write_corpus(tmp_path / "gt", {
+            "a": "head 0 0 1 1\nleaf 1 1 2 2\nhead 2 2 3 3\n", "b": "head 0 0 2 2\n"
+        }))
+        a, b = gt.images["a"], gt.images["b"]
+        assert a.class_names[0] is a.class_names[2] is b.class_names[0]
+        assert a.class_names[0] is sys.intern(head)
+        preds = load_predictions_dir(write_corpus(tmp_path / "pred", {
+            "a": "head 0.9 0 0 1 1\nhead 0.8 2 2 3 3\n", "b": "head 0.5 0 0 2 2\n"
+        }))
+        a, b = preds["a"], preds["b"]
+        assert a.class_names[0] is a.class_names[1] is b.class_names[0]
+        assert b.class_names[0] is gt.images["a"].class_names[0]
 
     def test_columns_are_read_only(self):
         ann = parse_ground_truth("a 0 0 1 1", "img")

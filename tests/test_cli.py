@@ -374,6 +374,29 @@ class TestAnchors:
         assert "Warning" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--anchors", "--floor"])
+    def test_underflowing_anchor_area_is_a_usage_error(self, tmp_path, flag):
+        gt = self.corpus(tmp_path)
+        code, _, err = run_cli(
+            "anchors", gt, flag, "1e-200x1e-200", "--compare", "--out", tmp_path / "out"
+        )
+        assert code == 2
+        assert "area of '1e-200x1e-200' underflows to 0" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "method", [[], ["--method", "kmeans", "--k", "2", "--layers", "2"]],
+        ids=["linefit", "kmeans"],
+    )
+    def test_boxes_of_underflowing_area_are_a_data_error(self, tmp_path, method):
+        gt = write_corpus(tmp_path / "gt", {
+            "img": "head 0 0 1e-200 1e-200\nhead 0 0 2e-200 2e-200\nhead 0 0 3e-200 1e-200\n"
+        })
+        code, _, err = run_cli("anchors", gt, *method, "--out", tmp_path / "out")
+        assert code == 1
+        assert err == "error: box dimensions must have a finite area above 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_sub_micro_anchor_round_trips_through_darknet_cfg(self, tmp_path):
         gt = self.corpus(tmp_path)
         out = tmp_path / "out"

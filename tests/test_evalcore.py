@@ -50,6 +50,21 @@ def verdicts_table(rows):
     return Verdicts(*columns, [1.0 if is_tp else 0.0 for is_tp in columns[3]])
 
 
+def curve_columns(curve):
+    """A PR curve's columns as lists, then its AP, for exact comparison."""
+    return curve.recall.tolist(), curve.precision.tolist(), curve.confidences.tolist(), curve.ap
+
+
+def report_curves(report):
+    """``curve_columns`` of each class's PR curve in a report."""
+    return {name: curve_columns(curve) for name, curve in report.pr_per_class.items()}
+
+
+def reference_columns(points, confidences, ap):
+    """``reference_average_precision``'s output in the form of ``curve_columns``."""
+    return [r for r, _ in points], [p for _, p in points], list(confidences), ap
+
+
 def oracle_matches(table):
     """The table as ``reference_average_precision`` input: one single-row image per row."""
     return [
@@ -325,8 +340,9 @@ class TestAveragePrecision:
         gt, preds = worked_example
         result = match_detections(gt.images["img_0"], preds["img_0"])
         curve = average_precision(result, total_gt=2)
-        assert curve.points == ((0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3))
-        assert curve.confidences == (0.9, 0.8, 0.7)
+        assert curve.recall.tolist() == [0.5, 0.5, 1.0]
+        assert curve.precision.tolist() == [1.0, 0.5, 2 / 3]
+        assert curve.confidences.tolist() == [0.9, 0.8, 0.7]
         assert curve.ap == pytest.approx(5 / 6, abs=1e-9)
 
     def test_perfect_detector_scores_exactly_one(self):
@@ -402,10 +418,8 @@ class TestAveragePrecisionAgainstReference:
     @staticmethod
     def assert_same(table, total_gt):
         curve = average_precision(table, total_gt)
-        points, confidences, ap = reference_average_precision(oracle_matches(table), total_gt)
-        assert curve.points == points
-        assert curve.confidences == confidences
-        assert curve.ap == ap
+        reference = reference_average_precision(oracle_matches(table), total_gt)
+        assert curve_columns(curve) == reference_columns(*reference)
 
     @settings(max_examples=300, deadline=None)
     @given(match_result_lists())
@@ -422,18 +436,54 @@ class TestAveragePrecisionAgainstReference:
     def test_whole_key_ties_keep_input_order(self):
         table, total_gt = _tied_verdicts_that_differ_in_is_tp()
         self.assert_same(table, total_gt)
-        assert average_precision(table, total_gt).points == ((1.0, 1.0), (1.0, 0.5))
-        assert average_precision(table[::-1], total_gt).points == ((0.0, 0.0), (1.0, 0.5))
+        curve = average_precision(table, total_gt)
+        assert (curve.recall.tolist(), curve.precision.tolist()) == ([1.0, 1.0], [1.0, 0.5])
+        curve = average_precision(table[::-1], total_gt)
+        assert (curve.recall.tolist(), curve.precision.tolist()) == ([0.0, 1.0], [0.0, 0.5])
 
 
 class TestPRCurveValidation:
     def test_length_mismatch_rejected(self):
-        with pytest.raises(EvalError):
-            PRCurve(points=((0.5, 1.0),), confidences=(), ap=0.5)
+        with pytest.raises(EvalError, match="one confidence per PR point required"):
+            PRCurve(recall=[0.5], precision=[1.0], confidences=[], ap=0.5)
+        with pytest.raises(EvalError, match="recall and precision"):
+            PRCurve(recall=[0.5, 1.0], precision=[1.0], confidences=[0.9, 0.8], ap=0.5)
+        with pytest.raises(EvalError, match="one-dimensional"):
+            PRCurve(recall=[[0.5]], precision=[[1.0]], confidences=[[0.9]], ap=0.5)
 
     def test_decreasing_recall_rejected(self):
-        with pytest.raises(EvalError):
-            PRCurve(points=((0.5, 1.0), (0.4, 0.5)), confidences=(0.9, 0.8), ap=0.5)
+        with pytest.raises(EvalError, match="recall must be non-decreasing along ranks"):
+            PRCurve(recall=[0.5, 0.4], precision=[1.0, 0.5], confidences=[0.9, 0.8], ap=0.5)
+
+
+class TestPRCurveLayout:
+    def test_columns_are_read_only_float64_copies(self):
+        recall = np.array([0.5, 0.5, 1.0])
+        curve = PRCurve(recall, [1, 0.5, 2 / 3], (0.9, 0.8, 0.7), 5 / 6)
+        recall[0] = 0.0
+        for column in (curve.recall, curve.precision, curve.confidences):
+            assert column.dtype == np.float64 and column.shape == (3,)
+            assert not column.flags.writeable
+        assert curve.recall.tolist() == [0.5, 0.5, 1.0]
+
+    def test_points_is_a_tuple_view_of_recall_and_precision(self, worked_example):
+        gt, preds = worked_example
+        curve = average_precision(match_detections(gt.images["img_0"], preds["img_0"]), 2)
+        points = curve.points
+        assert type(points) is tuple
+        assert points == tuple(zip(curve.recall.tolist(), curve.precision.tolist()))
+        assert points == ((0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3))
+        assert PRCurve([], [], [], 0.0).points == ()
+
+    def test_equality_compares_the_columns_and_ap(self):
+        curve = PRCurve([0.5, 1.0], [1.0, 1.0], [0.9, 0.8], 1.0)
+        assert curve == PRCurve(np.array([0.5, 1.0]), (1, 1), [0.9, 0.8], 1.0)
+        assert curve != PRCurve([0.5, 1.0], [1.0, 0.5], [0.9, 0.8], 1.0)
+        assert curve != PRCurve([0.5, 1.0], [1.0, 1.0], [0.9, 0.7], 1.0)
+        assert curve != PRCurve([0.5, 1.0], [1.0, 1.0], [0.9, 0.8], 0.75)
+        assert curve != PRCurve([1.0], [1.0], [0.9], 1.0)
+        with pytest.raises(TypeError):
+            hash(curve)
 
 
 # Few coordinates and confidences, so IoU and confidence ties are common;
@@ -537,7 +587,8 @@ class TestMeanAveragePrecision:
         row_classes = np.array(["head", "tail", "head", "tail"])
         for name, total in (("head", 2), ("tail", 1)):
             rows = report.verdicts[row_classes == name]
-            assert report.pr_per_class[name] == average_precision(rows, total)
+            expected = average_precision(rows, total)
+            assert curve_columns(report.pr_per_class[name]) == curve_columns(expected)
         assert evaluate(gt, preds).verdicts == report.verdicts
 
     @given(
@@ -580,14 +631,14 @@ class TestMeanAveragePrecision:
                 names = det_classes[image_id]
                 assert [v for v in verdict_rows(table) if names[v[0]] == name] == verdicts
         expected_pr = {
-            name: average_precision(
+            name: curve_columns(average_precision(
                 verdicts_table([(i, d, c, t, -1 if g is None else g)
                                 for i, (_, _, vs) in enumerate(rows) for d, c, t, g, _ in vs]),
                 sum(n for _, n, _ in rows),
-            )
+            ))
             for name, rows in expected.items()
         }
-        assert report.pr_per_class == expected_pr
+        assert report_curves(report) == expected_pr
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -623,7 +674,7 @@ class TestMeanAveragePrecision:
                 for image_id, _, vs in rows
             ]
             reference = reference_average_precision(matches, sum(n for _, n, _ in rows))
-            assert report.pr_per_class[name] == PRCurve(*reference)
+            assert curve_columns(report.pr_per_class[name]) == reference_columns(*reference)
 
     def test_image_without_prediction_file_counts_as_misses(self):
         gt = Dataset.from_images(
@@ -663,6 +714,7 @@ class TestMeanAveragePrecision:
         gt, preds = worked_example
         from_map = mean_average_precision(gt, preds)
         from_list = mean_average_precision(gt, list(preds.values()))
+        assert report_curves(from_map) == report_curves(from_list)
         assert from_map == from_list
 
     def test_duplicate_prediction_images_rejected(self, worked_example):
@@ -854,7 +906,7 @@ class TestEvaluateMetamorphic:
         )
         doubled_preds = {i: replace(p, edges=p.edges * 2) for i, p in preds.items()}
         report, doubled = evaluate(gt, preds), evaluate(doubled_gt, doubled_preds)
-        assert doubled.pr_per_class == report.pr_per_class
+        assert report_curves(doubled) == report_curves(report)
         assert (doubled.map_score, doubled.r_squared) == (report.map_score, report.r_squared)
         for name in ("image", "det_index", "confidence", "is_tp", "matched_gt", "iou"):
             column, expected = getattr(doubled.verdicts, name), getattr(report.verdicts, name)
@@ -872,4 +924,5 @@ class TestEvaluateMetamorphic:
         renamed_preds = [replace(p, image_id=rename[p.image_id]) for p in preds.values()]
         report, renamed = evaluate(gt, preds), evaluate(renamed_gt, renamed_preds)
         assert renamed.count_pairs == tuple((rename[i], t, p) for i, t, p in report.count_pairs)
+        assert report_curves(renamed) == report_curves(report)
         assert replace(renamed, count_pairs=report.count_pairs) == report

@@ -26,7 +26,8 @@ from boxlab.anchorlab import (
 )
 from boxlab.annotations import ImageAnnotations
 from boxlab.datastats import extract_dims
-from boxlab.synthgen import SynthConfig, generate_dataset
+from boxlab.evalcore import evaluate
+from boxlab.synthgen import DetectorNoise, SynthConfig, generate_dataset, simulate_detector
 
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
@@ -78,3 +79,18 @@ def test_the_anchors_check_calls_resolve():
     assert 0 < coverage(dims, chosen).mean_best_iou <= 1
     text = emit_darknet_fragment(DarknetConfigFragment(chosen))
     assert parse_darknet_fragment(text).anchors.pairs() == chosen.pairs()
+
+
+def test_the_eval_check_reads_resolve():
+    """What the ``eval`` output check reads of each PR curve: ``points`` as pairs."""
+    gt = generate_dataset(SynthConfig(n_images=4, seed=0))
+    noise = DetectorNoise(miss_rate=0.2, false_positive_rate=1.0, seed=0)
+    for predictions in (simulate_detector(gt, noise), {}):
+        report = evaluate(gt, predictions)
+        assert report.pr_per_class
+        for curve in report.pr_per_class.values():
+            points = curve.points
+            assert type(points) is tuple and len(points) == len(curve.recall)
+            assert bool(points) == bool(predictions)
+            if points:
+                assert points[-1][0] == curve.recall[-1]
