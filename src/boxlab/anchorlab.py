@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .annotations import format_coordinate
+from .annotations import MAX_COORDINATE, SIDE_RANGE, format_coordinate, in_domain
 
 KMEANS_MAX_ITERATIONS = 1000
 # Rows per block of a point-by-centroid (or point-by-anchor) cost matrix, and
@@ -36,8 +36,8 @@ class AnchorError(ValueError):
 class AnchorSet:
     """Anchors as a read-only (k, 2) float64 array of (width, height) rows.
 
-    The rows are finite, positive, of finite area above 0, sorted by area ascending,
-    and without exact duplicates; anything else raises ``AnchorError``.
+    Every value is a side in [2**-50, 2**50], the rows are sorted by area
+    ascending and hold no exact duplicates; anything else raises ``AnchorError``.
     """
 
     dims: np.ndarray
@@ -131,19 +131,15 @@ class DarknetConfigFragment:
 
 def _dims_array(dims: ArrayLike, what: str = "box dimensions") -> np.ndarray:
     """(width, height) pairs as an (n, 2) float array; AnchorError, naming them ``what``,
-    unless every value is finite and > 0 and every width times height is finite and > 0."""
+    unless every value is a side of the coordinate domain, in [2**-50, 2**50]."""
     try:
         points = np.asarray(dims, dtype=float)
     except (TypeError, ValueError):
         raise AnchorError(f"{what} must be numeric (width, height) pairs") from None
     if points.ndim != 2 or points.shape[1] != 2:
         raise AnchorError(f"{what} must have shape (n, 2), got {points.shape}")
-    if not np.all((points > 0) & np.isfinite(points)):
-        raise AnchorError(f"{what} must be finite and positive")
-    with np.errstate(over="ignore"):
-        areas = points[:, 0] * points[:, 1]
-    if not np.all(np.isfinite(areas) & (areas > 0)):
-        raise AnchorError(f"{what} must have a finite area above 0")
+    if not in_domain(points).all():
+        raise AnchorError(f"{what} must be {SIDE_RANGE}")
     return points
 
 
@@ -169,11 +165,8 @@ def _kmeans_pp_init(w, h, area, k: int, distance: str, rng: np.random.Generator)
     chosen = [index]
     costs = _pair_costs(w, h, area, w[index], h[index], area[index], distance)
     while len(chosen) < k:
-        with np.errstate(over="ignore"):
-            weights = costs * costs
-            total = weights.sum()
-        if not np.isfinite(total):
-            raise AnchorError("box dimensions too large: k-means seeding weights overflow")
+        weights = costs * costs
+        total = weights.sum()
         if total == 0:
             raise AnchorError("k exceeds the number of distinct dims")
         index = int(rng.choice(len(w), p=weights / total))
@@ -316,8 +309,8 @@ def kmeans_anchors(
 
 
 def _round_anchor(width: float, height: float) -> tuple[float, float]:
-    # Integer anchors, with a 1px floor so a tiny fitted height stays valid.
-    return (max(1.0, float(round(width))), max(1.0, float(round(height))))
+    # Whole-pixel anchors in [1, 2**50] px, so any fitted height gives a valid one.
+    return tuple(min(MAX_COORDINATE, max(1.0, float(round(v)))) for v in (width, height))
 
 
 def linefit_anchors(

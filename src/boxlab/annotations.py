@@ -14,6 +14,8 @@ An image's boxes are stored only as columns: a tuple of class names and a
 read-only ``(n, 4)`` float64 array of (left, top, right, bottom) edges, plus
 an ``(n,)`` confidence array for detections, all in file order. The
 constructors check every row once; all types are immutable afterwards.
+They also check the one coordinate domain, inside which every area, IoU,
+moment, cost and weight that boxlab forms is exactly 0 or a normal float.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 EDGE_NAMES = ("left", "top", "right", "bottom")
+# The coordinate domain: every coordinate lies in [0, MAX_COORDINATE] and every
+# box or image side in [MIN_SIDE, MAX_COORDINATE]. Up to twice MAX_COORDINATE a
+# float still resolves half a pixel, which the simulator's restore needs; a
+# non-zero difference of two values of at least MIN_SIDE is at least 2**-102,
+# so its fourth power is still a normal float.
+MAX_COORDINATE = 2.0**50
+MIN_SIDE = 2.0**-50
+SIDE_RANGE = "positive and finite, in [2**-50, 2**50]"
 PREDICTION_FIELDS = ("confidence", *EDGE_NAMES)
 
 
@@ -57,6 +67,11 @@ class DatasetError(ValueError):
     """A corpus-level problem: duplicate ids, manifest mismatches, bounds."""
 
 
+def in_domain(values, low=MIN_SIDE):
+    """Whether ``values`` (a float, or an array elementwise) lie in [low, MAX_COORDINATE]."""
+    return (values >= low) & (values <= MAX_COORDINATE)
+
+
 def _box_problem(left, top, right, bottom) -> str | None:
     """Why four edges do not make a box, or None; the first failed check wins."""
     for name, value in zip(EDGE_NAMES, (left, top, right, bottom)):
@@ -68,8 +83,12 @@ def _box_problem(left, top, right, bottom) -> str | None:
         return f"zero-width box: right {right} <= left {left}"
     if bottom <= top:
         return f"zero-height box: bottom {bottom} <= top {top}"
-    if not math.isfinite((right - left) * (bottom - top)):
-        return f"box area overflows: width {right - left} x height {bottom - top}"
+    sides = (right - left, bottom - top)
+    if not (in_domain(max(right, bottom), 0.0) and in_domain(min(sides))):
+        return (
+            "box outside the coordinate domain (edges at most 2**50, sides at least 2**-50): "
+            f"{(left, top, right, bottom)}"
+        )
     return None
 
 
@@ -115,19 +134,16 @@ def _checked_columns(class_names, edges, confidences=None) -> list:
         edges = edges.reshape(0, 4)
     if edges.shape != (n, 4):
         raise ValueError(f"edges must have shape ({n}, 4), got {edges.shape}")
-    left, top, right, bottom = edges.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Not finite when an edge is not, or when the area overflows.
-        area = (right - left) * (bottom - top)
-    bad = ~np.isfinite(area) | (left < 0) | (top < 0) | (right <= left) | (bottom <= top)
+    # The sides are formed only from in-domain edges, so they are finite.
+    valid = in_domain(edges, 0.0).all() and in_domain(edges[:, 2:] - edges[:, :2]).all()
     columns = [class_names, _read_only(edges)]
     if confidences is not None:
         confidences = np.array(confidences, dtype=np.float64)
         if confidences.shape != (n,):
             raise ValueError(f"confidences must have shape ({n},), got {confidences.shape}")
-        bad |= ~((confidences >= 0.0) & (confidences <= 1.0))
+        valid = valid and ((confidences >= 0.0) & (confidences <= 1.0)).all()
         columns.append(_read_only(confidences))
-    if bad.any() or any(map(_class_name_problem, set(class_names))):
+    if not valid or any(map(_class_name_problem, set(class_names))):
         for i, (name, row) in enumerate(zip(class_names, edges.tolist())):
             problem = _class_name_problem(name) or _box_problem(*row)
             if problem is None and confidences is not None:
@@ -143,8 +159,9 @@ class ImageAnnotations:
 
     ``class_names`` and ``edges`` hold one entry per box in file order and
     are stored as checked copies; ``edges`` is a read-only ``(n, 4)``
-    float64 array of (left, top, right, bottom). Set dimensions must be
-    positive, finite and hold every box; ``dims_inferred`` needs them set.
+    float64 array of (left, top, right, bottom), in the coordinate domain.
+    Set dimensions must lie in [MIN_SIDE, MAX_COORDINATE] and hold every
+    box; ``dims_inferred`` needs them set.
     """
 
     image_id: str
@@ -164,8 +181,8 @@ class ImageAnnotations:
         if self.dims_inferred and width is None:
             raise DatasetError(f"image {image_id!r}: inferred dimensions must be set")
         if width is not None:
-            if not (0 < width < math.inf and 0 < height < math.inf):
-                raise DatasetError(f"image {image_id!r}: dimensions must be positive and finite")
+            if not (in_domain(width) and in_domain(height)):
+                raise DatasetError(f"image {image_id!r}: dimensions must be {SIDE_RANGE}")
             outside = np.flatnonzero((edges[:, 2] > width) | (edges[:, 3] > height))
             if outside.size:
                 i = int(outside[0])
@@ -393,8 +410,8 @@ def load_manifest(path: str | Path) -> dict[str, tuple[float, float]]:
             width, height = float(row[1]), float(row[2])
         except ValueError:
             raise DatasetError(f"{path}: row {row_number}: non-numeric dimensions") from None
-        if not (math.isfinite(width) and math.isfinite(height)) or width <= 0 or height <= 0:
-            raise DatasetError(f"{path}: row {row_number}: dimensions must be positive")
+        if not (in_domain(width) and in_domain(height)):
+            raise DatasetError(f"{path}: row {row_number}: dimensions must be {SIDE_RANGE}")
         dims[image_id] = (width, height)
     return dims
 

@@ -31,10 +31,12 @@ from .anchorlab import (
     linefit_anchors,
 )
 from .annotations import (
+    SIDE_RANGE,
     Dataset,
     DatasetError,
     ParseError,
     format_coordinate,
+    in_domain,
     load_dataset,
     load_predictions_dir,
     save_dataset,
@@ -113,10 +115,8 @@ def dimension_pair(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
     width, height = positive_float(parts[0]), positive_float(parts[1])
-    if not math.isfinite(width * height):
-        raise argparse.ArgumentTypeError(f"area of {text!r} overflows")
-    if width * height == 0:
-        raise argparse.ArgumentTypeError(f"area of {text!r} underflows to 0")
+    if not (in_domain(width) and in_domain(height)):
+        raise argparse.ArgumentTypeError(f"{text!r}: sides must be {SIDE_RANGE}")
     return width, height
 
 

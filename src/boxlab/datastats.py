@@ -6,7 +6,6 @@ are double counted, so values above 1 are possible by design.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,18 +74,7 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
         total_area = sum(((edges[:, 2] - edges[:, 0]) * (edges[:, 3] - edges[:, 1])).tolist())
         if len(ann) and ann.width is None:
             raise StatsError(f"image {ann.image_id!r} has boxes but no dimensions")
-        if not math.isfinite(total_area):
-            raise StatsError(f"image {ann.image_id!r}: summed box area overflows")
-        if ann.width is None:
-            coverage = 0.0
-        else:
-            image_area = ann.width * ann.height
-            if not 0 < image_area < math.inf:
-                raise StatsError(
-                    f"image {ann.image_id!r}: image area {ann.width}x{ann.height} "
-                    "is not a positive finite number"
-                )
-            coverage = total_area / image_area
+        coverage = 0.0 if ann.width is None else total_area / (ann.width * ann.height)
         per_image.append(
             ImageStats(
                 image_id=ann.image_id,
@@ -137,13 +125,19 @@ def flag_outliers(
 
 
 def histogram(values, bins: int = 20) -> list[tuple[float, float, int]]:
-    """Equal-width histogram as (bin_left, bin_right, count) rows."""
+    """Equal-width histogram as (bin_left, bin_right, count) rows over the data's range.
+
+    A range too narrow for ``bins`` distinct edges is widened by 0.5 each way, as numpy
+    widens an empty one."""
     if bins < 1:
         raise StatsError(f"bins must be >= 1, got {bins}")
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
         raise StatsError("cannot histogram an empty sequence")
-    counts, edges = np.histogram(data, bins=bins)
+    low, high = float(data.min()), float(data.max())
+    if np.any(np.diff(np.linspace(low, high, bins + 1)) <= 0):
+        low, high = low - 0.5, high + 0.5
+    counts, edges = np.histogram(data, bins=bins, range=(low, high))
     return [
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
     ]

@@ -18,15 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import Dataset, ImageAnnotations, ImageDetections
+from .annotations import MAX_COORDINATE, MIN_SIDE, Dataset, ImageAnnotations, ImageDetections
+from .annotations import in_domain
 
 
 class SynthError(ValueError):
     """Raised for invalid generator or simulator configurations."""
-
-
-# Up to twice this side, floats still resolve half a pixel, which box edges need.
-MAX_IMAGE_SIDE = 2.0**50
 
 
 def _require_finite(config, *names: str) -> None:
@@ -58,8 +55,8 @@ class SynthConfig:
             raise SynthError(f"n_images must be >= 1, got {self.n_images}")
         if self.seed < 0:
             raise SynthError(f"seed must be >= 0, got {self.seed}")
-        if not all(0 < side <= MAX_IMAGE_SIDE for side in (self.image_width, self.image_height)):
-            raise SynthError("image dimensions must be positive and at most 2**50 px")
+        if not all(in_domain(side) for side in (self.image_width, self.image_height)):
+            raise SynthError("image dimensions must be at least 2**-50 and at most 2**50 px")
         _require_finite(
             self, "count_mean", "count_sd", "line_slope", "line_intercept", "residual_sd"
         )
@@ -68,8 +65,8 @@ class SynthConfig:
         if self.count_sd < 0 or self.residual_sd < 0:
             raise SynthError("standard deviations must be non-negative")
         low, high = self.width_range
-        if not 0 < low <= high:
-            raise SynthError(f"width_range must be positive and ordered, got {self.width_range}")
+        if not MIN_SIDE <= low <= high:
+            raise SynthError(f"width_range must be at least 2**-50 and ordered, got {self.width_range}")
         if not self.class_name or any(c.isspace() for c in self.class_name):
             raise SynthError(f"invalid class name {self.class_name!r}")
         tallest = max(self.line_slope * low, self.line_slope * high) + self.line_intercept
@@ -116,8 +113,7 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     negatives truncated to zero), then widths, height residuals, left
     positions, top positions. Heights are clamped to [1, image_height].
     The boxes are placed by the simulator's rule: right and bottom edges
-    are clipped to the frame, and a box thinner than a float step keeps a
-    positive size.
+    are clipped to the frame, and every side stays at least MIN_SIDE.
     """
     low, high = config.width_range
     images = []
@@ -160,34 +156,35 @@ def _frame(ann: ImageAnnotations) -> tuple[float, float] | None:
 def _restored(edges: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Jittered ``(n, 4)`` rows made valid inside their ``(n, 2)`` frames (width, height).
 
-    Each (left, right) and (top, bottom) pair is first clipped to twice the
-    larger of its frame side and MAX_IMAGE_SIDE, widened to 1 px around its
-    centre when inverted, then shortened to the side and moved inside
-    [0, side]. Below 2**52 a float resolves the half-pixel steps, so this
-    works for any offset in a frame that synth can make, and an edge inside
+    Each (left, right) and (top, bottom) pair is first clipped to
+    ±2 * MAX_COORDINATE, widened to 1 px around its centre when it is
+    narrower than MIN_SIDE (inverted included), then shortened to the side
+    and moved inside [0, side]. Below 2**52 a float resolves the half-pixel
+    steps, and every frame side is at most MAX_COORDINATE, so an edge inside
     the bound is used as it is.
     """
-    bound = 2 * np.maximum(frames, MAX_IMAGE_SIDE)
-    low = np.clip(edges[:, :2], -bound, bound)
-    high = np.clip(edges[:, 2:], -bound, bound)
-    inverted = high <= low
+    low = np.clip(edges[:, :2], -2 * MAX_COORDINATE, 2 * MAX_COORDINATE)
+    high = np.clip(edges[:, 2:], -2 * MAX_COORDINATE, 2 * MAX_COORDINATE)
+    narrow = high - low < MIN_SIDE
     center = (low + high) / 2.0
-    low = np.where(inverted, center - 0.5, low)
-    high = np.where(inverted, center + 0.5, high)
+    low = np.where(narrow, center - 0.5, low)
+    high = np.where(narrow, center + 0.5, high)
     span = np.minimum(high - low, frames)
     return _placed(np.minimum(np.maximum(low, 0.0), frames - span), span)
 
 
 def _placed(low: np.ndarray, span: np.ndarray, frame=np.inf) -> np.ndarray:
-    """``(n, 4)`` rows from ``(n, 2)`` (left, top) corners and positive (width, height) spans.
+    """``(n, 4)`` rows from ``(n, 2)`` (left, top) corners and (width, height) spans.
 
-    The high edges are clipped to ``frame`` (width, height). Where a high
-    edge is then not above its low edge, because the span is below half a
-    float step of the low edge or the low edge sits on the frame, the low
-    edge steps one float down, and the box keeps a positive size.
+    Spans lie in [MIN_SIDE, frame side]; the high edges are clipped to
+    ``frame`` (width, height). Where rounding or the clip leaves a side
+    below MIN_SIDE, the low edge moves down to the smaller of high - span
+    and the float below high: both are in [0, high - MIN_SIDE], so the box
+    stays in the coordinate domain.
     """
     high = np.minimum(low + span, frame)
-    return np.hstack((np.where(high > low, low, np.nextafter(low, -np.inf)), high))
+    mended = np.minimum(high - span, np.nextafter(high, -np.inf))
+    return np.hstack((np.where(high - low < MIN_SIDE, mended, low), high))
 
 
 def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetections]:
@@ -199,8 +196,8 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
     their class and dimensions from a random ground-truth box anywhere in
     the corpus (an all-empty corpus yields no false positives) and land
     uniformly inside the image. Survivors come first, in ground-truth
-    order, then the false positives. An image whose frame (set or inferred)
-    has a side above 2**50 px is a SynthError, as in ``SynthConfig``.
+    order, then the false positives. Every frame, set or inferred, lies in
+    the coordinate domain, so every restored box does too.
 
     Each image draws from its own substream seeded by (seed, image index),
     in this order: one uniform survival draw per box; then per box, missed
@@ -225,8 +222,6 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
     for index, ann in enumerate(images):
         rng = np.random.default_rng([noise.seed, index])
         frame = _frame(ann)
-        if frame is not None and max(frame) > MAX_IMAGE_SIDE:
-            raise SynthError(f"image {ann.image_id!r}: sides must be at most 2**50 px")
         frames.append(frame or (0.0, 0.0))
         stop = start + len(ann)
         rng.random(out=survival[start:stop])

@@ -6,8 +6,7 @@ rank-by-rank loop, correlation via numpy's own corrcoef, annotation files
 one line and one check at a time, CSV reports one cell at a time through
 ``csv.writer``, k-means with a full cost matrix on every iteration, the
 detector simulator one box at a time in scalar arithmetic. None of it
-shares code with the package; the simulator oracle only raises the
-package's ``SynthError``, so the two can be compared error for error.
+shares code with the package.
 """
 
 from __future__ import annotations
@@ -19,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from boxlab.synthgen import SynthError
+# The coordinate domain, restated: edges in [0, 2**50], sides of at least 2**-50.
+MAX_COORDINATE = 2.0**50
+MIN_SIDE = 2.0**-50
 
 
 def raster_iou(a, b, frame: int = 512) -> float:
@@ -286,8 +287,12 @@ def _reference_box(tokens: list[str], line: int) -> tuple[float, float, float, f
     if bottom <= top:
         raise ReferenceParseError(f"zero-height box: bottom {bottom} <= top {top}", line)
     width, height = right - left, bottom - top
-    if width * height == math.inf:
-        raise ReferenceParseError(f"box area overflows: width {width} x height {height}", line)
+    if right > MAX_COORDINATE or bottom > MAX_COORDINATE or width < MIN_SIDE or height < MIN_SIDE:
+        raise ReferenceParseError(
+            "box outside the coordinate domain (edges at most 2**50, sides at least 2**-50): "
+            f"{(left, top, right, bottom)}",
+            line,
+        )
     return (left, top, right, bottom)
 
 
@@ -350,10 +355,6 @@ def reference_write_csv(path, header, rows) -> None:
     Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="\n")
 
 
-# The largest frame side the simulator accepts.
-MAX_IMAGE_SIDE = 2.0**50
-
-
 def _reference_frame(ann) -> tuple[float, float] | None:
     if ann.width is not None:
         return (ann.width, ann.height)
@@ -367,37 +368,40 @@ def _jittered(
 ) -> list[float]:
     left, top, right, bottom = (e + o for e, o in zip(edges, offsets.tolist()))
     width, height = frame
-    left, right = _valid_span(left, right, width)
-    top, bottom = _valid_span(top, bottom, height)
-    return [left, top, right, bottom]
+    left, width = _valid_span(left, right, width)
+    top, height = _valid_span(top, bottom, height)
+    return _reference_placed(left, top, width, height)
 
 
 def _valid_span(low: float, high: float, limit: float) -> tuple[float, float]:
-    """Restore a jittered edge pair: inside [0, limit], at least 1px when inverted.
+    """Restore a jittered edge pair as (low edge, span) inside [0, limit].
 
-    Edges beyond twice the larger of ``limit`` and MAX_IMAGE_SIDE are first
-    clipped to that bound. Below 2**52 a float resolves the half-pixel
-    steps, so the restore works for any offset in a frame that synth can
-    make, and an edge inside the bound is used as it is.
+    Edges beyond twice the larger of ``limit`` and MAX_COORDINATE are first
+    clipped to that bound. A pair narrower than MIN_SIDE, inverted or not,
+    is widened to 1px around its centre. Below 2**52 a float resolves the
+    half-pixel steps, so the restore works for any offset in a frame that
+    synth can make, and an edge inside the bound is used as it is.
     """
-    bound = 2 * max(limit, MAX_IMAGE_SIDE)
+    bound = 2 * max(limit, MAX_COORDINATE)
     if not (-bound <= low <= bound and -bound <= high <= bound):
         low, high = (min(max(edge, -bound), bound) for edge in (low, high))
-    if high <= low:
+    if high - low < MIN_SIDE:
         center = (low + high) / 2.0
         low, high = center - 0.5, center + 0.5
     span = min(high - low, limit)
-    low = min(max(low, 0.0), limit - span)
-    return low, low + span
+    return min(max(low, 0.0), limit - span), span
 
 
-def _reference_positive_size(row: list[float]) -> list[float]:
-    """A low edge steps one float down where adding its size left it unchanged."""
-    left, top, right, bottom = row
-    if right <= left:
-        left = math.nextafter(left, -math.inf)
-    if bottom <= top:
-        top = math.nextafter(top, -math.inf)
+def _reference_placed(left: float, top: float, width: float, height: float) -> list[float]:
+    """The box of that corner and size; a side that rounding left below MIN_SIDE is mended.
+
+    Its low edge moves down to the smaller of high - size and the float below high.
+    """
+    right, bottom = left + width, top + height
+    if right - left < MIN_SIDE:
+        left = min(right - width, math.nextafter(right, -math.inf))
+    if bottom - top < MIN_SIDE:
+        top = min(bottom - height, math.nextafter(bottom, -math.inf))
     return [left, top, right, bottom]
 
 
@@ -407,8 +411,8 @@ def reference_simulate_detector(gt, noise) -> dict[str, tuple]:
     Per image, from the substream seeded by (seed, image index): the
     survival draws, then per box a ``normal(0, jitter_sd, 4)`` offset and a
     ``uniform`` confidence, then the Poisson false positives. A box whose
-    offsets are all zero keeps its row as it is. A moved or placed box too
-    thin for its position keeps a positive size one float step wide.
+    offsets are all zero keeps its row as it is. A moved or placed box whose
+    side rounding left below MIN_SIDE is mended by ``_reference_placed``.
     """
     corpus_names = [name for ann in gt for name in ann.class_names]
     corpus_edges = np.concatenate([np.empty((0, 4)), *(ann.edges for ann in gt)])
@@ -420,8 +424,6 @@ def reference_simulate_detector(gt, noise) -> dict[str, tuple]:
     for index, ann in enumerate(gt):
         rng = np.random.default_rng([noise.seed, index])
         frame = _reference_frame(ann)
-        if frame is not None and max(frame) > MAX_IMAGE_SIDE:
-            raise SynthError(f"image {ann.image_id!r}: sides must be at most 2**50 px")
         names, rows, confidences = [], [], []
         survival = rng.random(len(ann))
         for name, row, draw in zip(ann.class_names, ann.edges.tolist(), survival):
@@ -430,7 +432,7 @@ def reference_simulate_detector(gt, noise) -> dict[str, tuple]:
             if draw < noise.miss_rate:
                 continue
             if np.any(offsets != 0.0):
-                row = _reference_positive_size(_jittered(row, offsets, frame))
+                row = _jittered(row, offsets, frame)
             names.append(name)
             rows.append(row)
             confidences.append(confidence)
@@ -444,7 +446,7 @@ def reference_simulate_detector(gt, noise) -> dict[str, tuple]:
             left = float(rng.uniform(0.0, frame[0] - width))
             top = float(rng.uniform(0.0, frame[1] - height))
             names.append(corpus_names[source])
-            rows.append(_reference_positive_size([left, top, left + width, top + height]))
+            rows.append(_reference_placed(left, top, width, height))
             confidences.append(float(rng.uniform(fp_low, fp_high)))
         predictions[ann.image_id] = (
             tuple(names),

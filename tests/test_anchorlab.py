@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,8 @@ from oracles import (
     reference_anchor_order,
     reference_run_kmeans,
 )
+
+OUTSIDE_DOMAIN = "{} must be positive and finite, in [2**-50, 2**50]"
 
 GOLDEN_ANCHORS = [
     (10, 10), (16, 16), (19, 19), (16, 24), (24, 20), (23, 24), (28, 27),
@@ -143,16 +148,28 @@ class TestAnchorSet:
             AnchorSet([(width, 10)])
 
     def test_overflowing_area_rejected(self):
-        with pytest.raises(AnchorError, match="finite area"):
+        with pytest.raises(AnchorError, match=re.escape(OUTSIDE_DOMAIN.format("anchors"))):
             AnchorSet.from_dims([(1e200, 1e200)])
-        with pytest.raises(AnchorError, match="finite area"):
+        with pytest.raises(AnchorError, match=re.escape(OUTSIDE_DOMAIN.format("anchors"))):
             AnchorSet([(10, 10), (1e200, 1e200)])
 
     def test_underflowing_area_rejected(self):
-        with pytest.raises(AnchorError, match="finite area above 0"):
+        with pytest.raises(AnchorError, match=re.escape(OUTSIDE_DOMAIN.format("anchors"))):
             AnchorSet.from_dims([(1e-200, 1e-200)])
-        with pytest.raises(AnchorError, match="finite area above 0"):
+        with pytest.raises(AnchorError, match=re.escape(OUTSIDE_DOMAIN.format("anchors"))):
             AnchorSet([(1e-200, 1e-200), (10, 10)])
+
+    @pytest.mark.parametrize(
+        "pair, valid",
+        [((2.0**-50, 2.0**50), True), ((math.nextafter(2.0**-50, 0), 1.0), False),
+         ((1.0, 2.0**50 + 0.25), False)],
+    )
+    def test_values_at_the_domain_edges(self, pair, valid):
+        if valid:
+            assert AnchorSet([pair]).pairs() == [pair]
+        else:
+            with pytest.raises(AnchorError, match=re.escape(OUTSIDE_DOMAIN.format("anchors"))):
+                AnchorSet([pair])
 
 
 class TestKMeans:
@@ -276,28 +293,30 @@ class TestKMeans:
     @pytest.mark.parametrize("distance", ["one_minus_iou", "euclidean"])
     def test_overflowing_area_rejected(self, distance):
         dims = dims_of([(1e200, 1e200), (2e200, 1e200), (3e200, 1e200)])
-        with pytest.raises(AnchorError, match="finite area"):
+        message = re.escape(OUTSIDE_DOMAIN.format("box dimensions"))
+        with pytest.raises(AnchorError, match=message):
             run_kmeans(dims, k=2, distance=distance)
-        with pytest.raises(AnchorError, match="finite area"):
+        with pytest.raises(AnchorError, match=message):
             linefit_anchors(dims)
-        with pytest.raises(AnchorError, match="finite area"):
+        with pytest.raises(AnchorError, match=message):
             coverage(dims, AnchorSet.from_dims([(10, 10)]))
 
     @pytest.mark.parametrize("distance", ["one_minus_iou", "euclidean"])
     def test_underflowing_area_rejected(self, distance):
         # Each value is a positive float, but every width times height rounds to 0.
         dims = dims_of([(1e-200, 1e-200), (2e-200, 2e-200), (3e-200, 1e-200)])
-        with pytest.raises(AnchorError, match="finite area above 0"):
+        message = re.escape(OUTSIDE_DOMAIN.format("box dimensions"))
+        with pytest.raises(AnchorError, match=message):
             run_kmeans(dims, k=2, distance=distance)
-        with pytest.raises(AnchorError, match="finite area above 0"):
+        with pytest.raises(AnchorError, match=message):
             linefit_anchors(dims)
-        with pytest.raises(AnchorError, match="finite area above 0"):
+        with pytest.raises(AnchorError, match=message):
             coverage(dims, AnchorSet.from_dims([(10, 10)]))
 
     def test_overflowing_seeding_weights_rejected(self):
-        # Finite areas, but squared costs of about 1e200 square past the float range.
+        # Finite areas, but squared costs of about 1e200 would square past the float range.
         dims = dims_of([(1e100, 1e100), (2e100, 1e100), (3e100, 1e100)])
-        with pytest.raises(AnchorError, match="overflow"):
+        with pytest.raises(AnchorError, match=re.escape(OUTSIDE_DOMAIN.format("box dimensions"))):
             run_kmeans(dims, k=2, distance="euclidean")
 
 
@@ -358,6 +377,12 @@ class TestKMeansAgainstPlainLoop:
         self.assert_same_run(dims, 9, "one_minus_iou", 0)
 
 
+# Sides whose double stays in the coordinate domain, down to its smallest side.
+DOUBLABLE_SIDES = (
+    st.integers(1, 9) | st.sampled_from([2.0**-50, 2.0**49]) | st.floats(2.0**-50, 2.0**49)
+)
+
+
 class TestScaleEquivariance:
     """Doubling every box dimension doubles the anchors and changes no assignment.
 
@@ -375,6 +400,26 @@ class TestScaleEquivariance:
         assert np.array_equal(doubled.centroids, 2 * run.centroids)
         factor = 4 if distance == "euclidean" else 1
         assert doubled.objective_history == tuple(factor * v for v in run.objective_history)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(DOUBLABLE_SIDES, DOUBLABLE_SIDES), min_size=1, max_size=30),
+        st.sampled_from(DISTANCES),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_kmeans_on_doubled_dims_of_any_corpus(self, pairs, distance, seed, data):
+        dims = np.array(pairs, dtype=float)
+        k = data.draw(st.integers(1, len(set(pairs))), label="k")
+        try:
+            run = run_kmeans(dims, k, distance, seed)
+        except AnchorError as error:
+            with pytest.raises(AnchorError, match=re.escape(str(error))):
+                run_kmeans(2 * dims, k, distance, seed)
+            return
+        doubled = run_kmeans(2 * dims, k, distance, seed)
+        assert np.array_equal(doubled.labels, run.labels)
+        assert np.array_equal(doubled.centroids, 2 * run.centroids)
 
     @pytest.mark.parametrize("distance", DISTANCES)
     @pytest.mark.parametrize("seed", range(4))
@@ -416,6 +461,14 @@ class TestLineFit:
         assert bin_residual_variances(widths, heights, 1.0, 0.0, 3) == [0.0, 64.0, 0.0]
         anchors = linefit_anchors(dims_of(pairs), n_line=2, floor=None, n_total=4, variance_bins=3)
         assert anchors.pairs() == [(10.0, 10.0), (17.0, 17.0), (23.0, 23.0), (20.0, 28.0)]
+
+    def test_anchor_extrapolated_past_the_domain_is_capped_at_2_to_the_50(self):
+        # Two boxes 2**50 px tall pull the width-1 extra one residual deviation past 2**50.
+        dims = dims_of([(1, 2.0**50), (1, 2.0**50), (1, 1), (2, 1), (2, 1), (3, 1)])
+        anchors = linefit_anchors(dims, n_line=2, floor=None, n_total=4, variance_bins=3)
+        assert anchors.pairs() == [
+            (2.0, 1.0), (2.0, 225179981368526.0), (1.0, 675539944105575.0), (1.0, 2.0**50)
+        ]
 
     def test_floor_skipped_when_boxes_are_smaller(self):
         dims = dims_of([(w, w) for w in (2, 3, 4, 5, 6)])

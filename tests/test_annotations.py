@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -53,7 +54,9 @@ class TestBoundingBox:
             ((10, 0, 5, 5), "zero-width box: right 5.0 <= left 10.0"),
             ((-1, 0, 5, 5), "negative coordinate"),
             ((0, 0, float("inf"), 5), "right is not a finite number"),
-            ((0, 0, 1e200, 1e200), "box area overflows"),
+            ((0, 0, 1e200, 1e200), "box outside the coordinate domain"),
+            ((0, 0, 2.0**50 + 0.25, 1), "box outside the coordinate domain"),
+            ((0, 0, 1, math.nextafter(2.0**-50, 0)), "box outside the coordinate domain"),
         ],
     )
     def test_rejects_degenerate_boxes(self, coords):
@@ -580,6 +583,8 @@ def _reference_outcome(parse, text):
 ODD_NUMBERS = [
     "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1e200", "1E3",
     "2.5e+1", "+5", "-0.0", "-0", "1_0", "0x10", "1e", ".5", "5.", "three", "١٢", "½",
+    # The edges of the coordinate domain: 2**50, just past it, 2**-50 and just below it.
+    "1125899906842624", "1125899906842624.25", "8.881784197001252e-16", "8.881784197001251e-16",
 ]
 # Characters that str.split or str.splitlines treat specially, plus a BOM.
 ODD_CHARS = ["\ufeff", "\u00a0", "\u2009", "\u3000", "\x85", "\u2028", "\x0b", "\x1c", "é"]
@@ -689,14 +694,18 @@ class TestAgainstReferenceParser:
         assert _reference_outcome(reference_parse_predictions, text) == ("error", line, reason)
 
     def test_box_area_overflow_is_malformed(self):
-        reason = "box area overflows: width 1e+200 x height 1e+200"
+        """A box whose area overflows a float lies outside the coordinate domain."""
+        reason = (
+            "box outside the coordinate domain (edges at most 2**50, sides at least 2**-50): "
+            "(0.0, 0.0, 1e+200, 1e+200)"
+        )
         gt_text = "head 0 0 1 1\nhead 0 0 1e200 1e200"
         assert _outcome(parse_ground_truth, gt_text) == ("error", 2, reason)
         assert _reference_outcome(reference_parse_ground_truth, gt_text) == ("error", 2, reason)
         pred_text = "head 0.5 0 0 1e200 1e200"
         assert _outcome(parse_predictions, pred_text) == ("error", 1, reason)
         assert _reference_outcome(reference_parse_predictions, pred_text) == ("error", 1, reason)
-        with pytest.raises(ValueError, match="box 2: box area overflows"):
+        with pytest.raises(ValueError, match="box 2: box outside the coordinate domain"):
             ImageAnnotations("img", ["head"] * 2, [[0, 0, 1, 1], [0, 0, 1e200, 1e200]])
 
     @settings(max_examples=40, deadline=None)

@@ -1,16 +1,22 @@
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
+import math
 import os
 import re
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxlab import annotations, cli, evalcore
 from boxlab.anchorlab import parse_darknet_fragment
+from boxlab.datastats import extract_dims
+from boxlab.reports import fmt_num
 from conftest import DATA_DIR, run_cli, write_corpus
 from oracles import reference_write_csv
 
@@ -370,7 +376,7 @@ class TestAnchors:
             "anchors", gt, flag, "1e200x1e200", "--compare", "--out", tmp_path / "out"
         )
         assert code == 2
-        assert "area of '1e200x1e200' overflows" in err
+        assert "'1e200x1e200': sides must be positive and finite, in [2**-50, 2**50]" in err
         assert "Warning" not in err
         assert not (tmp_path / "out").exists()
 
@@ -381,7 +387,7 @@ class TestAnchors:
             "anchors", gt, flag, "1e-200x1e-200", "--compare", "--out", tmp_path / "out"
         )
         assert code == 2
-        assert "area of '1e-200x1e-200' underflows to 0" in err
+        assert "'1e-200x1e-200': sides must be positive and finite, in [2**-50, 2**50]" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -394,7 +400,10 @@ class TestAnchors:
         })
         code, _, err = run_cli("anchors", gt, *method, "--out", tmp_path / "out")
         assert code == 1
-        assert err == "error: box dimensions must have a finite area above 0\n"
+        assert err == (
+            f"error: {gt / 'img.txt'}: line 1: box outside the coordinate domain "
+            "(edges at most 2**50, sides at least 2**-50): (0.0, 0.0, 1e-200, 1e-200)\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_sub_micro_anchor_round_trips_through_darknet_cfg(self, tmp_path):
@@ -878,7 +887,7 @@ class TestNegativeSeeds:
 
 
 class TestOverflowingBoxArea:
-    """A box whose width times height overflows a float is a malformed line."""
+    """A box whose width times height overflows a float is outside the coordinate domain."""
 
     GT = "head 0 0 1e200 1e200\nhead 0 0 2e200 1e200\nhead 0 0 3e200 1e200\n"
 
@@ -905,9 +914,120 @@ class TestOverflowingBoxArea:
         assert code == 1
         assert err.splitlines() == [err.strip()]
         assert err.startswith("error: ")
-        assert "img.txt: line 1: box area overflows" in err
+        assert "img.txt: line 1: box outside the coordinate domain" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestExtremeAspectBoxes:
+    """Boxes of positive, finite area but a side below 2**-50 are outside the coordinate domain."""
+
+    GT = "head 0 0 1e-200 1e200\nhead 0 0 2e-200 1e200\nhead 0 0 3e-200 1.5e200\n"
+
+    @pytest.mark.parametrize(
+        "method",
+        [[], ["--method", "kmeans", "--k", "2", "--layers", "2"],
+         ["--method", "kmeans", "--k", "2", "--layers", "2", "--distance", "euclidean"]],
+        ids=["linefit", "kmeans-iou", "kmeans-euclidean"],
+    )
+    def test_anchors_exit_1_with_one_line_and_no_warning(self, tmp_path, method):
+        gt = write_corpus(tmp_path / "gt", {"img": self.GT})
+        code, _, err = run_cli("anchors", gt, *method, "--out", tmp_path / "out")
+        assert code == 1
+        assert err == (
+            f"error: {gt / 'img.txt'}: line 1: box outside the coordinate domain "
+            "(edges at most 2**50, sides at least 2**-50): (0.0, 0.0, 1e-200, 1e+200)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+MIN_SIDE, MAX_COORDINATE = annotations.MIN_SIDE, annotations.MAX_COORDINATE
+# Sides at both edges of the coordinate domain, and just past them.
+SMALL_SIDES = [MIN_SIDE, math.nextafter(MIN_SIDE, 1.0), 1.0]
+LARGE_SIDES = [MAX_COORDINATE, math.nextafter(MAX_COORDINATE, 0.0), 1e6]
+PAST_SIDES = [math.nextafter(MIN_SIDE, 0.0), MAX_COORDINATE + 0.25]
+
+
+@st.composite
+def domain_edge_values(draw):
+    """Boxes at extreme aspect, an image size and a WxH flag value, all at the domain edges.
+
+    Half the examples also draw values just past the edges.
+    """
+    past = PAST_SIDES if draw(st.booleans()) else []
+    small, large = st.sampled_from(SMALL_SIDES + past), st.sampled_from(LARGE_SIDES + past)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        sides = [draw(small), draw(large)]
+        if draw(st.booleans()):
+            sides.reverse()
+        corner = [
+            draw(st.sampled_from([0.0, -0.0, MIN_SIDE, 1.0, MAX_COORDINATE - side]
+                                 + [-MIN_SIDE] * bool(past)))
+            for side in sides
+        ]
+        rows.append((*corner, corner[0] + sides[0], corner[1] + sides[1]))
+    any_side = small | large
+    frame = draw(st.none() | st.tuples(any_side, any_side))
+    flag = draw(st.none() | st.tuples(st.sampled_from(["--anchors", "--floor"]), any_side, any_side))
+    return rows, frame, flag
+
+
+class TestCoordinateDomainEdges:
+    """Input at and just past both domain edges gives a result or one clear error, never a warning.
+
+    Each run goes through ``cli.main`` in this process, where the suite turns a
+    numpy RuntimeWarning into an exception.
+    """
+
+    COMMANDS = [
+        ("stats",),
+        ("anchors",),
+        ("anchors", "--method", "kmeans", "--k", "2", "--layers", "2"),
+        ("anchors", "--method", "kmeans", "--k", "2", "--layers", "2", "--distance", "euclidean"),
+        ("eval", "{pred}"),
+    ]
+
+    @staticmethod
+    def run(argv) -> tuple[int, str]:
+        stderr, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(stdout):
+            code = cli.main([str(a) for a in argv])
+        assert stdout.getvalue() == ""
+        return code, stderr.getvalue()
+
+    @settings(max_examples=25, deadline=None)
+    @given(values=domain_edge_values())
+    def test_every_command_exits_cleanly(self, tmp_path_factory, values):
+        rows, frame, flag = values
+        root = tmp_path_factory.mktemp("edges")
+        text = "".join(
+            "head " + " ".join(map(annotations.format_coordinate, row)) + "\n" for row in rows
+        )
+        gt = write_corpus(root / "gt", {"img": text, "small": "head 0 0 10 20\n"})
+        pred = write_corpus(root / "pred", {"img": text.replace("head ", "head 0.9 ")})
+        extra = []
+        if frame is not None:
+            manifest = root / "manifest.csv"
+            width, height = map(annotations.format_coordinate, frame)
+            manifest.write_text(f"image_id,width,height\nimg,{width},{height}\n")
+            extra = ["--manifest", manifest]
+        for index, (command, *rest) in enumerate(self.COMMANDS):
+            argv = [command, gt, *(a.format(pred=pred) for a in rest), *extra]
+            if command == "anchors" and flag is not None:
+                name, width, height = flag
+                argv += [name, f"{annotations.format_coordinate(width)}x"
+                               f"{annotations.format_coordinate(height)}"]
+            code, err = self.run([*argv, "--out", root / f"out{index}", "--quiet"])
+            lines = err.splitlines()
+            if code == 0:
+                assert err == ""
+            elif code == 1:
+                assert len(lines) == 1 and lines[0].startswith("error: "), err
+            else:
+                # An argparse error follows its usage block.
+                assert code == 2 and command == "anchors" and flag is not None, err
+                assert len([line for line in lines if "error: " in line]) == 1, err
 
 
 class TestUndecodableBytes:
@@ -938,17 +1058,20 @@ class TestUndecodableBytes:
 
 
 class TestStatsAreaOverflow:
-    """An image whose summed box area or width x height overflows is a data error."""
+    """An image whose summed box area or width x height would overflow is outside the
+    coordinate domain: a data error naming the file and its line or row."""
 
     @pytest.mark.parametrize(
-        "gt_text, manifest",
+        "gt_text, manifest, where",
         [
-            ("head 0 0 1e154 1e154\nhead 0 0 1.2e154 1.2e154\n", None),
-            ("head 0 0 10 10\n", "image_id,width,height\nimg,1e200,1e200\n"),
+            ("head 0 0 1e154 1e154\nhead 0 0 1.2e154 1.2e154\n", None,
+             "gt/img.txt: line 1: box outside the coordinate domain"),
+            ("head 0 0 10 10\n", "image_id,width,height\nimg,1e200,1e200\n",
+             "m.csv: row 2: dimensions must be positive and finite, in [2**-50, 2**50]"),
         ],
         ids=["box-areas", "manifest-size"],
     )
-    def test_is_a_data_error_and_writes_nothing(self, tmp_path, gt_text, manifest):
+    def test_is_a_data_error_and_writes_nothing(self, tmp_path, gt_text, manifest, where):
         gt = write_corpus(tmp_path / "gt", {"img": gt_text, "other": "head 0 0 10 10\n"})
         argv = ["stats", gt, "--out", tmp_path / "out"]
         if manifest:
@@ -957,7 +1080,7 @@ class TestStatsAreaOverflow:
         code, _, err = run_cli(*argv)
         assert code == 1
         assert err.splitlines() == [err.strip()]
-        assert err.startswith("error: image 'img': ")
+        assert err.startswith(f"error: {tmp_path}/{where}")
         assert not (tmp_path / "out").exists()
 
 
@@ -1126,6 +1249,30 @@ class TestDoubledCoordinates:
         # The summed box areas do move: the corpus really was doubled.
         assert (a / "per_image.csv").read_bytes() != (b / "per_image.csv").read_bytes()
         assert (a / "coverage_hist.csv").read_bytes() == (b / "coverage_hist.csv").read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "method, step",
+        [(["--floor", "{floor}"], 1.0),
+         (["--method", "kmeans", "--k", "6", "--layers", "6"], 0.01),
+         (["--method", "kmeans", "--k", "6", "--layers", "6", "--distance", "euclidean"], 0.01)],
+        ids=["linefit", "kmeans-iou", "kmeans-euclidean"],
+    )
+    def test_anchors_double_within_their_rounding_step(self, corpora, method, step):
+        """Box rows double exactly; anchors, rounded after the doubling, within one step."""
+        dims, anchors = [], []
+        for root, floor in zip(corpora, ("10x10", "20x20")):
+            out = self.run("anchors", root, *(a.format(floor=floor) for a in method))
+            with (out / "dims_anchors.csv").open(encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            dims.append(extract_dims(annotations.load_dataset(root / "gt", root / "manifest.csv")))
+            assert [row for row in rows if row[0] == "box"] == [
+                ["box", fmt_num(w), fmt_num(h)] for w, h in dims[-1].tolist()
+            ]
+            anchors.append(np.array([row[1:] for row in rows if row[0] == "anchor"], dtype=float))
+        assert len(dims[0]) and np.array_equal(dims[1], 2 * dims[0])
+        assert anchors[0].shape == anchors[1].shape
+        assert np.all(np.abs(anchors[1] - 2 * anchors[0]) <= step * (1 + 1e-9))
 
 
 SYNTH_ID = re.compile(r"img_\d{4}")

@@ -88,17 +88,23 @@ class TestComputeStats:
             (
                 [(0, 0, 1e154, 1e154), (0, 0, 1.2e154, 1.2e154)],
                 1.2e154,
-                "summed box area overflows",
+                "box 1: box outside the coordinate domain",
             ),
-            ([(0, 0, 10, 10)], 1e200, "image area 1e+200x1e+200 is not a positive finite"),
-            ([(0, 0, 1e-201, 1e-201)], 1e-200, "image area 1e-200x1e-200 is not a positive finite"),
+            ([(0, 0, 10, 10)], 1e200, "'a': dimensions must be positive and finite, in [2**-50"),
+            ([(0, 0, 1e-201, 1e-201)], 1e-200, "box 1: box outside the coordinate domain"),
         ],
         ids=["box-areas", "image-area", "image-area-underflow"],
     )
     def test_area_that_is_not_finite_is_an_error(self, edges, side, message):
-        ann = ImageAnnotations("a", ["h"] * len(edges), edges, width=side, height=side)
-        with pytest.raises(StatsError, match=re.escape(message)):
-            compute_stats(Dataset.from_images([image_with_counts("b", 3), ann]))
+        """Such an image lies outside the coordinate domain, so it cannot be built."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ImageAnnotations("a", ["h"] * len(edges), edges, width=side, height=side)
+
+    @pytest.mark.parametrize("side", [2.0**-50, 2.0**50])
+    def test_images_at_the_domain_edges_have_finite_figures(self, side):
+        ann = ImageAnnotations("a", ["h"] * 3, [(0, 0, side, side)] * 3, width=side, height=side)
+        row = compute_stats(Dataset.from_images([ann])).per_image[0]
+        assert (row.total_box_area, row.coverage_fraction) == (3 * side * side, 3.0)
 
     def test_empty_dataset_is_an_error(self):
         with pytest.raises(StatsError):
@@ -217,6 +223,11 @@ class TestHistogram:
     def test_single_value_input(self):
         rows = histogram([5.0, 5.0], bins=4)
         assert sum(count for _, _, count in rows) == 2
+
+    def test_range_too_narrow_for_the_bins_is_widened_as_a_single_value(self):
+        rows = histogram([1.0, 1.0 + 2**-52], bins=20)
+        assert (rows[0][0], rows[-1][1]) == (0.5, 1.5 + 2**-52)
+        assert [count for _, _, count in rows] == [0] * 10 + [2] + [0] * 9
 
     def test_empty_input_rejected(self):
         with pytest.raises(StatsError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boxlab.annotations import Dataset, ImageAnnotations, save_dataset
+from boxlab.annotations import MAX_COORDINATE, MIN_SIDE, Dataset, ImageAnnotations, save_dataset
 from boxlab.evalcore import evaluate
 from boxlab.synthgen import (
     DetectorNoise,
@@ -51,6 +51,7 @@ class TestSynthConfigValidation:
             dict(n_images=3, width_range=(60, 50)),
             dict(n_images=3, class_name=""),
             dict(n_images=3, class_name="two words"),
+            dict(n_images=3, width_range=(math.nextafter(MIN_SIDE, 0.0), 50)),
         ],
     )
     def test_rejects_bad_parameters(self, overrides):
@@ -62,6 +63,16 @@ class TestSynthConfigValidation:
         for overrides in (dict(image_width=side), dict(image_height=side)):
             with pytest.raises(SynthError, match="at most 2"):
                 SynthConfig(n_images=1, **overrides)
+
+    @pytest.mark.parametrize("side", [math.nextafter(MIN_SIDE, 0.0), 0.0, -1.0])
+    def test_rejects_sides_below_2_to_the_minus_50(self, side):
+        with pytest.raises(SynthError, match=r"at least 2\*\*-50"):
+            SynthConfig(n_images=1, image_width=side)
+
+    def test_narrowest_width_range_generates_valid_boxes(self):
+        config = SynthConfig(n_images=3, width_range=(MIN_SIDE, MIN_SIDE), seed=4)
+        widths = [w for ann in generate_dataset(config) for w, _ in dims(ann)]
+        assert widths and min(widths) >= MIN_SIDE
 
     def test_largest_side_generates_valid_boxes(self):
         ds = generate_dataset(SynthConfig(n_images=2, image_width=2.0**50, image_height=2.0**50))
@@ -322,7 +333,7 @@ class TestSimulateDetector:
         """Clipping the jittered edges changes nothing for edges inside +-2**51 px."""
 
         def unclipped_span(low, high, limit):
-            if high <= low:
+            if high - low < MIN_SIDE:
                 center = (low + high) / 2.0
                 low, high = center - 0.5, center + 0.5
             span = min(high - low, limit)
@@ -345,9 +356,12 @@ class TestSimulateDetector:
 
     @pytest.mark.parametrize("dims", [dict(width=1e17, height=1e17), {}], ids=["set", "inferred"])
     def test_loaded_frame_above_2_to_the_50_is_rejected(self, dims):
-        ann = ImageAnnotations("a", ["h"], [(0, 0, 1e16, 1e16)], **dims)
-        with pytest.raises(SynthError, match=r"image 'a': sides must be at most 2\*\*50 px"):
-            simulate_detector(Dataset.from_images([ann]), DetectorNoise(jitter_sd=1e18, seed=3))
+        """Such a frame cannot reach the simulator: the image constructor rejects it."""
+        with pytest.raises(ValueError, match=r"box 1: box outside the coordinate domain"):
+            ImageAnnotations("a", ["h"], [(0, 0, 1e16, 1e16)], **dims)
+        if dims:
+            with pytest.raises(ValueError, match=r"'a': dimensions must be .* 2\*\*50\]"):
+                ImageAnnotations("a", ["h"], [(0, 0, 10, 10)], **dims)
 
     def test_loaded_frame_of_2_to_the_50_is_accepted(self):
         side = 2.0**50
@@ -355,10 +369,17 @@ class TestSimulateDetector:
         preds = simulate_detector(Dataset.from_images([ann]), DetectorNoise(jitter_sd=5.0, seed=3))
         assert len(preds["a"]) == 1
 
-    def test_a_frame_above_2_to_the_50_keeps_its_edges(self):
-        side = 2.0**53
-        row = [2.0**52, 2.0**51, 2.0**52 + 2.0**40, 2.0**51 + 2.0**40]
+    def test_a_frame_of_2_to_the_50_keeps_its_edges(self):
+        side = 2.0**50
+        row = [2.0**49, 2.0**48, 2.0**50 - 2.0**-3, 2.0**48 + 2.0**40]
         assert _restored(np.array([row]), np.array([[side, side]])).tolist() == [row]
+
+    def test_a_side_narrower_than_2_to_the_minus_50_widens_to_1_px(self):
+        """A side of MIN_SIDE stays; a positive one just below it widens, as an inverted one does."""
+        sliver = math.nextafter(MIN_SIDE, 0.0)
+        rows = [[0.0, 0.0, MIN_SIDE, sliver], [3.0, 7.0, 3.0 + 4 * MIN_SIDE, 7.0]]
+        restored = _restored(np.array(rows), np.array([[100.0, 100.0]] * 2)).tolist()
+        assert restored == [[0.0, 0.0, MIN_SIDE, 1.0], [3.0, 6.5, 3.0 + 4 * MIN_SIDE, 7.5]]
 
     def test_false_positive_count_is_calibrated(self):
         ds = generate_dataset(
@@ -421,16 +442,25 @@ class TestSimulateDetector:
             assert scores[0] == 1.0
 
 
-SIDES = st.sampled_from([1.0, 3.5, 640.0, 1200.0, 2.0**50, 2.0**51]) | st.floats(1.0, 5000.0)
+# Frame sides over the whole coordinate domain, both of its edges included.
+SIDES = (
+    st.sampled_from([MIN_SIDE, math.nextafter(MIN_SIDE, 1.0), 1.0, 3.5, 640.0, 1200.0])
+    | st.just(MAX_COORDINATE)
+    | st.floats(1.0, 5000.0)
+    | st.floats(MIN_SIDE, MAX_COORDINATE)
+)
 FRACTIONS = st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)
+# Box sides at and just above the smallest the domain allows.
+SLIVERS = st.sampled_from([MIN_SIDE, math.nextafter(MIN_SIDE, 1.0), 3 * MIN_SIDE])
 
 
 @st.composite
 def simulator_corpora(draw):
     """Up to 4 images of up to 5 boxes in 3 classes, each with set or inferred dims.
 
-    Edges include -0.0 and the frame's own sides, and some frames exceed
-    2**50 px, set or inferred.
+    Edges include -0.0 and the frame's own sides; frames span the coordinate
+    domain, from 2**-50 to 2**50 px, and some boxes are slivers just above
+    2**-50 px. A drawn box outside the domain is dropped.
     """
     images = []
     for index in range(draw(st.integers(0, 4))):
@@ -440,9 +470,12 @@ def simulator_corpora(draw):
             row = []
             for side in (width, height):
                 a, b = draw(FRACTIONS), draw(FRACTIONS)
-                row.append((min(a, b) * side, max(a, b) * side))
+                low, high = min(a, b) * side, max(a, b) * side
+                if draw(st.integers(0, 3)) == 0:
+                    high = min(low + draw(SLIVERS), side)
+                row.append((low, high))
             (left, right), (top, bottom) = row
-            if left < right and top < bottom:
+            if right - left >= MIN_SIDE and bottom - top >= MIN_SIDE:
                 names.append(draw(st.sampled_from("abc")))
                 rows.append((left, top, right, bottom))
         dims = dict(width=width, height=height) if draw(st.booleans()) else {}
@@ -474,20 +507,13 @@ class TestAgainstScalarSimulator:
     )
     @example(  # a false positive too thin for where it lands
         corpus=Dataset.from_images(
-            [ImageAnnotations("a", ["h"], [(-0.0, -0.0, 1.0, 2.8e-150)], width=1.0, height=1.0)]
+            [ImageAnnotations("a", ["h"], [(-0.0, -0.0, 1.0, MIN_SIDE)], width=2.0**50, height=1.0)]
         ),
         noise=DetectorNoise(false_positive_rate=1.0, fp_confidence=(0.0, 0.0)),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference(self, corpus, noise):
-        try:
-            expected = reference_simulate_detector(corpus, noise)
-        except SynthError as error:
-            with pytest.raises(SynthError) as caught:
-                simulate_detector(corpus, noise)
-            assert type(caught.value) is type(error)
-            assert str(caught.value) == str(error)
-            return
+        expected = reference_simulate_detector(corpus, noise)
         actual = simulate_detector(corpus, noise)
         assert list(actual) == list(expected)
         for image_id, (names, edges, confidences) in expected.items():
