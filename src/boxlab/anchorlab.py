@@ -19,7 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .annotations import MAX_COORDINATE, SIDE_RANGE, format_coordinate, in_domain
+from .annotations import (
+    MAX_COORDINATE, SIDE_RANGE, format_coordinate, frozen, in_domain, same_fields
+)
 
 KMEANS_MAX_ITERATIONS = 1000
 # Rows per block of a point-by-centroid (or point-by-anchor) cost matrix, and
@@ -32,7 +34,7 @@ class AnchorError(ValueError):
     """Raised for invalid anchor-selection inputs or configurations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorSet:
     """Anchors as a read-only (k, 2) float64 array of (width, height) rows.
 
@@ -43,7 +45,7 @@ class AnchorSet:
     dims: np.ndarray
 
     def __post_init__(self):
-        dims = np.array(_dims_array(self.dims, "anchors"))
+        dims = frozen(_dims_array(self.dims, "anchors"))
         if len(dims) == 0:
             raise AnchorError("anchor set is empty")
         areas = dims[:, 0] * dims[:, 1]
@@ -51,7 +53,6 @@ class AnchorSet:
             raise AnchorError("anchors must be sorted by area, ascending")
         if len(set(map(tuple, dims.tolist()))) != len(dims):
             raise AnchorError("anchor set contains exact duplicates")
-        dims.flags.writeable = False
         object.__setattr__(self, "dims", dims)
 
     @classmethod
@@ -65,17 +66,14 @@ class AnchorSet:
     def __len__(self) -> int:
         return len(self.dims)
 
-    def __eq__(self, other):
-        if not isinstance(other, AnchorSet):
-            return NotImplemented
-        return np.array_equal(self.dims, other.dims)
+    __eq__ = same_fields
 
     def pairs(self) -> list[tuple[float, float]]:
         """The rows as a list of (width, height) tuples of floats."""
         return list(map(tuple, self.dims.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageDiagnostic:
     """How well a set of priors covers a collection of box dimensions."""
 
@@ -84,10 +82,7 @@ class CoverageDiagnostic:
     threshold_t: float
     per_anchor_assignment_counts: np.ndarray  # read-only int array, one count per anchor
 
-    def __eq__(self, other):
-        if not isinstance(other, CoverageDiagnostic):
-            return NotImplemented
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+    __eq__ = same_fields
 
 
 # The per-section training parameters boxlab writes; a parsed fragment must match.
@@ -150,13 +145,15 @@ def centered_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMeansRun:
-    """Raw clustering outcome, including the per-iteration objective trace."""
+    """Clustering outcome: read-only (k, 2) centroids, (n,) labels and the objective trace."""
 
     centroids: np.ndarray
     labels: np.ndarray
     objective_history: tuple[float, ...]
+
+    __eq__ = same_fields
 
 
 def _kmeans_pp_init(w, h, area, k: int, distance: str, rng: np.random.Generator) -> list[int]:
@@ -297,15 +294,19 @@ def run_kmeans(
         lower -= to_distance(drift).max()
         centroids = candidates
         history.append(float(own.sum()))
-    return KMeansRun(centroids=centroids, labels=labels, objective_history=tuple(history))
+    return KMeansRun(frozen(centroids), frozen(labels, np.intp), tuple(history))
 
 
 def kmeans_anchors(
     dims: ArrayLike, k: int, distance: str = "one_minus_iou", seed: int = 0
 ) -> AnchorSet:
-    """Cluster box dimensions into k anchors (centroids rounded to 2 decimals)."""
+    """Cluster box dimensions into k anchors (centroids rounded to 2 decimals, none to 0)."""
     run = run_kmeans(dims, k, distance=distance, seed=seed)
-    return AnchorSet.from_dims(np.round(run.centroids, 2))
+    anchors = np.round(run.centroids, 2)
+    for centroid, rounded in zip(run.centroids.tolist(), anchors.tolist()):
+        if 0.0 in rounded:
+            raise AnchorError(f"k-means centroid {tuple(centroid)} rounds to 0 at 2 decimals")
+    return AnchorSet.from_dims(anchors)
 
 
 def _round_anchor(width: float, height: float) -> tuple[float, float]:
@@ -405,12 +406,11 @@ def coverage(
         best_index[block] = np.argmax(matrix, axis=1)
         best_iou[block] = matrix[np.arange(len(matrix)), best_index[block]]
     counts = np.bincount(best_index, minlength=len(anchors))
-    counts.flags.writeable = False
     return CoverageDiagnostic(
         mean_best_iou=float(best_iou.mean()),
         recall_at_t=float((best_iou >= threshold_t).mean()),
         threshold_t=float(threshold_t),
-        per_anchor_assignment_counts=counts,
+        per_anchor_assignment_counts=frozen(counts, np.intp),
     )
 
 

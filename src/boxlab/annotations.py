@@ -24,7 +24,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -116,9 +116,23 @@ class GroundTruthBox(NamedTuple):
     bottom: float
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
+def frozen(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype``."""
+    array = np.array(values, dtype=dtype)
     array.flags.writeable = False
     return array
+
+
+def same_fields(a, b):
+    """The ``__eq__`` of every record that holds arrays: arrays compare with ``np.array_equal``,
+    other fields with ``==`` (numpy's str comparison would drop trailing NULs)."""
+    if not isinstance(b, type(a)):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
 
 
 def _checked_columns(class_names, edges, confidences=None) -> list:
@@ -129,20 +143,20 @@ def _checked_columns(class_names, edges, confidences=None) -> list:
     """
     class_names = tuple(class_names)
     n = len(class_names)
-    edges = np.array(edges, dtype=np.float64)
+    edges = frozen(edges)
     if edges.size == 0:
         edges = edges.reshape(0, 4)
     if edges.shape != (n, 4):
         raise ValueError(f"edges must have shape ({n}, 4), got {edges.shape}")
     # The sides are formed only from in-domain edges, so they are finite.
     valid = in_domain(edges, 0.0).all() and in_domain(edges[:, 2:] - edges[:, :2]).all()
-    columns = [class_names, _read_only(edges)]
+    columns = [class_names, edges]
     if confidences is not None:
-        confidences = np.array(confidences, dtype=np.float64)
+        confidences = frozen(confidences)
         if confidences.shape != (n,):
             raise ValueError(f"confidences must have shape ({n},), got {confidences.shape}")
         valid = valid and ((confidences >= 0.0) & (confidences <= 1.0)).all()
-        columns.append(_read_only(confidences))
+        columns.append(confidences)
     if not valid or any(map(_class_name_problem, set(class_names))):
         for i, (name, row) in enumerate(zip(class_names, edges.tolist())):
             problem = _class_name_problem(name) or _box_problem(*row)
@@ -203,14 +217,7 @@ class ImageAnnotations:
     def __len__(self) -> int:
         return len(self.class_names)
 
-    def __eq__(self, other):
-        if not isinstance(other, ImageAnnotations):
-            return NotImplemented
-        return (
-            (self.image_id, self.class_names, self.width, self.height, self.dims_inferred)
-            == (other.image_id, other.class_names, other.width, other.height, other.dims_inferred)
-            and np.array_equal(self.edges, other.edges)
-        )
+    __eq__ = same_fields
 
     def __hash__(self):
         return hash((self.image_id, self.class_names, self.width, self.height))
@@ -236,14 +243,7 @@ class ImageDetections:
     def __len__(self) -> int:
         return len(self.class_names)
 
-    def __eq__(self, other):
-        if not isinstance(other, ImageDetections):
-            return NotImplemented
-        return (
-            (self.image_id, self.class_names) == (other.image_id, other.class_names)
-            and np.array_equal(self.edges, other.edges)
-            and np.array_equal(self.confidences, other.confidences)
-        )
+    __eq__ = same_fields
 
     def __hash__(self):
         return hash((self.image_id, self.class_names))
@@ -404,6 +404,8 @@ def load_manifest(path: str | Path) -> dict[str, tuple[float, float]]:
         if len(row) != 3:
             raise DatasetError(f"{path}: row {row_number}: expected 3 columns")
         image_id = row[0].strip()
+        if not image_id:
+            raise DatasetError(f"{path}: row {row_number}: empty image_id")
         if image_id in dims:
             raise DatasetError(f"{path}: duplicate manifest row for {image_id!r}")
         try:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .annotations import Dataset, ImageAnnotations, ImageDetections
+from .annotations import Dataset, ImageAnnotations, ImageDetections, frozen, same_fields
 
 R2_MODES = ("pearson", "identity")
 
@@ -53,11 +53,9 @@ class Verdicts:
     iou: np.ndarray = ()
 
     def __post_init__(self):
-        columns = {name: np.array(getattr(self, name), dtype) for name, dtype in _COLUMNS.items()}
+        columns = {name: frozen(getattr(self, name), dtype) for name, dtype in _COLUMNS.items()}
         if len({column.shape for column in columns.values()}) != 1 or columns["image"].ndim != 1:
             raise EvalError("verdict columns must be one-dimensional and of equal length")
-        for column in columns.values():
-            column.flags.writeable = False
         self.__dict__.update(columns)
 
     def __len__(self) -> int:
@@ -66,10 +64,7 @@ class Verdicts:
     def __getitem__(self, rows) -> "Verdicts":
         return Verdicts(**{name: getattr(self, name)[rows] for name in _COLUMNS})
 
-    def __eq__(self, other):
-        if not isinstance(other, Verdicts):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _COLUMNS)
+    __eq__ = same_fields
 
 
 # Column names of a PRCurve, in constructor order; each is float64.
@@ -84,7 +79,8 @@ class PRCurve:
     detections and the confidence of the last of them. Recall must not
     decrease along the ranks. ``points`` is the same curve as a tuple of
     (recall, precision) pairs, built anew on each access; it is kept for
-    perfbench's eval output check, which reads pairs.
+    perfbench's eval output check, which reads pairs. Two curves are equal
+    when their columns and AP are; a curve is not hashable.
     """
 
     recall: np.ndarray
@@ -93,7 +89,7 @@ class PRCurve:
     ap: float
 
     def __post_init__(self):
-        columns = {name: np.array(getattr(self, name), np.float64) for name in _CURVE_COLUMNS}
+        columns = {name: frozen(getattr(self, name)) for name in _CURVE_COLUMNS}
         recall, precision, confidences = columns.values()
         if recall.ndim != 1 or recall.shape != precision.shape:
             raise EvalError("recall and precision must be one-dimensional and of equal length")
@@ -101,20 +97,13 @@ class PRCurve:
             raise EvalError("one confidence per PR point required")
         if np.any(recall[1:] < recall[:-1]):
             raise EvalError("recall must be non-decreasing along ranks")
-        for column in columns.values():
-            column.flags.writeable = False
         self.__dict__.update(columns)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.recall.tolist(), self.precision.tolist()))
 
-    def __eq__(self, other):
-        if not isinstance(other, PRCurve):
-            return NotImplemented
-        return self.ap == other.ap and all(
-            np.array_equal(getattr(self, n), getattr(other, n)) for n in _CURVE_COLUMNS
-        )
+    __eq__ = same_fields
 
 
 @dataclass(frozen=True)

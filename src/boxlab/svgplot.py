@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .annotations import frozen, same_fields
 from .reports import fmt_num as fmt
 
 
@@ -51,7 +52,8 @@ class Series:
 
     ``points`` is anything that converts to an ``(n, 2)`` array of finite
     (x, y) values, such as an array or a sequence of pairs. It is stored as
-    a read-only float64 copy.
+    a read-only float64 copy. Two series are equal when their label, points
+    and marker are; a series is not hashable.
     """
 
     label: str
@@ -59,24 +61,18 @@ class Series:
     marker: str = "circle"
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.float64)
+        points = frozen(self.points)
         if points.size == 0:
             points = points.reshape(0, 2)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(f"points must have shape (n, 2), got {points.shape}")
         if not np.isfinite(points).all():
             raise ValueError(f"series {self.label!r} has a non-finite point")
-        points.flags.writeable = False
         object.__setattr__(self, "points", points)
         if self.marker not in MARKERS:
             raise ValueError(f"unknown marker {self.marker!r}; expected one of {MARKERS}")
 
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (self.label, self.marker) == (other.label, other.marker) and np.array_equal(
-            self.points, other.points
-        )
+    __eq__ = same_fields
 
 
 def _nice_step(raw: float) -> float:

@@ -13,13 +13,13 @@ from boxlab.evalcore import iou_matrix
 DATA_DIR = Path(__file__).parent / "data"
 # The CLI child imports the same boxlab as the tests, also when only
 # pytest's own ``pythonpath`` setting put it on sys.path, and fails on a numpy
-# RuntimeWarning as the in-process tests do.
+# RuntimeWarning or a DeprecationWarning as the in-process tests do.
 CLI_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(boxlab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
     ),
-    "PYTHONWARNINGS": "error::RuntimeWarning",
+    "PYTHONWARNINGS": "error::RuntimeWarning,error::DeprecationWarning",
 }
 
 

@@ -1375,3 +1375,36 @@ class TestPipeline:
         report = (base / "eval" / "report.csv").read_text(encoding="utf-8")
         assert "map,1\n" in report
         assert "r_squared,1\n" in report
+
+
+class TestKMeansAnchorsRoundingToZero:
+    """A k-means centroid under 0.005 px rounds to a 0 anchor: one error naming the
+    centroid and the rounding, not a complaint about anchors the user never gave."""
+
+    @pytest.mark.parametrize(
+        "method", [["--method", "kmeans"], ["--compare"]], ids=["kmeans", "compare"]
+    )
+    def test_is_one_data_error_naming_the_rounding(self, tmp_path, method):
+        gt = write_corpus(tmp_path / "gt", {
+            "img": "head 0 0 0.001 0.002\nhead 0 0 0.003 0.001\nhead 0 0 0.002 0.002\n"
+        })
+        code, stdout, err = run_cli(
+            "anchors", gt, *method, "--k", "2", "--layers", "2", "--out", tmp_path / "out"
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [err.strip()]
+        pattern = r"error: k-means centroid \(.*\) rounds to 0 at 2 decimals"
+        assert re.fullmatch(pattern, err.strip())
+        assert not (tmp_path / "out").exists()
+
+
+class TestEmptyManifestImageId:
+    @pytest.mark.parametrize("image_id", ["", "  "], ids=["empty", "blank"])
+    def test_is_a_data_error_naming_the_row(self, tmp_path, image_id):
+        gt = write_corpus(tmp_path / "gt", {"a": "head 0 0 1 1\n"})
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"image_id,width,height\n{image_id},10,10\na,10,10\n")
+        code, _, err = run_cli("stats", gt, "--manifest", manifest, "--out", tmp_path / "out")
+        assert code == 1
+        assert err == f"error: {manifest}: row 2: empty image_id\n"
+        assert not (tmp_path / "out").exists()
