@@ -300,12 +300,21 @@ def run_kmeans(
 def kmeans_anchors(
     dims: ArrayLike, k: int, distance: str = "one_minus_iou", seed: int = 0
 ) -> AnchorSet:
-    """Cluster box dimensions into k anchors (centroids rounded to 2 decimals, none to 0)."""
+    """Cluster box dimensions into k anchors (centroids rounded to 2 decimals).
+
+    A centroid that rounds to 0, or two that round to the same anchor, is
+    an AnchorError naming the centroids, so the set always holds k anchors.
+    """
     run = run_kmeans(dims, k, distance=distance, seed=seed)
     anchors = np.round(run.centroids, 2)
-    for centroid, rounded in zip(run.centroids.tolist(), anchors.tolist()):
+    first_of = {}
+    for centroid, rounded in zip(map(tuple, run.centroids.tolist()), map(tuple, anchors.tolist())):
         if 0.0 in rounded:
-            raise AnchorError(f"k-means centroid {tuple(centroid)} rounds to 0 at 2 decimals")
+            raise AnchorError(f"k-means centroid {centroid} rounds to 0 at 2 decimals")
+        if rounded in first_of:
+            raise AnchorError(f"k-means centroids {first_of[rounded]} and {centroid} "
+                              f"round to the same anchor at 2 decimals")
+        first_of[rounded] = centroid
     return AnchorSet.from_dims(anchors)
 
 

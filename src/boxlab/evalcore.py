@@ -137,28 +137,25 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def match_detections(
-    gt: ImageAnnotations, pred: ImageDetections, iou_threshold: float = 0.70
-) -> Verdicts:
-    """Greedily match one image's detections to its ground truth at an IoU threshold.
+def _checked_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise EvalError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
 
-    Detections are processed in descending confidence (ties keep file
-    order); each claims the unmatched ground-truth box of its own class with
-    the highest IoU when that IoU reaches the threshold, otherwise it is an
-    FP. IoU ties between ground-truth boxes resolve to the lower index. A
-    box of another class is never available, so an FP's ``iou`` is its
-    best IoU with an unmatched box of its class (0.0 when none is left).
-    The table's ``image`` column is 0.
+
+def _greedy_matches(
+    gt: ImageAnnotations, pred: ImageDetections, iou_threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One image's greedy matching as (order, partners, ious) arrays in rank order.
+
+    ``order`` holds the detection indices by descending confidence (ties
+    keep file order); rank r claimed box ``partners[r]`` (-1 for an FP)
+    and decided on IoU ``ious[r]``.
 
     Only pairs of the same class with IoU > 0 are candidates, listed per
     detection in ground-truth order; the greedy loop walks those lists.
     This is exact: the threshold is above 0, so a pair with IoU 0 can
     never match.
     """
-    if gt.image_id != pred.image_id:
-        raise EvalError(f"image id mismatch: {gt.image_id!r} vs {pred.image_id!r}")
-    if not 0.0 < iou_threshold <= 1.0:
-        raise EvalError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     codes: dict[str, int] = {}
     gt_codes = np.array([codes.setdefault(name, len(codes)) for name in gt.class_names], int)
     pred_codes = np.array([codes.get(name, -1) for name in pred.class_names], int)
@@ -181,8 +178,49 @@ def match_detections(
         if best >= iou_threshold:
             matched[best_j] = True
             partners[rank] = best_j
+    return order, partners, ious
+
+
+def match_detections(
+    gt: ImageAnnotations, pred: ImageDetections, iou_threshold: float = 0.70
+) -> Verdicts:
+    """Greedily match one image's detections to its ground truth at an IoU threshold.
+
+    Detections are processed in descending confidence (ties keep file
+    order); each claims the unmatched ground-truth box of its own class with
+    the highest IoU when that IoU reaches the threshold, otherwise it is an
+    FP. IoU ties between ground-truth boxes resolve to the lower index. A
+    box of another class is never available, so an FP's ``iou`` is its
+    best IoU with an unmatched box of its class (0.0 when none is left).
+    The table's ``image`` column is 0.
+
+    This is the one-image entry point of the matcher that
+    ``mean_average_precision`` runs on each image of a corpus.
+    """
+    if gt.image_id != pred.image_id:
+        raise EvalError(f"image id mismatch: {gt.image_id!r} vs {pred.image_id!r}")
+    _checked_iou_threshold(iou_threshold)
+    order, partners, ious = _greedy_matches(gt, pred, iou_threshold)
     image = np.zeros(len(pred), np.int64)
     return Verdicts(image, order, pred.confidences[order], partners >= 0, partners, ious)
+
+
+def _ranked_curve(is_tp: np.ndarray, confidences: np.ndarray, total_gt: int) -> PRCurve:
+    """PR curve and all-point AP of detections already in rank order.
+
+    Each value is an integer true division, which numpy and Python both
+    round correctly, and a rank that adds no recall adds an exact 0.0 to
+    the ``math.fsum``, which reads the array without a list of every rank,
+    so the curve and AP equal a rank-by-rank loop's.
+    """
+    true_positives = np.cumsum(is_tp, dtype=np.int64)
+    if len(true_positives) and true_positives[-1] > total_gt:
+        raise EvalError("more true positives than ground-truth boxes")
+    recall = true_positives / total_gt
+    precision = true_positives / np.arange(1, len(true_positives) + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = math.fsum(np.diff(recall, prepend=0.0) * envelope)
+    return PRCurve(recall, precision, confidences, ap)
 
 
 def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
@@ -195,12 +233,9 @@ def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
     PASCAL VOC definition since 2010). A box matched twice within an
     image, or more TPs than ``total_gt``, is an EvalError.
 
-    The curve's recall and precision columns go into the PRCurve as the
-    arrays computed here, with the confidences in rank order; no
-    per-rank Python object is made. Each value is an integer true
-    division, which numpy and Python both round correctly, and a rank that
-    adds no recall adds an exact 0.0 to a ``math.fsum``, so the curve and
-    AP equal a rank-by-rank loop's.
+    The curve's recall and precision columns go into the PRCurve as
+    computed, with the confidences in rank order; no per-rank Python
+    object is kept.
     """
     if total_gt < 1:
         raise EvalError(f"total_gt must be >= 1, got {total_gt}")
@@ -209,15 +244,8 @@ def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
     by_box = np.lexsort((box, image))
     if np.any((np.diff(image[by_box]) == 0) & (np.diff(box[by_box]) == 0)):
         raise EvalError("a ground-truth box was matched more than once")
-    if len(image) > total_gt:
-        raise EvalError("more true positives than ground-truth boxes")
     order = np.lexsort((verdicts.det_index, verdicts.image, -verdicts.confidence))
-    true_positives = np.cumsum(tp[order], dtype=np.int64)
-    recall = true_positives / total_gt
-    precision = true_positives / np.arange(1, len(order) + 1)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = math.fsum((np.diff(recall, prepend=0.0) * envelope).tolist())
-    return PRCurve(recall, precision, verdicts.confidence[order], ap)
+    return _ranked_curve(tp[order], verdicts.confidence[order], total_gt)
 
 
 def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]:
@@ -239,46 +267,79 @@ def _checked_predictions(gt: Dataset, predictions) -> dict[str, ImageDetections]
     return by_id
 
 
-def mean_average_precision(
-    gt: Dataset, predictions, iou_threshold: float = 0.70
-) -> EvalReport:
-    """Per-class AP and their mean.
+def _corpus_verdicts(
+    gt: Dataset, predictions: Mapping[str, ImageDetections], codes: Mapping[str, int],
+    iou_threshold: float,
+) -> tuple[Verdicts, np.ndarray]:
+    """Every image's verdict rows whose class is in ``codes``, and each row's class code.
 
-    Classes are those present in the ground truth; detections of any other
-    class are ignored. Each image is matched once with ``match_detections``;
-    the tables are joined, with ``image`` set to each image's corpus
-    position, and split into classes by row masks. An image with no
-    prediction file contributes only false negatives. The returned report
-    carries the AP fields and the verdicts; count pairs and R² are left
-    empty (see ``evaluate`` for the full report).
+    The rows are filled one image at a time into columns sized from the
+    detection counts; the Verdicts table is their one read-only copy.
     """
-    predictions = _checked_predictions(gt, predictions)
+    size = sum(map(len, predictions.values()))
+    columns = {name: np.empty(size, dtype) for name, dtype in _COLUMNS.items()}
+    class_codes = np.empty(size, np.int64)
+    stop = 0
+    for position, ann in enumerate(gt):
+        pred = predictions.get(ann.image_id)
+        if pred is None:
+            continue
+        order, partners, ious = _greedy_matches(ann, pred, iou_threshold)
+        row_codes = np.array([codes.get(name, -1) for name in pred.class_names], np.int64)[order]
+        kept = row_codes >= 0
+        order, partners, ious = order[kept], partners[kept], ious[kept]
+        rows = slice(stop, stop + len(order))
+        stop = rows.stop
+        values = (position, order, pred.confidences[order], partners >= 0, partners, ious)
+        for column, value in zip(columns.values(), values):
+            column[rows] = value
+        class_codes[rows] = row_codes[kept]
+    verdicts = Verdicts(**{name: column[:stop] for name, column in columns.items()})
+    return verdicts, class_codes[:stop]
+
+
+def _mean_average_precision(
+    gt: Dataset, predictions: Mapping[str, ImageDetections], iou_threshold: float
+) -> EvalReport:
+    """``mean_average_precision`` on predictions that ``_checked_predictions`` returned."""
     gt_totals = Counter(name for ann in gt for name in ann.class_names)
     if not gt_totals:
         raise EvalError("ground truth contains no boxes")
+    _checked_iou_threshold(iou_threshold)
     codes = {name: code for code, name in enumerate(sorted(gt_totals))}
-    tables, class_codes = [], []
-    for ann in gt:
-        pred = predictions.get(ann.image_id)
-        if pred is None:
-            pred = ImageDetections(ann.image_id)
-        tables.append(match_detections(ann, pred, iou_threshold))
-        class_codes += [codes.get(pred.class_names[i], -1) for i in tables[-1].det_index.tolist()]
-    columns = {name: np.concatenate([getattr(t, name) for t in tables]) for name in _COLUMNS}
-    columns["image"] = np.repeat(np.arange(len(tables)), list(map(len, tables)))
-    verdicts = Verdicts(**columns)
-    class_codes = np.array(class_codes, np.int64)
+    verdicts, class_codes = _corpus_verdicts(gt, predictions, codes, iou_threshold)
+    # One ranking of every row, class first: each class's ranks are one contiguous segment.
+    order = np.lexsort((verdicts.det_index, verdicts.image, -verdicts.confidence, class_codes))
+    segments = np.split(order, np.cumsum(np.bincount(class_codes, minlength=len(codes)))[:-1])
     pr_per_class = {
-        name: average_precision(verdicts[class_codes == code], gt_totals[name])
-        for name, code in codes.items()
+        name: _ranked_curve(verdicts.is_tp[ranked], verdicts.confidence[ranked], gt_totals[name])
+        for name, ranked in zip(codes, segments)
     }
     ap_per_class = {name: curve.ap for name, curve in pr_per_class.items()}
     return EvalReport(
         ap_per_class=ap_per_class, pr_per_class=pr_per_class,
         map_score=math.fsum(ap_per_class.values()) / len(ap_per_class),
         count_pairs=(), r_squared=None, iou_threshold=float(iou_threshold),
-        confidence_threshold=None, verdicts=verdicts[class_codes >= 0],
+        confidence_threshold=None, verdicts=verdicts,
     )
+
+
+def mean_average_precision(
+    gt: Dataset, predictions, iou_threshold: float = 0.70
+) -> EvalReport:
+    """Per-class AP and their mean.
+
+    Classes are those present in the ground truth; detections of any other
+    class are ignored. Each image is matched once by the matcher behind
+    ``match_detections``, and its rows are written straight into one
+    corpus-wide verdict table, with ``image`` set to the image's corpus
+    position. The rows are ranked once, class first, and each class's PR
+    curve is taken from its contiguous segment of that ranking. An image
+    with no prediction file contributes only false negatives. The returned
+    report carries the AP fields and the verdicts; count pairs and R² are
+    left empty (see ``evaluate`` for the full report).
+    """
+    return _mean_average_precision(gt, _checked_predictions(gt, predictions), iou_threshold)
 
 
 def _count_pairs(
@@ -355,7 +416,7 @@ def evaluate(
         raise EvalError(f"unknown R² mode {r2_mode!r}; expected one of {R2_MODES}")
     predictions = _checked_predictions(gt, predictions)
     pairs = _count_pairs(gt, predictions, confidence_threshold)
-    report = mean_average_precision(gt, predictions, iou_threshold)
+    report = _mean_average_precision(gt, predictions, iou_threshold)
     try:
         r_squared = _r_squared(pairs, r2_mode)
     except EvalError:

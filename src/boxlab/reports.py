@@ -20,6 +20,7 @@ import re
 import sys
 import tempfile
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -47,14 +48,14 @@ def fmt_num(value: float) -> str:
     return "%.6g" % (float(value) + 0.0)
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    """Write UTF-8 text with LF endings via temp file + rename."""
+def _write_atomically(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write UTF-8 ``chunks`` in order, with LF endings, via temp file + rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         # mkstemp creates the file 0o600; reading the umask means setting it.
         umask = os.umask(0o022)
         os.umask(umask)
@@ -66,6 +67,11 @@ def atomic_write(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write UTF-8 text with LF endings via temp file + rename."""
+    _write_atomically(path, (text,))
 
 
 def _quoted(cells: Sequence[str], alone: bool) -> Sequence[str]:
@@ -105,11 +111,14 @@ def _block_text(block: Sequence) -> Iterator[str]:
 
 
 def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
-    """CSV of ``header``, then the rows of each block of equal-length typed columns."""
-    lines = list(_block_text([[name] for name in header]))
-    for block in blocks:
-        lines += _block_text(block)
-    atomic_write(path, "".join(lines))
+    """CSV of ``header``, then the rows of each block of equal-length typed columns.
+
+    The text is streamed into the temp file ``ROW_BLOCK`` rows at a time, so
+    no copy of the whole file is held; a block that fails midway leaves the
+    old file in place, as any failed write does.
+    """
+    header_text = _block_text([[name] for name in header])
+    _write_atomically(path, chain(header_text, chain.from_iterable(map(_block_text, blocks))))
 
 
 def write_run_manifest(

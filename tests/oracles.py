@@ -183,6 +183,85 @@ def reference_class_matches(images, iou_threshold):
     return result
 
 
+def _iou_matrix(a, b):
+    """Pairwise IoU of (n, 4) and (m, 4) edge arrays, in the package's per-element operations."""
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return inter / (area_a[:, None] + area_b[None, :] - inter)
+
+
+def _image_table(gt_names, gt_edges, pred_names, pred_edges, confidences, iou_threshold):
+    """One image's verdict columns from the per-image greedy loop over its full IoU matrix."""
+    matrix = _iou_matrix(pred_edges, gt_edges)
+    order = np.argsort(-confidences, kind="stable")
+    matched = [False] * len(gt_names)
+    partners, ious = np.full(len(pred_names), -1), np.zeros(len(pred_names))
+    for rank, i in enumerate(order.tolist()):
+        best, best_j = 0.0, None
+        for j in range(len(gt_names)):
+            value = float(matrix[i, j])
+            if gt_names[j] == pred_names[i] and value > best and not matched[j]:
+                best, best_j = value, j
+        ious[rank] = best
+        if best >= iou_threshold:
+            matched[best_j] = True
+            partners[rank] = best_j
+    return {"det_index": order, "confidence": confidences[order], "is_tp": partners >= 0,
+            "matched_gt": partners, "iou": ious}
+
+
+def _ranked_curve(columns, total_gt: int):
+    """(recall, precision, confidences, ap) of a table, ranked by one lexsort of all its rows."""
+    order = np.lexsort((columns["det_index"], columns["image"], -columns["confidence"]))
+    true_positives = np.cumsum(columns["is_tp"][order], dtype=np.int64)
+    recall = true_positives / total_gt
+    precision = true_positives / np.arange(1, len(order) + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = math.fsum((np.diff(recall, prepend=0.0) * envelope).tolist())
+    return recall, precision, columns["confidence"][order], ap
+
+
+def reference_mean_average_precision(gt, predictions, iou_threshold):
+    """Corpus verdicts and per-class curves as one table per image, joined and split by masks.
+
+    ``gt`` iterates images (with ``image_id``, ``class_names`` and ``edges``)
+    in corpus order; ``predictions`` maps an image id to its detections, and
+    an image may have none. Each image is matched on its own, the tables are
+    concatenated with ``image`` set to the corpus position, and each class
+    with ground truth takes its rows by a mask and ranks them. Returns the
+    verdict columns of the rows whose class has ground truth, by name, and
+    {class: (recall, precision, confidences, ap)} in sorted class order.
+    """
+    totals: dict[str, int] = {}
+    for ann in gt:
+        for name in ann.class_names:
+            totals[name] = totals.get(name, 0) + 1
+    codes = {name: code for code, name in enumerate(sorted(totals))}
+    tables, class_codes = [], []
+    for position, ann in enumerate(gt):
+        pred = predictions.get(ann.image_id)
+        names = () if pred is None else pred.class_names
+        edges = np.zeros((0, 4)) if pred is None else pred.edges
+        confidences = np.zeros(0) if pred is None else pred.confidences
+        table = _image_table(ann.class_names, ann.edges, names, edges, confidences, iou_threshold)
+        table["image"] = np.full(len(names), position, np.int64)
+        tables.append(table)
+        class_codes += [codes.get(names[i], -1) for i in table["det_index"].tolist()]
+    columns = {
+        name: np.concatenate([table[name] for table in tables])
+        for name in ("image", "det_index", "confidence", "is_tp", "matched_gt", "iou")
+    }
+    class_codes = np.array(class_codes, np.int64)
+    curves = {
+        name: _ranked_curve({k: v[class_codes == code] for k, v in columns.items()}, totals[name])
+        for name, code in codes.items()
+    }
+    return {name: column[class_codes >= 0] for name, column in columns.items()}, curves
+
+
 def pearson_r_squared(true_counts, predicted_counts) -> float:
     """Squared correlation straight from numpy's corrcoef."""
     r = np.corrcoef(np.asarray(true_counts, float), np.asarray(predicted_counts, float))[0, 1]

@@ -201,6 +201,17 @@ class TestKMeans:
         assert anchors.pairs() == [(10.67, 10.33)]
 
     @pytest.mark.parametrize("distance", ["euclidean", "one_minus_iou"])
+    def test_centroids_rounding_to_one_anchor_rejected(self, distance):
+        dims = dims_of([(0.011, 0.011), (0.012, 0.012), (0.0135, 0.0135), (0.014, 0.014)])
+        run = run_kmeans(dims, k=2, distance=distance)
+        first, second = map(tuple, run.centroids.tolist())
+        with pytest.raises(AnchorError) as excinfo:
+            kmeans_anchors(dims, k=2, distance=distance)
+        assert str(excinfo.value) == (
+            f"k-means centroids {first} and {second} round to the same anchor at 2 decimals"
+        )
+
+    @pytest.mark.parametrize("distance", ["euclidean", "one_minus_iou"])
     def test_objective_never_increases(self, distance):
         for seed in range(20):
             rng = np.random.default_rng([555, seed])

@@ -593,14 +593,13 @@ class TestEval:
             },
         )
         calls = []
-        original = evalcore.match_detections
+        original = evalcore._greedy_matches
 
         def counting(*args, **kwargs):
             calls.append(args[0].image_id)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(evalcore, "match_detections", counting)
-        monkeypatch.setattr(cli, "match_detections", counting, raising=False)
+        monkeypatch.setattr(evalcore, "_greedy_matches", counting)
         out = tmp_path / "out"
         assert cli.main(["eval", str(gt), str(pred), "--out", str(out), "--quiet"]) == 0
 
@@ -633,8 +632,8 @@ class TestEval:
             "leaf,2,0.8,0.5,1",
         ]
         assert overlays["c"] == header + "pred,head,0.4,0,0,10,10,ignored,\n"
-        # One class-aware matching pass: one call per ground-truth image.
-        assert len(calls) == 3
+        # One class-aware matching pass: each ground-truth image is matched exactly once.
+        assert sorted(calls) == ["a", "b", "c"]
 
     def test_class_names_with_a_quote_and_a_comma_round_trip(self, tmp_path):
         name = 'he"ad,x'
@@ -1394,6 +1393,27 @@ class TestKMeansAnchorsRoundingToZero:
         assert (code, stdout) == (1, "")
         assert err.splitlines() == [err.strip()]
         pattern = r"error: k-means centroid \(.*\) rounds to 0 at 2 decimals"
+        assert re.fullmatch(pattern, err.strip())
+        assert not (tmp_path / "out").exists()
+
+
+class TestKMeansAnchorsRoundingTogether:
+    """Two k-means centroids that round to one anchor at 2 decimals: one error naming
+    both, not a silently shorter anchor set or a complaint about the user's --layers."""
+
+    @pytest.mark.parametrize("layers", [[], ["--layers", "2"]], ids=["default", "layers"])
+    def test_is_one_data_error_naming_both_centroids(self, tmp_path, layers):
+        gt = write_corpus(tmp_path / "gt", {
+            "img": "head 0 0 0.011 0.011\nhead 0 0 0.012 0.012\n"
+                   "head 0 0 0.0135 0.0135\nhead 0 0 0.014 0.014\n"
+        })
+        code, stdout, err = run_cli(
+            "anchors", gt, "--method", "kmeans", "--k", "2", *layers, "--out", tmp_path / "out"
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [err.strip()]
+        pattern = (r"error: k-means centroids \(0\.01\d*, 0\.01\d*\) and "
+                   r"\(0\.01\d*, 0\.01\d*\) round to the same anchor at 2 decimals")
         assert re.fullmatch(pattern, err.strip())
         assert not (tmp_path / "out").exists()
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from oracles import (
     raster_iou,
     reference_average_precision,
     reference_class_matches,
+    reference_mean_average_precision,
 )
 
 
@@ -722,6 +724,109 @@ class TestMeanAveragePrecision:
         twice = list(preds.values()) * 2
         with pytest.raises(EvalError):
             mean_average_precision(gt, twice)
+
+
+def same_bits(actual, expected):
+    return (actual.dtype, actual.shape, actual.tobytes()) == (
+        expected.dtype, expected.shape, expected.tobytes()
+    )
+
+
+class TestCorpusVerdictTable:
+    """The one corpus-wide verdict table: bit-identical to one table per image, joined and
+    split by masks, and built within a memory bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.lists(GT_ROWS, max_size=6), st.none() | st.lists(DET_ROWS, max_size=8)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from([0.1, 0.5, 0.7, 1.0]),
+    )
+    @example([([("head", 0.0, 0.0, 5.0, 5.0)], [("head", 0.5, 0.0, 0.0, 5.0, 5.0)] * 2),
+              ([], None), ([("leaf", 0.0, 0.0, 5.0, 5.0)], [("weed", 0.9, 0.0, 0.0, 5.0, 5.0)])],
+             1.0)
+    def test_verdicts_curves_and_ap_are_bit_identical(self, images, iou_threshold):
+        # A None detection list means the image has no prediction file.
+        assume(any(gt_rows for gt_rows, _ in images))
+        gt = Dataset.from_images(
+            ImageAnnotations(f"img_{i}", [r[0] for r in rows], [r[1:] for r in rows])
+            for i, (rows, _) in enumerate(images)
+        )
+        preds = {
+            f"img_{i}": ImageDetections(
+                f"img_{i}", [r[0] for r in rows], [r[2:] for r in rows], [r[1] for r in rows]
+            )
+            for i, (_, rows) in enumerate(images)
+            if rows is not None
+        }
+        report = mean_average_precision(gt, preds, iou_threshold)
+        columns, curves = reference_mean_average_precision(gt, preds, iou_threshold)
+        for name, expected in columns.items():
+            assert same_bits(getattr(report.verdicts, name), expected), name
+        assert list(report.pr_per_class) == list(curves)
+        for name, (recall, precision, confidences, ap) in curves.items():
+            curve = report.pr_per_class[name]
+            assert same_bits(curve.recall, recall)
+            assert same_bits(curve.precision, precision)
+            assert same_bits(curve.confidences, confidences)
+            assert curve.ap.hex() == report.ap_per_class[name].hex() == ap.hex()
+        assert evaluate(gt, preds, iou_threshold).verdicts == report.verdicts
+
+    def test_memory_peaks_within_three_times_the_result(self):
+        # The count-dense shape: 250 images of about 103 boxes, one class, five false
+        # positives per image. The bound leaves room for one copy of the verdict table
+        # and the per-image IoU matrices, not for a second table or a list per rank.
+        gt = generate_dataset(SynthConfig(n_images=250, seed=3))
+        preds = simulate_detector(
+            gt, DetectorNoise(miss_rate=0.1, false_positive_rate=5.0, jitter_sd=2.0, seed=1)
+        )
+        tracemalloc.start()
+        try:
+            report = mean_average_precision(gt, preds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        verdicts = report.verdicts
+        result = sum(getattr(verdicts, name).nbytes for name in
+                     ("image", "det_index", "confidence", "is_tp", "matched_gt", "iou"))
+        result += sum(curve.recall.nbytes + curve.precision.nbytes + curve.confidences.nbytes
+                      for curve in report.pr_per_class.values())
+        assert len(verdicts) > 20_000
+        assert peak <= 3 * result
+
+
+class TestValidationOrder:
+    """``evaluate`` checks the predictions once and keeps every check in its place."""
+
+    def test_evaluate_checks_the_predictions_once(self, worked_example, monkeypatch):
+        from boxlab import evalcore
+
+        calls = []
+        original = evalcore._checked_predictions
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(evalcore, "_checked_predictions", counting)
+        gt, preds = worked_example
+        evaluate(gt, preds)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("score", [evaluate, mean_average_precision])
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, np.nan])
+    def test_bad_iou_threshold_rejected_after_the_prediction_checks(self, score, threshold):
+        gt = Dataset.from_images([gt_image("a", [(0, 0, 10, 10)])])
+        with pytest.raises(EvalError, match=r"iou_threshold must be in \(0, 1\]"):
+            score(gt, {}, threshold)
+        with pytest.raises(EvalError, match="unknown image 'ghost'"):
+            score(gt, [det_image("ghost", [])], threshold)
+        empty = Dataset.from_images([ImageAnnotations("a", ())])
+        with pytest.raises(EvalError, match="ground truth contains no boxes"):
+            score(empty, {}, threshold)
 
 
 def counting_corpus(true_counts, predicted_counts, confidence=0.9):

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,20 @@ class TestWriteCsv:
         with pytest.raises(error):
             write_csv(tmp_path / "out.csv", HEADER, [block])
         assert os.listdir(tmp_path) == []
+
+    def test_streams_row_blocks_instead_of_holding_the_file(self, tmp_path):
+        # 100k rows of two float columns make a file of about 1.8 MB; the writer
+        # holds one row block of it at a time, not the whole text.
+        rng = np.random.default_rng(0)
+        block = [rng.random(100_000), rng.random(100_000)]
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, HEADER, [block])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
 
 class TestFmtNum:

@@ -94,3 +94,19 @@ def test_the_eval_check_reads_resolve():
             assert bool(points) == bool(predictions)
             if points:
                 assert points[-1][0] == curve.recall[-1]
+
+
+def test_a_traced_eval_run_completes(tracing, tmp_path):
+    """The tracer encodes the ``text`` of every ``atomic_write`` call, so each must be a str."""
+    from boxlab import cli
+
+    corpus = tmp_path / "corpus"
+    argv = ["synth", "--out", str(corpus), "--images", "3", "--seed", "0", "--simulate", "--quiet"]
+    assert cli.main(argv) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        argv = ["eval", str(corpus / "gt"), str(corpus / "pred"), "--out", str(tmp_path / "eval"),
+                "--quiet"]
+        assert cli.main(argv) == 0
+    assert tracer.counts["reports.atomic_write.calls"] > 0
+    assert tracer.counts["reports.bytes_written"] > 0
