@@ -12,6 +12,7 @@ losslessly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -28,6 +29,8 @@ KMEANS_MAX_ITERATIONS = 1000
 # of a report CSV's text: neither is built for more rows than this at once.
 ROW_BLOCK = 4096
 DISTANCES = ("euclidean", "one_minus_iou")
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class AnchorError(ValueError):
@@ -156,9 +159,90 @@ class KMeansRun:
     __eq__ = same_fields
 
 
-def _kmeans_pp_init(w, h, area, k: int, distance: str, rng: np.random.Generator) -> list[int]:
+def _fold(value: int) -> int:
+    value &= _MASK32
+    return value ^ value >> 16
+
+
+def _hasher(const: int, multiplier: int):
+    """SeedSequence's 32-bit hash, whose multiplier moves on with every call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        return _fold(value * const)
+
+    return hashmix
+
+
+class _SeedStream:
+    """The draws of numpy's ``default_rng(seed)`` that seeding makes, bit for bit.
+
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words into the state and
+    increment of a PCG64 (XSL-RR 128/64) generator. ``integers`` is Lemire's
+    bounded draw, on buffered 32-bit halves below 2**32.
+    """
+
+    def __init__(self, seed: int):
+        entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _fold(0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _fold(0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(word))
+        words = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+        u = [low | high << 32 for low, high in zip(words[::2], words[1::2])]
+        self._inc = (u[2] << 64 | u[3]) << 1 & _MASK128 | 1
+        self._state = 0
+        self._next64()
+        self._state += u[0] << 64 | u[1]
+        self._next64()
+        self._halves: list[int] = []  # the unused high half of the last 64-bit draw
+
+    def _next64(self) -> int:
+        self._state = (self._state * _PCG_MULTIPLIER + self._inc) & _MASK128
+        rotation = self._state >> 122
+        value = (self._state >> 64 ^ self._state) & _MASK64
+        return (value >> rotation | value << (64 - rotation)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._halves:
+            return self._halves.pop()
+        value = self._next64()
+        self._halves.append(value >> 32)
+        return value & _MASK32
+
+    def integers(self, n: int) -> int:
+        """A uniform int in [0, n), as ``Generator.integers(n)`` draws it."""
+        if n == 1:
+            return 0
+        if n == 2**32:  # n itself overflows 32 bits, so numpy returns the draw as is
+            return self._next32()
+        bits, draw = (32, self._next32) if n < 2**32 else (64, self._next64)
+        threshold = (1 << bits) % n
+        scaled = draw() * n
+        while scaled & ((1 << bits) - 1) < threshold:
+            scaled = draw() * n
+        return scaled >> bits
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def choice(self, p: np.ndarray) -> int:
+        """An index drawn with probabilities ``p``, as ``Generator.choice(len(p), p=p)``."""
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return int(np.searchsorted(cdf, self.random(), side="right"))
+
+
+def _kmeans_pp_init(w, h, area, k: int, distance: str, rng: _SeedStream) -> list[int]:
     """Indices of k seed points: the first uniform, each next with weight cost²."""
-    index = int(rng.integers(len(w)))
+    index = rng.integers(len(w))
     chosen = [index]
     costs = _pair_costs(w, h, area, w[index], h[index], area[index], distance)
     while len(chosen) < k:
@@ -166,7 +250,7 @@ def _kmeans_pp_init(w, h, area, k: int, distance: str, rng: np.random.Generator)
         total = weights.sum()
         if total == 0:
             raise AnchorError("k exceeds the number of distinct dims")
-        index = int(rng.choice(len(w), p=weights / total))
+        index = rng.choice(weights / total)
         chosen.append(index)
         added = _pair_costs(w, h, area, w[index], h[index], area[index], distance)
         costs = np.minimum(costs, added)
@@ -195,7 +279,11 @@ def run_kmeans(
     ``dims`` is any (n, 2) array-like of (width, height). Seeding samples
     each next centroid with weight cost², where cost is the distance to the
     nearest chosen centroid: (1 - IoU)² under the IoU distance, and d⁴
-    under squared Euclidean, not the D² of k-means++.
+    under squared Euclidean, not the D² of k-means++. Its draws are those
+    of numpy's ``default_rng(seed)``, reproduced inside boxlab so that
+    ``anchors`` never imports ``numpy.random`` (about 6 MB of peak RSS) and
+    a seed keeps its anchors whatever numpy's ``Generator`` streams become.
+    ``seed`` is any integer >= 0, numpy integers included.
     Assignment always picks the lowest-index centroid among ties. Centroid
     updates take the cluster mean; under the IoU distance the mean is only a
     heuristic minimizer, so an update that would worsen its cluster cost is
@@ -226,6 +314,10 @@ def run_kmeans(
         raise AnchorError(f"unknown distance {distance!r}; expected one of {DISTANCES}")
     if k < 1:
         raise AnchorError(f"k must be >= 1, got {k}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise AnchorError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise AnchorError(f"seed must be >= 0, got {seed}")
     points = _dims_array(dims)
@@ -234,7 +326,7 @@ def run_kmeans(
 
     w, h = points.T.copy()
     area = w * h
-    centroids = points[_kmeans_pp_init(w, h, area, k, distance, np.random.default_rng(seed))]
+    centroids = points[_kmeans_pp_init(w, h, area, k, distance, _SeedStream(seed))]
     euclidean = distance == "euclidean"
     # 1 - IoU is already a distance; the Euclidean cost is its square.
     to_distance = np.sqrt if euclidean else np.asarray

@@ -52,7 +52,14 @@ DATA_ERRORS = (ParseError, DatasetError, StatsError, AnchorError, EvalError, Syn
 
 
 class UsageError(Exception):
-    """Flag combinations that argparse types alone cannot reject."""
+    """A bad flag or flag combination: exit 2 with one ``usage error:`` line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors, its subcommands' too, are a ``UsageError``."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def nonnegative_int(text: str) -> int:
@@ -158,7 +165,7 @@ MANIFEST_TEXT = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxlab",
         description="Box-annotation statistics, anchor selection, and detection evaluation.",
     )
@@ -686,15 +693,13 @@ def _write_manifest(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         args.func(args)
         _write_manifest(args)
         return 0
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -4,9 +4,9 @@ Everything here trades speed for obviousness: IoU by literally counting
 pixels on a grid, AP by scanning every confidence cutoff or by a
 rank-by-rank loop, correlation via numpy's own corrcoef, annotation files
 one line and one check at a time, CSV reports one cell at a time through
-``csv.writer``, k-means with a full cost matrix on every iteration, the
-detector simulator one box at a time in scalar arithmetic. None of it
-shares code with the package.
+``csv.writer``, k-means seeded by numpy's own ``Generator`` and with a full
+cost matrix on every iteration, the detector simulator one box at a time
+in scalar arithmetic. None of it shares code with the package.
 """
 
 from __future__ import annotations
@@ -290,13 +290,12 @@ def _reference_costs(points, centroids, distance):
     return 1.0 - inter / union
 
 
-def reference_run_kmeans(dims, k, distance, seed, max_iterations=1000):
-    """The plain Lloyd loop: every point-centroid cost on every iteration.
+def reference_kmeans_pp_init(points, k, distance, seed) -> list[int]:
+    """Indices of k seed points drawn by numpy's own ``default_rng(seed)``.
 
-    Seeding draws each next centroid with weight cost², as the package does.
-    Returns (centroids, labels, objective_history).
+    The first is ``integers(n)``; each next is ``choice(n, p=...)`` with
+    weight cost² to the nearest chosen point, as the package seeds.
     """
-    points = np.asarray(dims, dtype=float)
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(len(points)))]
     nearest = _reference_costs(points, points[chosen], distance)[:, 0]
@@ -304,7 +303,17 @@ def reference_run_kmeans(dims, k, distance, seed, max_iterations=1000):
         weights = nearest * nearest
         chosen.append(int(rng.choice(len(points), p=weights / weights.sum())))
         nearest = np.minimum(nearest, _reference_costs(points, points[chosen[-1:]], distance)[:, 0])
-    centroids = points[chosen].copy()
+    return chosen
+
+
+def reference_run_kmeans(dims, k, distance, seed, max_iterations=1000):
+    """The plain Lloyd loop: every point-centroid cost on every iteration.
+
+    Seeds come from ``reference_kmeans_pp_init``.
+    Returns (centroids, labels, objective_history).
+    """
+    points = np.asarray(dims, dtype=float)
+    centroids = points[reference_kmeans_pp_init(points, k, distance, seed)].copy()
 
     rows = np.arange(len(points))
     costs = _reference_costs(points, centroids, distance)

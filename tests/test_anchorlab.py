@@ -29,6 +29,7 @@ from oracles import (
     bin_residual_variances,
     raster_centered_iou,
     reference_anchor_order,
+    reference_kmeans_pp_init,
     reference_run_kmeans,
 )
 
@@ -280,6 +281,17 @@ class TestKMeans:
         with pytest.raises(AnchorError, match="seed"):
             run_kmeans(dims_of([(10, 10), (20, 20)]), k=1, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(AnchorError, match="seed must be an integer"):
+            run_kmeans(dims_of([(10, 10), (20, 20)]), k=1, seed=seed)
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint32, np.uint64])
+    def test_numpy_integer_seed_gives_the_anchors_of_the_int(self, kind):
+        dims = dims_of([(3, 4), (10, 12), (11, 30), (40, 9), (25, 25), (60, 70), (7, 7)])
+        for seed in (0, 5, 127):
+            assert kmeans_anchors(dims, 3, seed=kind(seed)) == kmeans_anchors(dims, 3, seed=seed)
+
     def test_k_above_point_count_rejected(self):
         with pytest.raises(AnchorError):
             run_kmeans(dims_of([(10, 10), (20, 20)]), k=3)
@@ -386,6 +398,78 @@ class TestKMeansAgainstPlainLoop:
     def test_matches_on_the_baseline_corpus(self):
         dims = extract_dims(generate_dataset(SynthConfig(n_images=1000, seed=42)))
         self.assert_same_run(dims, 9, "one_minus_iou", 0)
+
+
+# Seeds of every length SeedSequence hashes differently: one word, up to the
+# pool of 4, and past it.
+SEEDS = st.integers(0, 2**256 - 1) | st.sampled_from([0, 2**32 - 1, 2**32, 2**128, 2**128 - 1])
+KMEANS_SIDES = ANCHOR_SIDES | st.sampled_from([2.0**-50, 2.0**50]) | st.floats(2.0**-50, 2.0**50)
+NUMPY_SEEDS = st.builds(
+    lambda kind, value: kind(value % (np.iinfo(kind).max + 1)),
+    st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint32, np.uint64]),
+    st.integers(0, 2**64 - 1),
+)
+
+
+def stream_ops():
+    """Interleaved draws: ("integers", n), ("random", None) or ("choice", weights)."""
+    bounds = st.integers(1, 2**40) | st.sampled_from([1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1])
+    weights = st.lists(st.floats(0, 1e6) | st.just(0.0), min_size=1, max_size=20).filter(any)
+    return st.lists(
+        st.tuples(st.just("integers"), bounds)
+        | st.tuples(st.just("random"), st.none())
+        | st.tuples(st.just("choice"), weights),
+        max_size=40,
+    )
+
+
+class TestSeedingAgainstNumpy:
+    """Seeding draws what numpy's ``default_rng(seed)`` draws, without ``numpy.random``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS, stream_ops())
+    def test_stream_matches_default_rng(self, seed, ops):
+        ours, theirs = anchorlab._SeedStream(seed), np.random.default_rng(seed)
+        for op, arg in ops:
+            if op == "integers":
+                assert ours.integers(arg) == theirs.integers(arg)
+            elif op == "random":
+                assert ours.random() == theirs.random()
+            else:
+                p = np.array(arg) / sum(arg)
+                assert ours.choice(p) == theirs.choice(len(p), p=p)
+
+    @pytest.mark.parametrize("n", [1, 2, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1])
+    def test_integers_at_the_branch_edges(self, n):
+        for seed in range(20):
+            ours, theirs = anchorlab._SeedStream(seed), np.random.default_rng(seed)
+            assert [ours.integers(n) for _ in range(5)] == list(theirs.integers(n, size=5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(KMEANS_SIDES, KMEANS_SIDES), min_size=1, max_size=30),
+        st.sampled_from(DISTANCES),
+        SEEDS | NUMPY_SEEDS,
+        st.data(),
+    )
+    def test_seeds_and_run_match_the_oracle(self, pairs, distance, seed, data):
+        points = np.array(pairs, dtype=float)
+        k = data.draw(st.integers(1, min(len(np.unique(points, axis=0)), 12)), label="k")
+        w, h = points.T.copy()
+        chosen = anchorlab._kmeans_pp_init(
+            w, h, w * h, k, distance, anchorlab._SeedStream(int(seed))
+        )
+        assert chosen == reference_kmeans_pp_init(points, k, distance, seed)
+        TestKMeansAgainstPlainLoop.assert_same_run(points, k, distance, seed)
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_run_matches_the_oracle_at_the_domain_edges(self, distance):
+        low, high = 2.0**-50, 2.0**50
+        points = np.array(
+            [(low, low), (low, high), (high, low), (high, high), (1.0, 1.0), (low, 2 * low)]
+        )
+        for seed in (0, 1, 2**200 + 3):
+            TestKMeansAgainstPlainLoop.assert_same_run(points, 4, distance, seed)
 
 
 # Sides whose double stays in the coordinate domain, down to its smallest side.

@@ -7,6 +7,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from boxlab import annotations, cli, evalcore
 from boxlab.anchorlab import parse_darknet_fragment
 from boxlab.datastats import extract_dims
 from boxlab.reports import fmt_num
-from conftest import DATA_DIR, run_cli, write_corpus
+from conftest import CLI_ENV, DATA_DIR, run_cli, write_corpus
 from oracles import reference_write_csv
 
 GOLDEN_ANCHOR_FLAG = (
@@ -64,6 +66,23 @@ class TestTopLevel:
         assert code == 2
         assert "COMMAND" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("bogus",), "argument COMMAND: invalid choice: 'bogus'"),
+            (("stats",), "the following arguments are required: gt_dir"),
+            (("stats", WORKED_GT, "--nope"), "unrecognized arguments: --nope"),
+            (("stats", WORKED_GT, "--bins", "x"), "argument --bins: "),
+            (("anchors", WORKED_GT, "--anchors", "1e-200x1"), "argument --anchors: '1e-200x1': "),
+        ],
+        ids=["command", "missing", "unknown", "type", "wxh"],
+    )
+    def test_argparse_error_is_one_usage_error_line(self, tmp_path, argv, message):
+        code, out, err = run_cli(*argv, "--out", tmp_path / "out")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"usage error: {message}"), err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["stats", "anchors", "eval", "synth"])
     def test_help_shows_defaults(self, command):
         code, out, _ = run_cli(command, "--help")
@@ -74,6 +93,54 @@ class TestTopLevel:
             assert "3,4,6" in out
         if command == "eval":
             assert "(default: 0.7)" in out
+
+
+class TestImports:
+    """Only ``synth`` loads ``numpy.random``; k-means seeding reproduces its stream."""
+
+    @staticmethod
+    def loads_numpy_random(*argv) -> bool:
+        """Whether ``cli.main(argv)``, or with no argv ``import numpy``, loads it."""
+        probe = (
+            "import sys, numpy\n"
+            "if sys.argv[1:]:\n"
+            "    from boxlab import cli\n"
+            "    assert cli.main(sys.argv[1:]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *map(str, argv)],
+            capture_output=True, text=True, env=CLI_ENV, check=True,
+        )
+        return done.stdout.splitlines()[-1] == "True"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "{gt}"),
+            ("eval", "{gt}", "{pred}"),
+            ("anchors", "{gt}", "--compare", "--k", "3"),
+            ("anchors", "{gt}", "--method", "kmeans", "--k", "3", "--layers", "3"),
+            ("anchors", "{gt}", "--method", "kmeans", "--k", "3", "--layers", "3",
+             "--distance", "euclidean", "--seed", str(2**100)),
+            ("anchors", "{gt}", "--anchors", "10x10,20x20", "--layers", "2"),
+        ],
+        ids=["stats", "eval", "linefit-compare", "kmeans-iou", "kmeans-euclidean", "fixed"],
+    )
+    def test_command_leaves_numpy_random_unloaded(self, tmp_path, argv):
+        if self.loads_numpy_random():
+            pytest.skip("numpy < 2 loads numpy.random on import")
+        sides = [(10, 12), (14, 20), (30, 28), (45, 60), (8, 9), (22, 17), (50, 40), (16, 33)]
+        boxes = ["head 0 0 %d %d\n" % side for side in sides]
+        gt = write_corpus(tmp_path / "gt", {f"img{i}": boxes[i] + boxes[-1 - i] for i in range(4)})
+        pred = write_corpus(
+            tmp_path / "pred", {f"img{i}": boxes[i].replace("head ", "head 0.9 ") for i in range(4)}
+        )
+        argv = [a.format(gt=gt, pred=pred) for a in argv]
+        assert not self.loads_numpy_random(*argv, "--out", tmp_path / "out", "--quiet")
+
+    def test_synth_loads_numpy_random(self, tmp_path):
+        assert self.loads_numpy_random("synth", "--images", "2", "--out", tmp_path / "out")
 
 
 class TestSynth:
@@ -1024,9 +1091,9 @@ class TestCoordinateDomainEdges:
             elif code == 1:
                 assert len(lines) == 1 and lines[0].startswith("error: "), err
             else:
-                # An argparse error follows its usage block.
+                # Only a WxH flag outside the domain is a usage error here.
                 assert code == 2 and command == "anchors" and flag is not None, err
-                assert len([line for line in lines if "error: " in line]) == 1, err
+                assert len(lines) == 1 and lines[0].startswith("usage error: "), err
 
 
 class TestUndecodableBytes:
