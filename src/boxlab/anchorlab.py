@@ -21,13 +21,10 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .annotations import (
-    MAX_COORDINATE, SIDE_RANGE, format_coordinate, frozen, in_domain, same_fields
+    MAX_COORDINATE, ROW_BLOCK, SIDE_RANGE, format_coordinate, frozen, in_domain, same_fields
 )
 
 KMEANS_MAX_ITERATIONS = 1000
-# Rows per block of a point-by-centroid (or point-by-anchor) cost matrix, and
-# of a report CSV's text: neither is built for more rows than this at once.
-ROW_BLOCK = 4096
 DISTANCES = ("euclidean", "one_minus_iou")
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -271,6 +268,14 @@ def _pair_costs(w, h, area, cw, ch, carea, distance: str) -> np.ndarray:
     return 1.0 - inter / (area + carea - inter)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, numpy integers included; AnchorError for anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise AnchorError(f"{name} must be an integer, got {value!r}") from None
+
+
 def run_kmeans(
     dims: ArrayLike, k: int, distance: str = "one_minus_iou", seed: int = 0
 ) -> KMeansRun:
@@ -283,7 +288,7 @@ def run_kmeans(
     of numpy's ``default_rng(seed)``, reproduced inside boxlab so that
     ``anchors`` never imports ``numpy.random`` (about 6 MB of peak RSS) and
     a seed keeps its anchors whatever numpy's ``Generator`` streams become.
-    ``seed`` is any integer >= 0, numpy integers included.
+    ``k`` >= 1 and ``seed`` >= 0 are integers, numpy integers included.
     Assignment always picks the lowest-index centroid among ties. Centroid
     updates take the cluster mean; under the IoU distance the mean is only a
     heuristic minimizer, so an update that would worsen its cluster cost is
@@ -305,19 +310,17 @@ def run_kmeans(
     float rounding, since one computed distance is off by about 1e-16 of
     that scale and even 1,000 drift subtractions stay far below 1e-9. Costs
     are the same per-element operations as a full cost matrix, taken
-    ``ROW_BLOCK`` rows at a time, cluster
-    means come from ``np.bincount`` (the same sequential sum as a mean over
-    the members), and the reject check and the objective sum the same
-    costs in point order, so every float matches.
+    ``ROW_BLOCK`` rows at a time when assigning and one cluster at a time
+    when updating, cluster means come from ``np.bincount`` (the same
+    sequential sum as a mean over the members), and the reject check and
+    the objective sum the same costs in point order, so every float matches.
     """
     if distance not in DISTANCES:
         raise AnchorError(f"unknown distance {distance!r}; expected one of {DISTANCES}")
+    k = _integer(k, "k")
     if k < 1:
         raise AnchorError(f"k must be >= 1, got {k}")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise AnchorError(f"seed must be an integer, got {seed!r}") from None
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise AnchorError(f"seed must be >= 0, got {seed}")
     points = _dims_array(dims)
@@ -343,25 +346,21 @@ def run_kmeans(
         cw, ch = centroids.T
         carea = cw * ch
         stale = np.flatnonzero(~(to_distance(own) < lower - margin))
-        nearest = np.empty(len(stale), dtype=np.intp)
-        nearest_cost = np.empty(len(stale))
-        second_cost = np.empty(len(stale))
+        moved = False
         for start in range(0, len(stale), ROW_BLOCK):
             rows = stale[start : start + ROW_BLOCK]
-            block = slice(start, start + len(rows))
             costs = _pair_costs(
                 w[rows, None], h[rows, None], area[rows, None], cw, ch, carea, distance
             )
-            nearest[block] = np.argmin(costs, axis=1)
-            picked = np.arange(len(rows)), nearest[block]
-            nearest_cost[block] = costs[picked]
+            nearest = np.argmin(costs, axis=1)
+            moved = moved or not np.array_equal(nearest, labels[rows])
+            picked = np.arange(len(rows)), nearest
+            labels[rows] = nearest
+            own[rows] = costs[picked]
             costs[picked] = np.inf
-            second_cost[block] = costs.min(axis=1)
-        if iteration and np.array_equal(nearest, labels[stale]):
+            lower[rows] = to_distance(costs.min(axis=1))
+        if iteration and not moved:
             break
-        labels[stale] = nearest
-        own[stale] = nearest_cost
-        lower[stale] = to_distance(second_cost)
 
         # Update: each non-empty cluster moves to its mean, unless under 1 - IoU
         # that raises the cluster's summed cost.
@@ -372,16 +371,20 @@ def run_kmeans(
             sums = np.bincount(labels, weights=column, minlength=k)
             candidates[accepted, axis] = sums[accepted] / counts[accepted]
         pw, ph = candidates.T
-        candidate_own = _pair_costs(w, h, area, pw[labels], ph[labels], (pw * ph)[labels], distance)
-        if not euclidean:
-            order = np.argsort(labels.astype(group_dtype), kind="stable")
-            old, new = own[order], candidate_own[order]
-            ends = np.cumsum(counts)
-            for j in np.flatnonzero(accepted):
-                cluster = slice(ends[j] - counts[j], ends[j])
-                accepted[j] = not new[cluster].sum() > old[cluster].sum()
-            candidates[~accepted] = centroids[~accepted]
-        own = np.where(accepted[labels], candidate_own, own)
+        parea = pw * ph
+        # Each cluster's members in point order, costed against their own candidate.
+        order = np.argsort(labels.astype(group_dtype), kind="stable")
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(accepted):
+            members = order[ends[j] - counts[j] : ends[j]]
+            new = _pair_costs(
+                w[members], h[members], area[members], pw[j], ph[j], parea[j], distance
+            )
+            if euclidean or not new.sum() > own[members].sum():
+                own[members] = new
+            else:
+                accepted[j] = False
+        candidates[~accepted] = centroids[~accepted]
         drift = _pair_costs(cw, ch, cw * ch, pw, ph, pw * ph, distance)
         lower -= to_distance(drift).max()
         centroids = candidates
@@ -493,9 +496,11 @@ def coverage(
     """Assign each box to its best centered-IoU anchor and summarize the fit.
 
     Ties go to the lower anchor index. ``recall_at_t`` is the fraction of
-    boxes whose best IoU reaches the threshold. The IoU matrix is computed
-    ``ROW_BLOCK`` boxes at a time.
+    boxes whose best IoU reaches the threshold, which must lie in (0, 1].
+    The IoU matrix is computed ``ROW_BLOCK`` boxes at a time.
     """
+    if not 0.0 < threshold_t <= 1.0:
+        raise AnchorError(f"threshold_t must be in (0, 1], got {threshold_t}")
     points = _dims_array(dims)
     if len(points) == 0:
         raise AnchorError("no box dimensions to cover")

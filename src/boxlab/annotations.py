@@ -42,6 +42,10 @@ EDGE_NAMES = ("left", "top", "right", "bottom")
 MAX_COORDINATE = 2.0**50
 MIN_SIDE = 2.0**-50
 SIDE_RANGE = "positive and finite, in [2**-50, 2**50]"
+# Rows per block of a point-by-centroid cost matrix and of report or chart text:
+# none is built for more rows at once. A (ROW_BLOCK, 15) float64 block, 120 KiB,
+# stays under glibc's default 128 KiB mmap threshold.
+ROW_BLOCK = 1024
 PREDICTION_FIELDS = ("confidence", *EDGE_NAMES)
 
 

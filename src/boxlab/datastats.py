@@ -97,9 +97,13 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
 
 
 def extract_dims(dataset: Dataset) -> np.ndarray:
-    """(n, 2) float array of ground-truth box (width, height), in corpus order."""
-    edges = np.concatenate([np.empty((0, 4)), *(ann.edges for ann in dataset)])
-    return np.column_stack((edges[:, 2] - edges[:, 0], edges[:, 3] - edges[:, 1]))
+    """(n, 2) float array of ground-truth box (width, height), in corpus order, image by image."""
+    dims = np.empty((sum(map(len, dataset)), 2))
+    start = 0
+    for ann in dataset:
+        np.subtract(ann.edges[:, 2:], ann.edges[:, :2], out=dims[start : start + len(ann)])
+        start += len(ann)
+    return dims
 
 
 def flag_outliers(

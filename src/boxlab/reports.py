@@ -4,9 +4,11 @@
 float array gets 6 significant digits (``%.6g``, '.' separator) and writes
 -0.0 as ``0``; an int array is written in full (``%d``), a bool array as
 ``true``/``false``, a sequence of str as its text, and a bare str is that
-text in every row of its block. Text is quoted as ``csv.writer`` quotes it:
-only a cell holding a comma, a double quote or a line break, with its quotes
-doubled, and the lone empty cell of a one-column row, as ``""``. The run
+text in every row of its block. ``block_text`` fills a %-template from such
+columns, ``ROW_BLOCK`` rows per string; charts draw their points with it
+too. Text is quoted as ``csv.writer`` quotes it: only a cell holding a
+comma, a double quote or a line break, with its quotes doubled, and the
+lone empty cell of a one-column row, as ``""``. The run
 manifest writes floats losslessly; its timestamp is the one line that
 differs between identical runs. Lines end in LF. Files land via a temp-file
 rename, so an interrupted run leaves no partial report, with the mode a
@@ -27,17 +29,17 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .anchorlab import ROW_BLOCK
-from .annotations import format_coordinate
+from .annotations import ROW_BLOCK, format_coordinate
 
 # The characters that make csv.writer quote a cell. With an LF line
 # terminator, Python before 3.13 leaves a lone "\r" unquoted.
 _NEEDS_QUOTES = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
 
+FLOAT = "%.6g"  # a float's %-directive: 6 significant digits, '.' as the separator
 # A numpy column's %-directive, by dtype kind, and how a slice of it becomes
 # Python cells. ``+ 0.0`` turns -0.0 into 0.0, so no text check is needed.
 _NUMBER_COLUMNS = {
-    "f": ("%.6g", lambda part: (part + 0.0).tolist()),
+    "f": (FLOAT, lambda part: (part + 0.0).tolist()),
     "i": ("%d", np.ndarray.tolist),
     "b": ("%s", lambda part: np.where(part, "true", "false").tolist()),
 }
@@ -45,7 +47,26 @@ _NUMBER_COLUMNS = {
 
 def fmt_num(value: float) -> str:
     """One float cell of a report: the float-column rule applied to a scalar."""
-    return "%.6g" % (float(value) + 0.0)
+    return FLOAT % (float(value) + 0.0)
+
+
+def block_text(template: str, columns: Sequence) -> Iterator[str]:
+    """``template`` filled from each row of ``columns``, ``ROW_BLOCK`` rows per string.
+
+    A column is a numpy array, whose cells follow its dtype's rule in
+    ``_NUMBER_COLUMNS``, or a sequence of str; all must have one length.
+    """
+    lengths = {len(column) for column in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"a block needs columns of one length, got lengths {lengths}")
+    to_cells = [
+        _NUMBER_COLUMNS[column.dtype.kind][1] if isinstance(column, np.ndarray) else list
+        for column in columns
+    ]
+    for start in range(0, lengths.pop(), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        parts = [cells(column[rows]) for column, cells in zip(columns, to_cells)]
+        yield "".join(map(template.__mod__, zip(*parts)))
 
 
 def _write_atomically(path: str | Path, chunks: Iterable[str]) -> None:
@@ -95,19 +116,12 @@ def _block_text(block: Sequence) -> Iterator[str]:
         elif isinstance(column, np.ndarray):
             if column.dtype.kind not in _NUMBER_COLUMNS:
                 raise TypeError(f"no CSV cell rule for a {column.dtype} column")
-            directive, to_cells = _NUMBER_COLUMNS[column.dtype.kind]
-            formats.append(directive)
-            columns.append((column, to_cells))
+            formats.append(_NUMBER_COLUMNS[column.dtype.kind][0])
+            columns.append(column)
         else:
             formats.append("%s")
-            columns.append((_quoted(column, alone), list))
-    lengths = {len(cells) for cells, _ in columns}
-    if len(lengths) != 1:
-        raise ValueError(f"a CSV block needs columns of one length, got lengths {lengths}")
-    template = ",".join(formats) + "\n"
-    for start in range(0, lengths.pop(), ROW_BLOCK):
-        parts = [to_cells(cells[start : start + ROW_BLOCK]) for cells, to_cells in columns]
-        yield "".join(map(template.__mod__, zip(*parts)))
+            columns.append(_quoted(column, alone))
+    yield from block_text(",".join(formats) + "\n", columns)
 
 
 def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:

@@ -4,7 +4,10 @@ No plotting stack, no fonts to rasterize, no timestamps: the same data
 always renders byte-identical markup. Numbers are written with 6
 significant digits and '.' as the decimal separator regardless of locale.
 Data points are drawn at whole pixels, one marker per distinct pixel, so a
-chart's size is bounded by its canvas, not by its number of points.
+chart's size is bounded by its canvas, not by its number of points. Their
+markup is block text: one %-template per marker shape, filled from the
+pixel columns by ``reports.block_text``, ``ROW_BLOCK`` points per string,
+so charts and report CSVs format floats with one rule.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .annotations import frozen, same_fields
-from .reports import fmt_num as fmt
+from .reports import FLOAT, block_text, fmt_num as fmt
 
 
 def escape(text: str) -> str:
@@ -126,7 +129,7 @@ def _without_repeats(pixels: np.ndarray) -> np.ndarray:
 
 
 class _Canvas:
-    """Accumulates SVG elements over a fixed data-to-pixel mapping."""
+    """Accumulates SVG lines, each ending in a line feed, over a fixed data-to-pixel mapping."""
 
     def __init__(self, x_axis, y_axis):
         self.x_lo, self.x_hi, self.x_ticks = x_axis
@@ -142,12 +145,12 @@ class _Canvas:
         return MARGIN_TOP + self.plot_h - (y - self.y_lo) / (self.y_hi - self.y_lo) * self.plot_h
 
     def add(self, element: str) -> None:
-        self.parts.append(element)
+        self.parts.append(element + "\n")
 
-    def group(self, attributes: str, elements: Iterable[str]) -> None:
-        """One ``<g>`` holding ``elements``, which share its ``attributes``."""
+    def group(self, attributes: str, lines: Iterable[str]) -> None:
+        """One ``<g>`` holding the elements of ``lines``, which share its ``attributes``."""
         self.add(f"<g {attributes}>")
-        self.parts.extend(elements)
+        self.parts.extend(lines)
         self.add("</g>")
 
     def frame_and_grid(self, title: str, x_label: str, y_label: str) -> None:
@@ -202,32 +205,29 @@ class _Canvas:
             color = PALETTE[i % len(PALETTE)]
             pixels = np.rint(np.column_stack((self.sx(s.points[:, 0]), self.sy(s.points[:, 1]))))
             if s.marker == "line":
-                vertices = _without_repeats(pixels).tolist()
+                vertices = _without_repeats(pixels)
                 if len(vertices) >= 2:
-                    coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in vertices)
+                    coords = "".join(block_text(f"{FLOAT},{FLOAT} ", vertices.T))[:-1]
                     self.add(
                         f'<polyline points="{coords}" fill="none" '
                         f'stroke="{color}" stroke-width="1.5"/>'
                     )
-            markers = _distinct(pixels).tolist()
-            if not markers:
+            x, y = _distinct(pixels).T
+            if not len(x):
                 continue
             if s.marker == "cross":
+                left, right, top, bottom = x - 4, x + 4, y - 4, y + 4
+                path = f"M {FLOAT} {FLOAT} L {FLOAT} {FLOAT} M {FLOAT} {FLOAT} L {FLOAT} {FLOAT}"
                 self.group(
                     f'stroke="{color}" stroke-width="1.8" fill="none"',
-                    (
-                        f'<path d="M {fmt(x - 4)} {fmt(y - 4)} L {fmt(x + 4)} {fmt(y + 4)} '
-                        f'M {fmt(x - 4)} {fmt(y + 4)} L {fmt(x + 4)} {fmt(y - 4)}"/>'
-                        for x, y in markers
-                    ),
+                    block_text(f'<path d="{path}"/>\n',
+                               (left, top, right, bottom, left, bottom, right, top)),
                 )
             else:
                 # A line's vertices get small opaque dots.
                 radius, opacity = ("2", "") if s.marker == "line" else ("3", ' fill-opacity="0.65"')
-                self.group(
-                    f'fill="{color}"{opacity}',
-                    (f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{radius}"/>' for x, y in markers),
-                )
+                circle = f'<circle cx="{FLOAT}" cy="{FLOAT}" r="{radius}"/>\n'
+                self.group(f'fill="{color}"{opacity}', block_text(circle, (x, y)))
 
     def legend(self, series: Sequence[Series]) -> None:
         labeled = [(i, s) for i, s in enumerate(series) if s.label]
@@ -261,13 +261,12 @@ class _Canvas:
             )
 
     def render(self) -> str:
-        body = "\n".join(self.parts)
-        return (
+        head = (
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}" width="{WIDTH}" height="{HEIGHT}">\n'
             f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>\n'
-            f"{body}\n</svg>\n"
         )
+        return "".join([head, *self.parts, "</svg>\n"])
 
 
 def _chart(

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,16 @@ def run_cli(*argv, cwd=None):
 def iou(a, b) -> float:
     """IoU of two (left, top, right, bottom) rows: ``iou_matrix`` on 1-row arrays."""
     return float(iou_matrix(np.array([a], dtype=float), np.array([b], dtype=float))[0, 0])
+
+
+def traced_peak(call):
+    """``call()``'s result and the most memory, in bytes, it held at once (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_corpus(directory: Path, files: dict[str, str]) -> Path:

@@ -4,9 +4,10 @@ Everything here trades speed for obviousness: IoU by literally counting
 pixels on a grid, AP by scanning every confidence cutoff or by a
 rank-by-rank loop, correlation via numpy's own corrcoef, annotation files
 one line and one check at a time, CSV reports one cell at a time through
-``csv.writer``, k-means seeded by numpy's own ``Generator`` and with a full
-cost matrix on every iteration, the detector simulator one box at a time
-in scalar arithmetic. None of it shares code with the package.
+``csv.writer``, chart markers one f-string per marker, k-means seeded by
+numpy's own ``Generator`` and with a full cost matrix on every iteration,
+the detector simulator one box at a time in scalar arithmetic. None of it
+shares code with the package.
 """
 
 from __future__ import annotations
@@ -441,6 +442,49 @@ def reference_write_csv(path, header, rows) -> None:
     for row in rows:
         writer.writerow([_reference_cell(cell) for cell in row])
     Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="\n")
+
+
+def reference_series_markup(series, sx, sy, palette) -> list[str]:
+    """The SVG elements that draw ``series``, one f-string per marker.
+
+    Each series has ``points`` and a ``marker``; ``sx`` and ``sy`` map data
+    to pixels, and numpy's ``rint`` puts each point on a whole pixel. A
+    "line" series is a polyline without the vertices that repeat the one
+    before, then small dots; every series gets one marker per distinct
+    pixel, in order of first occurrence, in one ``<g>`` group. Numbers are
+    report floats.
+    """
+
+    def fmt(value) -> str:
+        return _reference_cell(float(value))
+
+    elements = []
+    for i, s in enumerate(series):
+        color = palette[i % len(palette)]
+        pixels = np.rint(np.column_stack((sx(s.points[:, 0]), sy(s.points[:, 1])))).tolist()
+        if s.marker == "line":
+            vertices = [p for j, p in enumerate(pixels) if j == 0 or p != pixels[j - 1]]
+            if len(vertices) >= 2:
+                coords = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in vertices)
+                elements.append(
+                    f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+                )
+        markers = list(dict.fromkeys(map(tuple, pixels)))
+        if not markers:
+            continue
+        if s.marker == "cross":
+            elements.append(f'<g stroke="{color}" stroke-width="1.8" fill="none">')
+            elements += [
+                f'<path d="M {fmt(x - 4)} {fmt(y - 4)} L {fmt(x + 4)} {fmt(y + 4)} '
+                f'M {fmt(x - 4)} {fmt(y + 4)} L {fmt(x + 4)} {fmt(y - 4)}"/>'
+                for x, y in markers
+            ]
+        else:
+            radius, opacity = ("2", "") if s.marker == "line" else ("3", ' fill-opacity="0.65"')
+            elements.append(f'<g fill="{color}"{opacity}>')
+            elements += [f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{radius}"/>' for x, y in markers]
+        elements.append("</g>")
+    return elements
 
 
 def _reference_frame(ann) -> tuple[float, float] | None:

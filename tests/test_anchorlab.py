@@ -24,6 +24,7 @@ from boxlab.anchorlab import (
 )
 from boxlab.datastats import extract_dims
 from boxlab.synthgen import SynthConfig, generate_dataset
+from conftest import traced_peak
 from oracles import (
     _reference_costs,
     bin_residual_variances,
@@ -286,6 +287,17 @@ class TestKMeans:
         with pytest.raises(AnchorError, match="seed must be an integer"):
             run_kmeans(dims_of([(10, 10), (20, 20)]), k=1, seed=seed)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, "3", None])
+    def test_non_integral_k_rejected(self, k):
+        dims = dims_of([(1, 1), (5, 5), (9, 9), (20, 20)])
+        with pytest.raises(AnchorError, match=re.escape(f"k must be an integer, got {k!r}")):
+            run_kmeans(dims, k=k)
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint32, np.uint64])
+    def test_numpy_integer_k_gives_the_run_of_the_int(self, kind):
+        dims = dims_of([(3, 4), (10, 12), (11, 30), (40, 9), (25, 25), (60, 70), (7, 7)])
+        assert run_kmeans(dims, kind(3), seed=2) == run_kmeans(dims, 3, seed=2)
+
     @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint32, np.uint64])
     def test_numpy_integer_seed_gives_the_anchors_of_the_int(self, kind):
         dims = dims_of([(3, 4), (10, 12), (11, 30), (40, 9), (25, 25), (60, 70), (7, 7)])
@@ -398,6 +410,18 @@ class TestKMeansAgainstPlainLoop:
     def test_matches_on_the_baseline_corpus(self):
         dims = extract_dims(generate_dataset(SynthConfig(n_images=1000, seed=42)))
         self.assert_same_run(dims, 9, "one_minus_iou", 0)
+
+
+class TestKMeansMemory:
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_peak_is_a_fixed_number_of_point_vectors(self, monkeypatch, distance):
+        # Every point is stale on the first pass, so a few iterations reach the peak.
+        dims = np.random.default_rng(3).uniform(5, 90, size=(50_000, 2))
+        monkeypatch.setattr(anchorlab, "KMEANS_MAX_ITERATIONS", 3)
+        _, peak = traced_peak(lambda: run_kmeans(dims, 9, distance=distance))
+        # Width, height, area, labels, own cost, lower bound and the stale
+        # indices, plus the update's sort and one cluster's costs: no n-row matrix.
+        assert peak < 12 * dims[:, 0].nbytes
 
 
 # Seeds of every length SeedSequence hashes differently: one word, up to the
@@ -667,6 +691,16 @@ class TestCoverage:
     def test_empty_dims_rejected(self):
         with pytest.raises(AnchorError):
             coverage([], AnchorSet.from_dims([(10, 10)]))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 7, 1.0000001, 0.0, -0.5, -float("inf")])
+    def test_threshold_outside_the_unit_interval_rejected(self, threshold):
+        dims, anchors = dims_of([(10, 10), (20, 20)]), AnchorSet.from_dims([(10, 10)])
+        with pytest.raises(AnchorError, match=r"threshold_t must be in \(0, 1\]"):
+            coverage(dims, anchors, threshold_t=threshold)
+
+    def test_threshold_of_one_counts_exact_fits(self):
+        diag = coverage(dims_of([(10, 10), (20, 20)]), AnchorSet.from_dims([(10, 10)]), 1)
+        assert diag.recall_at_t == 0.5
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_row_blocks_give_the_one_block_result(self, monkeypatch, block):

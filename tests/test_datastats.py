@@ -13,6 +13,8 @@ from boxlab.datastats import (
     flag_outliers,
     histogram,
 )
+from boxlab.synthgen import SynthConfig, generate_dataset
+from conftest import traced_peak
 
 
 def image_with_counts(image_id, count, box_side=10.0, image_side=100.0):
@@ -175,6 +177,13 @@ class TestExtractDims:
         assert dims.dtype == np.float64
         assert dims.shape == (3, 2)
         assert dims.tolist() == [[3.0, 4.0], [5.0, 2.0], [7.0, 11.0]]
+
+    def test_result_is_the_only_copy_of_the_corpus_sides(self):
+        ds = generate_dataset(SynthConfig(n_images=100, seed=7))
+        dims, peak = traced_peak(lambda: extract_dims(ds))
+        edges = np.concatenate([ann.edges for ann in ds])
+        assert np.array_equal(dims, edges[:, 2:] - edges[:, :2])
+        assert peak < 1.2 * dims.nbytes
 
     def test_boxless_corpus_gives_empty_pairs(self):
         ds = Dataset.from_images([ImageAnnotations("a", ()), ImageAnnotations("b", ())])

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -5,11 +7,14 @@ from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from boxlab import reports, svgplot
+from boxlab.annotations import ROW_BLOCK
 from boxlab.reports import fmt_num
-from boxlab.svgplot import Series, escape, histogram_svg, line_svg, scatter_svg
-from conftest import CLI_ENV
+from boxlab.svgplot import MARKERS, Series, escape, histogram_svg, line_svg, scatter_svg
+from conftest import CLI_ENV, traced_peak
+from oracles import reference_series_markup
 
 
 def parse_svg(text):
@@ -198,6 +203,13 @@ class TestWholePixels:
             "M 616 32 L 624 40 M 616 40 L 624 32",
         ]
 
+    def test_peak_memory_is_a_small_multiple_of_the_text(self):
+        # 100k points spread over the canvas: about 80k markers, 2.7 MB of markup.
+        points = Series("s", np.random.default_rng(0).random((100_000, 2)))
+        text, peak = traced_peak(lambda: scatter_svg([points], "x", "y", **self.UNIT))
+        assert len(text) > 2_000_000
+        assert peak < 4 * len(text)
+
     def test_size_follows_the_canvas_not_the_point_count(self):
         # 100k points in [0, 0.1]^2 cover at most 57 x 41 pixels.
         points = np.random.default_rng(0).random((100_000, 2)) / 10
@@ -236,3 +248,89 @@ class TestHistogram:
     def test_deterministic(self):
         bins = [(0.0, 10.0, 3), (10.0, 20.0, 9)]
         assert histogram_svg(bins, "v") == histogram_svg(bins, "v")
+
+
+def drawn_by_the_oracle(canvas, series):
+    for element in reference_series_markup(series, canvas.sx, canvas.sy, svgplot.PALETTE):
+        canvas.add(element)
+
+
+# Small whole values repeat pixels; wide floats reach pixels in the millions,
+# where %.6g writes an exponent.
+COORDINATES = st.integers(-50, 50).map(float) | st.floats(-1e7, 1e7)
+SERIES = st.builds(
+    Series,
+    st.sampled_from(["", "s"]),
+    st.lists(st.tuples(COORDINATES, COORDINATES), max_size=30),
+    st.sampled_from(MARKERS),
+)
+RANGES = st.none() | st.tuples(st.integers(-1000, 1000), st.integers(1, 1000)).map(
+    lambda low_span: (float(low_span[0]), float(low_span[0] + low_span[1]))
+)
+# On the unit ranges x = -0.1155 lands on pixel -0.2 and y = 1.0914 on -0.2,
+# which rint makes -0.0; x = 2000 lands on pixel 1112064, written 1.11206e+06.
+EDGE_POINTS = ((-0.1155, 1.0914), (2000.0, -3000.0), (0.5, 0.5), (-1e6, 1e7), (0.5, 0.5))
+
+
+class TestAgainstTheOracle:
+    """Block-text markup equals the per-marker f-string renderer byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([scatter_svg, line_svg]),
+        st.lists(SERIES, min_size=1, max_size=4),
+        RANGES,
+        RANGES,
+        st.sampled_from([1, 2, 5, ROW_BLOCK]),
+    )
+    @example(
+        scatter_svg, [Series("a", EDGE_POINTS, marker) for marker in MARKERS],
+        (0.0, 1.0), (0.0, 1.0), 2,
+    )
+    @example(line_svg, [Series("a", EDGE_POINTS), Series("b", EDGE_POINTS[::-1])],
+             (0.0, 1.0), (0.0, 1.0), 1)
+    def test_matches_the_per_marker_renderer(self, chart, series, x_range, y_range, row_block):
+        if (x_range is None or y_range is None) and not any(len(s.points) for s in series):
+            return  # no data bounds: both renderers raise the same ValueError
+        ranges = {"x_range": x_range, "y_range": y_range}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svgplot._Canvas, "draw_series", drawn_by_the_oracle)
+            expected = chart(series, "x", "y", **ranges)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reports, "ROW_BLOCK", row_block)
+            assert chart(series, "x", "y", **ranges) == expected
+
+    def test_edge_points_reach_negative_zero_and_exponents(self):
+        canvas = svgplot._Canvas(svgplot._ticks(0.0, 1.0), svgplot._ticks(0.0, 1.0))
+        pixels = np.rint([canvas.sx(-0.1155), canvas.sy(1.0914), canvas.sx(2000.0)])
+        assert [math.copysign(1.0, p) for p in pixels[:2]] == [-1.0, -1.0]
+        text = scatter_svg([Series("a", EDGE_POINTS)], "x", "y", x_range=(0.0, 1.0),
+                           y_range=(0.0, 1.0))
+        assert '<circle cx="0" cy="0" r="3"/>' in text
+        assert 'cx="1.11206e+06"' in text
+
+    # SHA-256 of whole charts as the per-marker renderer wrote them, so the
+    # frame, the grid and the line breaks around the markup are pinned too.
+    DIGESTS = {
+        "scatter": "994be91d5c8485b075b6fef3eedbc60b86d79ff2bd2f72b4b4e404daec5dea20",
+        "line": "68def54c8aeeb5cd21dd8c39868f27782cc4eb59eae2e81e7e45a7b4048cc5cb",
+        "histogram": "69ff4b144cb74eec7f9256055fb33c98fe7e6deb3ac678957b259965d78af82d",
+    }
+
+    def test_whole_charts_keep_their_bytes(self):
+        points = np.random.default_rng(5).random((3000, 2)) * 100
+        recall = np.linspace(0, 1, 500)
+        charts = {
+            "scatter": scatter_svg(
+                [Series("boxes", points), Series("anchors", points[:20], "cross"),
+                 Series("l", points[:50], "line")],
+                "w", "h", title="t", annotation="a", identity=True,
+            ),
+            "line": line_svg(
+                [Series("pr", np.column_stack((recall, np.linspace(1, 0, 500) ** 2)))],
+                "recall", "precision", x_range=(0.0, 1.0), y_range=(0.0, 1.0),
+            ),
+            "histogram": histogram_svg([(0.0, 1.0, 5), (1.0, 2.0, 0), (2.0, 3.0, 7)], "v"),
+        }
+        digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in charts.items()}
+        assert digests == self.DIGESTS
