@@ -21,8 +21,10 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .annotations import (
-    MAX_COORDINATE, ROW_BLOCK, SIDE_RANGE, format_coordinate, frozen, in_domain, same_fields
+    MAX_COORDINATE, ROW_BLOCK, SIDE_RANGE, DataError, format_coordinate, frozen, in_domain,
+    same_fields,
 )
+from .datastats import linear_quantiles
 
 KMEANS_MAX_ITERATIONS = 1000
 DISTANCES = ("euclidean", "one_minus_iou")
@@ -30,7 +32,7 @@ _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-class AnchorError(ValueError):
+class AnchorError(DataError):
     """Raised for invalid anchor-selection inputs or configurations."""
 
 
@@ -444,7 +446,7 @@ def linefit_anchors(
         raise AnchorError(f"variance_bins must be >= 1, got {variance_bins}")
     floor_dims = None if floor is None else _dims_array([floor], "floor")
     widths, heights = _dims_array(dims).T.copy()
-    if len(widths) < 2 or np.unique(widths).size < 2:
+    if len(widths) < 2 or widths.min() == widths.max():
         raise AnchorError(
             "all box widths are equal; the line fit is degenerate, use kmeans_anchors instead"
         )
@@ -456,7 +458,7 @@ def linefit_anchors(
     intercept = float(h_mean - slope * w_mean)
 
     quantiles = [i / (n_line + 1) for i in range(1, n_line + 1)]
-    sample_widths = np.quantile(widths, quantiles, method="linear")
+    sample_widths = linear_quantiles(widths, quantiles)
     anchors = [_round_anchor(w, slope * w + intercept) for w in sample_widths]
 
     if floor_dims is not None and floor_dims.prod() < min(w * h for w, h in anchors):
@@ -465,7 +467,7 @@ def linefit_anchors(
     extras_needed = n_total - len(anchors)
     if extras_needed > 0:
         residuals = heights - (slope * widths + intercept)
-        edges = np.quantile(widths, np.linspace(0.0, 1.0, variance_bins + 1), method="linear")
+        edges = linear_quantiles(widths, np.linspace(0.0, 1.0, variance_bins + 1))
         bin_index = np.clip(
             np.searchsorted(edges[1:-1], widths, side="right"), 0, variance_bins - 1
         )

@@ -49,7 +49,11 @@ ROW_BLOCK = 1024
 PREDICTION_FIELDS = ("confidence", *EDGE_NAMES)
 
 
-class ParseError(ValueError):
+class DataError(ValueError):
+    """Bad input data or a bad configuration: the base of every boxlab error class."""
+
+
+class ParseError(DataError):
     """A malformed annotation or prediction line.
 
     Carries the 1-based line number and a human-readable reason; ``source``
@@ -67,7 +71,7 @@ class ParseError(ValueError):
         return ParseError(self.reason, self.line, source)
 
 
-class DatasetError(ValueError):
+class DatasetError(DataError):
     """A corpus-level problem: duplicate ids, manifest mismatches, bounds."""
 
 

@@ -8,33 +8,34 @@ bare flag, empty or ``false`` for one left out), floats are written
 losslessly, and the inputs (as absolute paths) and seeds are recorded too, so
 re-running with those values, from any directory, reproduces all other files
 byte-identically.
+
+Each ``cmd_*`` imports the library modules that only it runs, at the top of its
+body, so a command's process loads no other command's code.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
+# boxlab makes no BLAS call: one OpenBLAS thread spares each command the start
+# of numpy's worker threads. This must run before numpy's first import, and a
+# value already in the environment wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import math
-import sys
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .anchorlab import (
-    AnchorError,
-    AnchorSet,
-    DarknetConfigFragment,
-    coverage,
-    emit_darknet_fragment,
-    kmeans_anchors,
-    linefit_anchors,
-)
 from .annotations import (
     SIDE_RANGE,
-    Dataset,
+    DataError,
     DatasetError,
-    ParseError,
     format_coordinate,
     in_domain,
     load_dataset,
@@ -42,13 +43,8 @@ from .annotations import (
     save_dataset,
     save_predictions,
 )
-from .datastats import StatsError, compute_stats, extract_dims, flag_outliers, histogram
-from .evalcore import EvalError, evaluate
 from .reports import atomic_write, fmt_num, write_csv, write_run_manifest
 from .svgplot import Series, histogram_svg, line_svg, scatter_svg
-from .synthgen import DetectorNoise, SynthConfig, SynthError, generate_dataset, simulate_detector
-
-DATA_ERRORS = (ParseError, DatasetError, StatsError, AnchorError, EvalError, SynthError, OSError)
 
 
 class UsageError(Exception):
@@ -389,6 +385,8 @@ def _say(args, message: str) -> None:
 
 
 def cmd_stats(args) -> None:
+    from .datastats import compute_stats, flag_outliers, histogram
+
     dataset = load_dataset(args.gt_dir, args.manifest)
     stats = compute_stats(dataset)
     outliers = flag_outliers(stats, args.min_count, args.min_coverage)
@@ -441,6 +439,17 @@ def cmd_stats(args) -> None:
 
 
 def cmd_anchors(args) -> None:
+    from .anchorlab import (
+        AnchorError,
+        AnchorSet,
+        DarknetConfigFragment,
+        coverage,
+        emit_darknet_fragment,
+        kmeans_anchors,
+        linefit_anchors,
+    )
+    from .datastats import extract_dims
+
     runs_linefit = args.compare or (args.anchors is None and args.method == "linefit")
     if runs_linefit and args.n_total < args.n_line + 1:
         raise UsageError(
@@ -545,6 +554,8 @@ def _overlay_blocks(ann, pred, verdicts) -> list[list]:
 
 
 def cmd_eval(args) -> None:
+    from .evalcore import evaluate
+
     gt = load_dataset(args.gt_dir, args.manifest)
     predictions = load_predictions_dir(args.pred_dir)
     report = evaluate(
@@ -628,6 +639,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_synth(args) -> None:
+    from .synthgen import DetectorNoise, SynthConfig, SynthError, generate_dataset, simulate_detector
+
     try:
         config = SynthConfig(
             n_images=args.images,
@@ -703,7 +716,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DATA_ERRORS as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

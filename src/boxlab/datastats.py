@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import Dataset
+from .annotations import DataError, Dataset
 
 
-class StatsError(ValueError):
+class StatsError(DataError):
     """Raised when statistics are requested for an unusable dataset."""
 
 
@@ -54,8 +54,29 @@ class DatasetStats:
         return len(self.per_image)
 
 
+def linear_quantiles(values: np.ndarray, q) -> np.ndarray:
+    """``np.quantile(values, q, method="linear")`` of a 1-D array of finite floats.
+
+    The same floats, bit for bit, from numpy's own steps: the virtual index
+    (n - 1) * q, its floor and weight t (from index n - 1 on, numpy takes the
+    last value twice, with t = index + 1), and numpy's lerp with its
+    ``t >= 0.5`` form ``b - (b - a) * (1 - t)``. Only the sign of a zero can
+    differ, where 0.0 and -0.0 tie. ``np.quantile`` would import ``numpy.ma``.
+    """
+    ordered = np.sort(values)
+    position = (len(ordered) - 1) * np.asarray(q, dtype=np.float64)
+    below = np.floor(position)
+    last = position >= len(ordered) - 1
+    below[last] = -1
+    at = below.astype(np.intp)
+    lower, upper = ordered[at], ordered[np.where(last, -1, at + 1)]
+    t = position - below
+    step = upper - lower
+    return np.where(t >= 0.5, upper - step * (1 - t), lower + step * t)
+
+
 def _quantiles(values: np.ndarray) -> Quantiles:
-    q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
+    q = linear_quantiles(values, [0.0, 0.25, 0.5, 0.75, 1.0])
     return (float(q[0]), float(q[1]), float(q[2]), float(q[3]), float(q[4]))
 
 

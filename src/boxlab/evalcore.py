@@ -18,12 +18,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .annotations import Dataset, ImageAnnotations, ImageDetections, frozen, same_fields
+from .annotations import DataError, Dataset, ImageAnnotations, ImageDetections, frozen, same_fields
 
 R2_MODES = ("pearson", "identity")
 
 
-class EvalError(ValueError):
+class EvalError(DataError):
     """Raised for invalid evaluation inputs."""
 
 

@@ -116,8 +116,24 @@ def _data_bounds(series: Sequence[Series]):
 
 
 def _distinct(pixels: np.ndarray) -> np.ndarray:
-    """The distinct rows of ``pixels``, each at its first occurrence, in order."""
-    _, first = np.unique(pixels, axis=0, return_index=True)
+    """The distinct rows of whole-number ``pixels``, each at its first occurrence, in order.
+
+    Each row is one int64 code over the observed x and y spans, so -0.0 and
+    0.0 are one pixel. A column spanning 2**31 pixels or more (a point far
+    off the canvas) is coded by the rank of its values instead.
+    """
+    if not len(pixels):
+        return pixels
+    codes = np.zeros(len(pixels), dtype=np.int64)
+    for column in pixels.T:
+        low, high = float(column.min()), float(column.max())
+        if high - low < 2.0**31:
+            offsets = (column - low).astype(np.int64)
+        else:
+            offsets = np.unique(column, return_inverse=True)[1].astype(np.int64)
+        codes *= offsets.max() + 1
+        codes += offsets
+    _, first = np.unique(codes, return_index=True)
     return pixels[np.sort(first)]
 
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import MAX_COORDINATE, MIN_SIDE, Dataset, ImageAnnotations, ImageDetections
-from .annotations import in_domain
+from .annotations import MAX_COORDINATE, MIN_SIDE, DataError, Dataset, ImageAnnotations
+from .annotations import ImageDetections, in_domain
 
 
-class SynthError(ValueError):
+class SynthError(DataError):
     """Raised for invalid generator or simulator configurations."""
 
 

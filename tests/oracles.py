@@ -6,6 +6,7 @@ rank-by-rank loop, correlation via numpy's own corrcoef, annotation files
 one line and one check at a time, CSV reports one cell at a time through
 ``csv.writer``, chart markers one f-string per marker, k-means seeded by
 numpy's own ``Generator`` and with a full cost matrix on every iteration,
+distinct chart pixels by ``np.unique`` over whole rows,
 the detector simulator one box at a time in scalar arithmetic. None of it
 shares code with the package.
 """
@@ -485,6 +486,12 @@ def reference_series_markup(series, sx, sy, palette) -> list[str]:
             elements += [f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{radius}"/>' for x, y in markers]
         elements.append("</g>")
     return elements
+
+
+def reference_distinct(pixels):
+    """The distinct rows of ``pixels``, each at its first occurrence, in order (``np.unique``)."""
+    _, first = np.unique(pixels, axis=0, return_index=True)
+    return pixels[np.sort(first)]
 
 
 def _reference_frame(ann) -> tuple[float, float] | None:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boxlab
 from boxlab import annotations, cli, evalcore
 from boxlab.anchorlab import parse_darknet_fragment
 from boxlab.datastats import extract_dims
@@ -60,6 +61,12 @@ class TestTopLevel:
         code, out, _ = run_cli("--version")
         assert code == 0
         assert out.strip() == "boxlab 0.1.0"
+
+    def test_every_error_class_is_a_data_error(self):
+        """``main`` exits 1 on a ``DataError``, so each error class must subclass it."""
+        errors = [getattr(boxlab, name) for name in boxlab.__all__ if name.endswith("Error")]
+        assert len(errors) == 6
+        assert all(issubclass(error, annotations.DataError) for error in errors)
 
     def test_no_command_is_a_usage_error(self):
         code, _, err = run_cli()

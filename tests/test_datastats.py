@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boxlab.annotations import Dataset, ImageAnnotations
 from boxlab.datastats import (
@@ -12,6 +12,7 @@ from boxlab.datastats import (
     extract_dims,
     flag_outliers,
     histogram,
+    linear_quantiles,
 )
 from boxlab.synthgen import SynthConfig, generate_dataset
 from conftest import traced_peak
@@ -160,6 +161,35 @@ class TestComputeStats:
         assert permuted.count_quantiles == base.count_quantiles
         assert permuted.coverage_quantiles == base.coverage_quantiles
         assert sorted(s.head_count for s in permuted.per_image) == sorted(counts)
+
+
+# Repeated small values and wide finite floats; q in [0, 1] with both ends common.
+QUANTILE_VALUES = st.integers(-3, 3).map(float) | st.floats(-1e300, 1e300)
+QUANTILE_QS = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+class TestLinearQuantiles:
+    """``linear_quantiles`` against ``np.quantile(..., method="linear")`` itself, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(QUANTILE_VALUES, min_size=1, max_size=40),
+           st.lists(QUANTILE_QS, min_size=1, max_size=12), st.sampled_from([0.0, -0.0]))
+    @example([5.0, 5.0, 5.0], [0.0, 0.5, 1.0], 0.0)
+    @example([3.0, 1.0, 2.0, 2.0], [1 / 3, 2 / 3, 0.75, 1.0], 0.0)
+    @example([-0.0], [0.0, 0.9, 1.0], -0.0)
+    @example([-0.0, -1.0, -0.0], [0.0, 0.7, 1.0], -0.0)
+    def test_matches_numpy(self, values, qs, zero):
+        # Every zero gets one sign: which of a tied 0.0 and -0.0 sorts first is not pinned.
+        values = np.where(np.array(values) == 0, zero, values)
+        result = linear_quantiles(values, qs)
+        expected = np.quantile(values, qs, method="linear")
+        assert result.dtype == expected.dtype
+        assert result.tobytes() == expected.tobytes()
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([3.0, 1.0, 2.0])
+        assert linear_quantiles(values, [0.5]).tolist() == [2.0]
+        assert values.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestExtractDims:

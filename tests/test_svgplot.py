@@ -14,7 +14,7 @@ from boxlab.annotations import ROW_BLOCK
 from boxlab.reports import fmt_num
 from boxlab.svgplot import MARKERS, Series, escape, histogram_svg, line_svg, scatter_svg
 from conftest import CLI_ENV, traced_peak
-from oracles import reference_series_markup
+from oracles import reference_distinct, reference_series_markup
 
 
 def parse_svg(text):
@@ -216,6 +216,27 @@ class TestWholePixels:
         text = scatter_svg([Series("s", points)], "x", "y", **self.UNIT)
         assert len(elements(parse_svg(text), "circle")) <= 57 * 41
         assert len(text) < 100_000
+
+
+# Whole pixels as rint leaves them: small values that repeat, -0.0, and values far
+# off the canvas, whose span is too wide for exact codes, or infinite.
+PIXELS = (
+    st.integers(-3, 3).map(float)
+    | st.sampled_from([-0.0, 2.0**31, -(2.0**31), 2.0**62, -(2.0**63), math.inf, -math.inf])
+    | st.floats(-1e300, 1e300).map(np.rint)
+)
+
+
+class TestDistinct:
+    """``_distinct`` on int64 pixel codes keeps the rows ``np.unique`` keeps, in their order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(PIXELS, PIXELS), max_size=40))
+    @example([(0.0, -0.0), (-0.0, 0.0), (1.0, 0.0), (0.0, 0.0)])
+    @example([(2.0**40, 1.0), (-(2.0**40), 1.0), (2.0**40, 1.0)])
+    def test_matches_unique_over_rows(self, rows):
+        pixels = np.array(rows, dtype=np.float64).reshape(-1, 2)
+        assert svgplot._distinct(pixels).tobytes() == reference_distinct(pixels).tobytes()
 
 
 class TestLine:
