@@ -312,10 +312,12 @@ def run_kmeans(
     float rounding, since one computed distance is off by about 1e-16 of
     that scale and even 1,000 drift subtractions stay far below 1e-9. Costs
     are the same per-element operations as a full cost matrix, taken
-    ``ROW_BLOCK`` rows at a time when assigning and one cluster at a time
-    when updating, cluster means come from ``np.bincount`` (the same
-    sequential sum as a mean over the members), and the reject check and
-    the objective sum the same costs in point order, so every float matches.
+    ``ROW_BLOCK`` rows at a time when assigning; when updating, one cluster
+    at a time under 1 - IoU, and in place over every point under Euclidean
+    distance, where each cluster moves and no member list is needed.
+    Cluster means come from ``np.bincount`` (the same sequential sum as a
+    mean over the members), and the reject check and the objective sum the
+    same costs in point order, so every float matches.
     """
     if distance not in DISTANCES:
         raise AnchorError(f"unknown distance {distance!r}; expected one of {DISTANCES}")
@@ -373,20 +375,32 @@ def run_kmeans(
             sums = np.bincount(labels, weights=column, minlength=k)
             candidates[accepted, axis] = sums[accepted] / counts[accepted]
         pw, ph = candidates.T
-        parea = pw * ph
-        # Each cluster's members in point order, costed against their own candidate.
-        order = np.argsort(labels.astype(group_dtype), kind="stable")
-        ends = np.cumsum(counts)
-        for j in np.flatnonzero(accepted):
-            members = order[ends[j] - counts[j] : ends[j]]
-            new = _pair_costs(
-                w[members], h[members], area[members], pw[j], ph[j], parea[j], distance
-            )
-            if euclidean or not new.sum() > own[members].sum():
-                own[members] = new
-            else:
-                accepted[j] = False
-        candidates[~accepted] = centroids[~accepted]
+        if euclidean:
+            # Every non-empty cluster moves, so each point's cost is to its own
+            # candidate: the terms of _pair_costs, formed in place in one gathered
+            # column ("clip" lets take write into it unbuffered; labels are in range).
+            gathered = pw[labels]
+            np.subtract(w, gathered, out=own)
+            own *= own
+            np.take(ph, labels, out=gathered, mode="clip")
+            np.subtract(h, gathered, out=gathered)
+            gathered *= gathered
+            own += gathered
+        else:
+            # Each cluster's members in point order, costed against their own candidate.
+            parea = pw * ph
+            order = np.argsort(labels.astype(group_dtype), kind="stable")
+            ends = np.cumsum(counts)
+            for j in np.flatnonzero(accepted):
+                members = order[ends[j] - counts[j] : ends[j]]
+                new = _pair_costs(
+                    w[members], h[members], area[members], pw[j], ph[j], parea[j], distance
+                )
+                if not new.sum() > own[members].sum():
+                    own[members] = new
+                else:
+                    accepted[j] = False
+            candidates[~accepted] = centroids[~accepted]
         drift = _pair_costs(cw, ch, cw * ch, pw, ph, pw * ph, distance)
         lower -= to_distance(drift).max()
         centroids = candidates

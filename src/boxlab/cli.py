@@ -26,7 +26,7 @@ if "numpy" not in sys.modules:
 
 import argparse
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -553,18 +553,33 @@ def _overlay_blocks(ann, pred, verdicts) -> list[list]:
     return [["gt", ann.class_names, "", *ann.edges.T, gt_verdicts, gt_partners], *pred_blocks]
 
 
-def cmd_eval(args) -> None:
-    from .evalcore import evaluate
+def _evaluate_with_overlays(args):
+    """Evaluate and write ``overlays/``; return the image, box and detection totals
+    and the report without its verdicts.
+
+    Only this frame holds the corpus, the predictions and the verdict table,
+    so none is alive while ``cmd_eval`` builds its summary files and plots.
+    """
+    from .evalcore import Verdicts, evaluate
 
     gt = load_dataset(args.gt_dir, args.manifest)
     predictions = load_predictions_dir(args.pred_dir)
-    report = evaluate(
-        gt,
-        predictions,
-        iou_threshold=args.iou_threshold,
-        confidence_threshold=args.confidence_threshold,
-        r2_mode=args.r2_mode,
-    )
+    report = evaluate(gt, predictions, args.iou_threshold, args.confidence_threshold, args.r2_mode)
+    bounds = np.searchsorted(report.verdicts.image, np.arange(len(gt) + 1)).tolist()
+    for position, ann in enumerate(gt):
+        write_csv(
+            args.out / "overlays" / f"{ann.image_id}.csv",
+            ("kind", "class", "confidence", "left", "top", "right", "bottom", "verdict",
+             "partner_index"),
+            _overlay_blocks(ann, predictions.get(ann.image_id),
+                            report.verdicts[bounds[position]:bounds[position + 1]]),
+        )
+    detections = sum(len(p) for p in predictions.values())
+    return len(gt), gt.total_boxes, detections, replace(report, verdicts=Verdicts())
+
+
+def cmd_eval(args) -> None:
+    images, gt_boxes, detections, report = _evaluate_with_overlays(args)
 
     out = args.out
     r2_cell = "n/a" if report.r_squared is None else fmt_num(report.r_squared)
@@ -577,9 +592,9 @@ def cmd_eval(args) -> None:
         ("r2_mode", args.r2_mode),
         ("iou_threshold", fmt_num(report.iou_threshold)),
         ("confidence_threshold", fmt_num(report.confidence_threshold)),
-        ("images", str(len(gt))),
-        ("total_gt_boxes", str(gt.total_boxes)),
-        ("total_detections", str(sum(len(p) for p in predictions.values()))),
+        ("images", str(images)),
+        ("total_gt_boxes", str(gt_boxes)),
+        ("total_detections", str(detections)),
     ]
     write_csv(out / "report.csv", ("metric", "value"), [list(zip(*report_rows))])
 
@@ -622,17 +637,6 @@ def cmd_eval(args) -> None:
         identity=True,
     )
     atomic_write(out / "counts.svg", counts_svg)
-
-    overlay_dir = out / "overlays"
-    bounds = np.searchsorted(report.verdicts.image, np.arange(len(gt) + 1)).tolist()
-    for position, ann in enumerate(gt):
-        write_csv(
-            overlay_dir / f"{ann.image_id}.csv",
-            ("kind", "class", "confidence", "left", "top", "right", "bottom", "verdict",
-             "partner_index"),
-            _overlay_blocks(ann, predictions.get(ann.image_id),
-                            report.verdicts[bounds[position]:bounds[position + 1]]),
-        )
 
     _say(args, f"mAP = {report.map_score:.4f}")
     _say(args, f"R^2 = {r2_text}")

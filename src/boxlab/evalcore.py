@@ -211,15 +211,20 @@ def _ranked_curve(is_tp: np.ndarray, confidences: np.ndarray, total_gt: int) -> 
     Each value is an integer true division, which numpy and Python both
     round correctly, and a rank that adds no recall adds an exact 0.0 to
     the ``math.fsum``, which reads the array without a list of every rank,
-    so the curve and AP equal a rank-by-rank loop's.
+    so the curve and AP equal a rank-by-rank loop's. Each n-length
+    intermediate is dropped once used, so the PRCurve's copies are made
+    beside only its three columns.
     """
     true_positives = np.cumsum(is_tp, dtype=np.int64)
     if len(true_positives) and true_positives[-1] > total_gt:
         raise EvalError("more true positives than ground-truth boxes")
     recall = true_positives / total_gt
     precision = true_positives / np.arange(1, len(true_positives) + 1)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = math.fsum(np.diff(recall, prepend=0.0) * envelope)
+    del true_positives
+    steps = np.diff(recall, prepend=0.0)
+    steps *= np.maximum.accumulate(precision[::-1])[::-1]
+    ap = math.fsum(steps)
+    del steps
     return PRCurve(recall, precision, confidences, ap)
 
 
@@ -301,15 +306,21 @@ def _corpus_verdicts(
 def _mean_average_precision(
     gt: Dataset, predictions: Mapping[str, ImageDetections], iou_threshold: float
 ) -> EvalReport:
-    """``mean_average_precision`` on predictions that ``_checked_predictions`` returned."""
+    """``mean_average_precision`` on predictions that ``_checked_predictions`` returned.
+
+    Every row is ranked once, class first, so each class's ranks are one
+    contiguous segment. The table's rows run by image and, within one, by
+    rank with confidence ties in file order, so rows that tie on (class,
+    confidence) already stand in (image, det_index) order: a stable sort on
+    (class, -confidence) gives ``average_precision``'s full key.
+    """
     gt_totals = Counter(name for ann in gt for name in ann.class_names)
     if not gt_totals:
         raise EvalError("ground truth contains no boxes")
     _checked_iou_threshold(iou_threshold)
     codes = {name: code for code, name in enumerate(sorted(gt_totals))}
     verdicts, class_codes = _corpus_verdicts(gt, predictions, codes, iou_threshold)
-    # One ranking of every row, class first: each class's ranks are one contiguous segment.
-    order = np.lexsort((verdicts.det_index, verdicts.image, -verdicts.confidence, class_codes))
+    order = np.lexsort((-verdicts.confidence, class_codes))
     segments = np.split(order, np.cumsum(np.bincount(class_codes, minlength=len(codes)))[:-1])
     pr_per_class = {
         name: _ranked_curve(verdicts.is_tp[ranked], verdicts.confidence[ranked], gt_totals[name])

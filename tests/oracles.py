@@ -2,13 +2,14 @@
 
 Everything here trades speed for obviousness: IoU by literally counting
 pixels on a grid, AP by scanning every confidence cutoff or by a
-rank-by-rank loop, correlation via numpy's own corrcoef, annotation files
-one line and one check at a time, CSV reports one cell at a time through
-``csv.writer``, chart markers one f-string per marker, k-means seeded by
-numpy's own ``Generator`` and with a full cost matrix on every iteration,
-distinct chart pixels by ``np.unique`` over whole rows,
-the detector simulator one box at a time in scalar arithmetic. None of it
-shares code with the package.
+rank-by-rank loop, rankings with every sort key spelled out, correlation
+via numpy's own corrcoef, annotation files one line and one check at a
+time, CSV reports one cell at a time through ``csv.writer``, chart
+markers one f-string per marker, k-means seeded by numpy's own
+``Generator`` and with a full cost matrix on every iteration, distinct
+chart pixels by ``np.unique`` over whole rows, the detector simulator one
+box at a time in scalar arithmetic. None of it shares code with the
+package.
 """
 
 from __future__ import annotations
@@ -224,6 +225,22 @@ def _ranked_curve(columns, total_gt: int):
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     ap = math.fsum((np.diff(recall, prepend=0.0) * envelope).tolist())
     return recall, precision, columns["confidence"][order], ap
+
+
+def four_key_class_ranking(verdicts, class_codes):
+    """Row order of a corpus verdict table by class, then descending confidence, image
+    and detection index: every key of the ranking spelled out, whatever the row order."""
+    return np.lexsort((verdicts.det_index, verdicts.image, -verdicts.confidence, class_codes))
+
+
+def reference_ranked_curve(is_tp, confidences, total_gt: int):
+    """(recall, precision, confidences, ap) of rows in rank order, every intermediate kept."""
+    true_positives = np.cumsum(is_tp, dtype=np.int64)
+    recall = true_positives / total_gt
+    precision = true_positives / np.arange(1, len(true_positives) + 1)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    ap = math.fsum(np.diff(recall, prepend=0.0) * envelope)
+    return recall, precision, confidences, ap
 
 
 def reference_mean_average_precision(gt, predictions, iou_threshold):

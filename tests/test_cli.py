@@ -9,11 +9,12 @@ import re
 import stat
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import boxlab
 from boxlab import annotations, cli, evalcore
@@ -1416,6 +1417,159 @@ class TestRenamedImages:
             for name, data in expected.items()
         }
         assert f"eval/overlays/{new_ids[0]}.csv" in renamed
+
+
+# Integer boxes on a small canvas, few confidences: overlaps and ties are common.
+RELATION_BOXES = st.tuples(
+    st.integers(0, 20), st.integers(0, 20), st.integers(1, 12), st.integers(1, 12)
+).map(lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3]))
+RELATION_GT = st.lists(st.tuples(st.sampled_from(["head", "leaf"]), RELATION_BOXES), max_size=5)
+RELATION_CONFIDENCES = st.sampled_from(["0.3", "0.5", "0.8", "1"])
+# 'stem' has no ground truth anywhere.
+RELATION_DETS = st.lists(
+    st.tuples(st.sampled_from(["head", "leaf", "stem"]), RELATION_CONFIDENCES, RELATION_BOXES),
+    max_size=5,
+)
+
+
+def eval_tree(root: Path, gt_rows: list, det_rows: dict) -> dict[str, bytes]:
+    """Every file but ``run_manifest.txt`` that ``eval`` writes for the corpus, by path.
+
+    ``gt_rows`` holds each image's (class, box) rows, and ``det_rows`` maps an
+    image's position to its (class, confidence, box) rows; an image it leaves
+    out has no prediction file.
+    """
+    gt = write_corpus(root / "gt", {
+        f"img_{i}": "".join(f"{name} {' '.join(map(str, box))}\n" for name, box in rows)
+        for i, rows in enumerate(gt_rows)
+    })
+    pred = write_corpus(root / "pred", {
+        f"img_{i}": "".join(
+            f"{name} {confidence} {' '.join(map(str, box))}\n" for name, confidence, box in rows
+        )
+        for i, rows in det_rows.items()
+    })
+    out = root / "out"
+    assert cli.main(["eval", str(gt), str(pred), "--out", str(out), "--quiet"]) == 0
+    return {name: data for name, data in tree_bytes(out).items() if name != "run_manifest.txt"}
+
+
+class TestEvalRelations:
+    """Relations between two ``eval`` runs that hold exactly, checked on whole output trees."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(RELATION_GT, st.none() | RELATION_DETS), min_size=1, max_size=6))
+    def test_an_empty_prediction_file_equals_a_missing_one(self, tmp_path_factory, images):
+        # None: the image has no detections, as an empty file or as no file at all.
+        assume(any(gt_rows for gt_rows, _ in images))
+        assume(any(dets is None for _, dets in images))
+        assume(any(dets is not None for _, dets in images))
+        gt_rows = [gt for gt, _ in images]
+        root = tmp_path_factory.mktemp("relation")
+        empty = eval_tree(
+            root / "empty", gt_rows, {i: dets or [] for i, (_, dets) in enumerate(images)}
+        )
+        missing = eval_tree(
+            root / "missing", gt_rows,
+            {i: dets for i, (_, dets) in enumerate(images) if dets is not None},
+        )
+        assert empty == missing
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                RELATION_GT,
+                st.none() | RELATION_DETS,
+                st.lists(st.tuples(st.just("zebra"), RELATION_CONFIDENCES, RELATION_BOXES),
+                         max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.data(),
+    )
+    def test_detections_of_a_class_without_ground_truth_leave_the_ap_outputs(
+        self, tmp_path_factory, images, data
+    ):
+        # Each image's 'zebra' rows go in at drawn places among its detections, or
+        # make up a new prediction file.
+        assume(any(gt_rows for gt_rows, *_ in images))
+        assume(any(dets is not None for _, dets, _ in images))
+        assume(any(zebras for *_, zebras in images))
+        gt_rows = [gt for gt, *_ in images]
+        before = {i: dets for i, (_, dets, _) in enumerate(images) if dets is not None}
+        after = {}
+        for i, (_, dets, zebras) in enumerate(images):
+            rows = list(dets or [])
+            for row in zebras:
+                rows.insert(data.draw(st.integers(0, len(rows))), row)
+            if dets is not None or zebras:
+                after[i] = rows
+        root = tmp_path_factory.mktemp("relation")
+        plain = eval_tree(root / "plain", gt_rows, before)
+        with_zebras = eval_tree(root / "zebras", gt_rows, after)
+
+        def report_rows(tree, *prefixes):
+            lines = tree["report.csv"].decode("utf-8").splitlines()
+            return [line for line in lines if line.startswith(prefixes)]
+
+        assert report_rows(with_zebras, "map,", "ap.") == report_rows(plain, "map,", "ap.")
+        (plain_total,), (zebra_total,) = (
+            report_rows(tree, "total_detections,") for tree in (plain, with_zebras)
+        )
+        added = sum(len(zebras) for *_, zebras in images)
+        assert int(zebra_total.split(",")[1]) == int(plain_total.split(",")[1]) + added
+        for name in ("pr_curve.csv", "pr_curve.svg"):
+            assert with_zebras[name] == plain[name], name
+
+
+class TestEvalReleaseOrder:
+    """``eval`` builds its summary files and plots after the corpus is freed."""
+
+    def test_no_chart_is_drawn_while_the_corpus_is_alive(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        assert cli.main([
+            "synth", "--images", "6", "--count-mean", "9", "--count-sd", "3", "--simulate",
+            "--miss-rate", "0.2", "--fp-rate", "2", "--jitter", "2", "--out", str(corpus),
+            "--quiet",
+        ]) == 0
+        refs: dict[str, list] = {}
+
+        def recording(name, build, parts):
+            def wrapper(*args, **kwargs):
+                built = build(*args, **kwargs)
+                refs[name] = [weakref.ref(part) for part in parts(built)]
+                return built
+            return wrapper
+
+        # A dict takes no weak reference, so the predictions are watched image by image.
+        monkeypatch.setattr(cli, "load_dataset", recording(
+            "corpus", cli.load_dataset, lambda gt: [gt, *gt]))
+        monkeypatch.setattr(cli, "load_predictions_dir", recording(
+            "predictions", cli.load_predictions_dir, lambda preds: list(preds.values())))
+        monkeypatch.setattr(evalcore, "evaluate", recording(
+            "verdicts", evalcore.evaluate, lambda report: [report.verdicts]))
+        drawn = []
+
+        def checking(draw):
+            def wrapper(*args, **kwargs):
+                assert sorted(refs) == ["corpus", "predictions", "verdicts"]
+                alive = [name for name, group in refs.items() if any(ref() for ref in group)]
+                assert alive == [], f"{draw.__name__} drawn while {alive} alive"
+                drawn.append(draw.__name__)
+                return draw(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "line_svg", checking(cli.line_svg))
+        monkeypatch.setattr(cli, "scatter_svg", checking(cli.scatter_svg))
+        out = tmp_path / "out"
+        assert cli.main([
+            "eval", str(corpus / "gt"), str(corpus / "pred"), "--out", str(out), "--quiet"
+        ]) == 0
+        assert sorted(drawn) == ["line_svg", "scatter_svg"]
+        assert len(refs["corpus"]) == 7 and len(refs["predictions"]) == 6
+        assert len(list((out / "overlays").iterdir())) == 6
 
 
 class TestPipeline:

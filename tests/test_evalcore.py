@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -11,6 +12,8 @@ from boxlab.evalcore import (
     EvalError,
     PRCurve,
     Verdicts,
+    _corpus_verdicts,
+    _ranked_curve,
     average_precision,
     count_regression,
     evaluate,
@@ -22,11 +25,13 @@ from boxlab.synthgen import DetectorNoise, SynthConfig, generate_dataset, simula
 from conftest import iou
 from oracles import (
     cutoff_scan_ap,
+    four_key_class_ranking,
     pearson_r_squared,
     raster_iou,
     reference_average_precision,
     reference_class_matches,
     reference_mean_average_precision,
+    reference_ranked_curve,
 )
 
 
@@ -796,6 +801,97 @@ class TestCorpusVerdictTable:
                       for curve in report.pr_per_class.values())
         assert len(verdicts) > 20_000
         assert peak <= 3 * result
+
+
+@st.composite
+def corpus_verdict_layouts(draw):
+    """A verdict table and its class codes, rows laid out as ``_corpus_verdicts`` lays them out.
+
+    Images run in corpus order, and each image's rows by descending
+    confidence with ties in file order; a row of class -1 (no ground truth)
+    is dropped. Few classes and confidences make ties within and across
+    images common.
+    """
+    rows, codes = [], []
+    for image in range(draw(st.integers(1, 5))):
+        detections = draw(st.lists(
+            st.tuples(st.integers(-1, 2), st.sampled_from([0.25, 0.5, 0.75])), max_size=8
+        ))
+        ranks = np.argsort([-confidence for _, confidence in detections], kind="stable")
+        for det_index in ranks.tolist():
+            code, confidence = detections[det_index]
+            if code >= 0:
+                rows.append((image, det_index, confidence, draw(st.booleans()), -1))
+                codes.append(code)
+    return verdicts_table(rows), np.array(codes, np.int64)
+
+
+class TestTwoKeyRanking:
+    """The class ranking sorts on (class, -confidence) alone and relies on the row layout
+    for the image and detection-index keys; it must equal the four-key ranking."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(corpus_verdict_layouts())
+    def test_two_keys_give_the_four_key_order(self, layout):
+        table, codes = layout
+        assert np.array_equal(
+            np.lexsort((-table.confidence, codes)), four_key_class_ranking(table, codes)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.lists(GT_ROWS, max_size=6), st.none() | st.lists(DET_ROWS, max_size=8)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from([0.1, 0.5, 0.7]),
+    )
+    def test_curves_equal_the_four_key_ranking_bit_for_bit(self, images, iou_threshold):
+        # A None detection list means the image has no prediction file.
+        assume(any(gt_rows for gt_rows, _ in images))
+        gt = Dataset.from_images(
+            ImageAnnotations(f"img_{i}", [r[0] for r in rows], [r[1:] for r in rows])
+            for i, (rows, _) in enumerate(images)
+        )
+        preds = {
+            f"img_{i}": ImageDetections(
+                f"img_{i}", [r[0] for r in rows], [r[2:] for r in rows], [r[1] for r in rows]
+            )
+            for i, (_, rows) in enumerate(images)
+            if rows is not None
+        }
+        totals = Counter(name for ann in gt for name in ann.class_names)
+        codes = {name: code for code, name in enumerate(sorted(totals))}
+        verdicts, class_codes = _corpus_verdicts(gt, preds, codes, iou_threshold)
+        order = four_key_class_ranking(verdicts, class_codes)
+        report = mean_average_precision(gt, preds, iou_threshold)
+        assert list(report.pr_per_class) == list(codes)
+        for name, code in codes.items():
+            ranked = order[class_codes[order] == code]
+            recall, precision, confidences, ap = reference_ranked_curve(
+                verdicts.is_tp[ranked], verdicts.confidence[ranked], totals[name]
+            )
+            curve = report.pr_per_class[name]
+            assert same_bits(curve.recall, recall)
+            assert same_bits(curve.precision, precision)
+            assert same_bits(curve.confidences, confidences)
+            assert curve.ap.hex() == ap.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.booleans(), max_size=60), st.integers(0, 10**6), st.data())
+    def test_ranked_curve_equals_the_plain_formula_bit_for_bit(self, is_tp, spare, data):
+        is_tp = np.array(is_tp, bool)
+        total_gt = max(1, int(is_tp.sum()) + spare)
+        confidences = np.array(data.draw(st.lists(
+            st.floats(0, 1), min_size=len(is_tp), max_size=len(is_tp)
+        ).map(lambda values: sorted(values, reverse=True))), np.float64)
+        curve = _ranked_curve(is_tp, confidences, total_gt)
+        recall, precision, confidences, ap = reference_ranked_curve(is_tp, confidences, total_gt)
+        assert same_bits(curve.recall, recall)
+        assert same_bits(curve.precision, precision)
+        assert same_bits(curve.confidences, confidences)
+        assert curve.ap.hex() == ap.hex()
 
 
 class TestValidationOrder:
