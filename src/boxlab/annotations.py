@@ -495,15 +495,14 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
     for ann in dataset:
         path = directory / f"{ann.image_id}.txt"
         path.write_text(format_ground_truth(ann), encoding="utf-8", newline="\n")
-    rows = [
-        (ann.image_id, ann.width, ann.height)
-        for ann in dataset
-        if ann.width is not None and not ann.dims_inferred
-    ]
-    with (directory / "manifest.csv").open("w", newline="\n", encoding="utf-8") as fh:
-        fh.write("image_id,width,height\n")
-        for image_id, width, height in rows:
-            fh.write(f"{image_id},{format_coordinate(width)},{format_coordinate(height)}\n")
+    with (directory / "manifest.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("image_id", "width", "height"))
+        writer.writerows(
+            (ann.image_id, format_coordinate(ann.width), format_coordinate(ann.height))
+            for ann in dataset
+            if ann.width is not None and not ann.dims_inferred
+        )
 
 
 def load_predictions_dir(directory: str | Path) -> dict[str, ImageDetections]:

@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 data error (unreadable/invalid inputs), 2 usage
 error (bad flags). After a command succeeds, ``main`` writes a
 ``run_manifest.txt`` beside its outputs from every parsed flag. Each
 ``param.<name>`` line holds a value that ``--<name>`` accepts (``true`` for a
-bare flag, empty or ``false`` for one left out), floats are written
-losslessly, and the inputs (as absolute paths) and seeds are recorded too, so
-re-running with those values, from any directory, reproduces all other files
-byte-identically.
+bare flag, empty or ``false`` for one left out), except ``tp_conf`` and
+``fp_conf``, whose ``LOW,HIGH`` splits on the comma into the flag's two
+values. Floats are written losslessly, and the inputs (as absolute paths) and
+seeds are recorded too, so re-running with those values, from any directory,
+reproduces all other files byte-identically.
 
 Each ``cmd_*`` imports the library modules that only it runs, at the top of its
 body, so a command's process loads no other command's code.
@@ -27,6 +28,7 @@ if "numpy" not in sys.modules:
 import argparse
 import math
 from dataclasses import astuple, replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,7 @@ from .annotations import (
     save_dataset,
     save_predictions,
 )
-from .reports import atomic_write, fmt_num, write_csv, write_run_manifest
+from .reports import atomic_write, fmt_num, write_csv
 from .svgplot import Series, histogram_svg, line_svg, scatter_svg
 
 
@@ -58,66 +60,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def number(kind: type, low=None, high=None, strict: bool = False):
+    """An argparse type for ``kind`` text: finite, at least ``low`` (above it if ``strict``),
+    at most ``high``."""
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if strict and value <= low:
+            raise argparse.ArgumentTypeError(f"must be > {low}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
 
-def positive_int(text: str) -> int:
-    value = nonnegative_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be >= 1, got 0")
-    return value
-
-
-def finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-def nonnegative_float(text: str) -> float:
-    value = finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def positive_float(text: str) -> float:
-    value = nonnegative_float(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
-def unit_float(text: str) -> float:
-    value = nonnegative_float(text)
-    if value > 1:
-        raise argparse.ArgumentTypeError(f"must be <= 1, got {value}")
-    return value
-
-
-def positive_unit_float(text: str) -> float:
-    value = unit_float(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
+    return parse
 
 
 def dimension_pair(text: str) -> tuple[float, float]:
     parts = text.lower().split("x")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}")
-    width, height = positive_float(parts[0]), positive_float(parts[1])
+    width, height = map(number(float, 0, strict=True), parts)
     if not (in_domain(width) and in_domain(height)):
         raise argparse.ArgumentTypeError(f"{text!r}: sides must be {SIDE_RANGE}")
     return width, height
@@ -190,15 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     stats.add_argument(
-        "--min-count", type=nonnegative_int, default=3, help="flag images with fewer heads than this"
+        "--min-count", type=number(int, 0), default=3, help="flag images with fewer heads than this"
     )
     stats.add_argument(
         "--min-coverage",
-        type=nonnegative_float,
+        type=number(float, 0),
         default=0.05,
         help="flag images with a lower coverage fraction",
     )
-    stats.add_argument("--bins", type=positive_int, default=20, help="histogram bin count")
+    stats.add_argument("--bins", type=number(int, 1), default=20, help="histogram bin count")
     stats.set_defaults(func=cmd_stats)
 
     anchors = subparsers.add_parser(
@@ -213,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="linefit",
         help="anchor selection strategy",
     )
-    anchors.add_argument("--k", type=positive_int, default=9, help="kmeans: number of anchors")
+    anchors.add_argument("--k", type=number(int, 1), default=9, help="kmeans: number of anchors")
     anchors.add_argument(
         "--distance",
         choices=("euclidean", "one_minus_iou"),
@@ -221,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="kmeans: point-to-centroid distance",
     )
     anchors.add_argument(
-        "--seed", type=nonnegative_int, default=0, help="kmeans: initialization seed"
+        "--seed", type=number(int, 0), default=0, help="kmeans: initialization seed"
     )
     anchors.add_argument(
-        "--n-line", type=positive_int, default=9, help="linefit: anchors sampled along the fit"
+        "--n-line", type=number(int, 1), default=9, help="linefit: anchors sampled along the fit"
     )
     anchors.add_argument(
-        "--n-total", type=positive_int, default=13, help="linefit: total anchor budget"
+        "--n-total", type=number(int, 1), default=13, help="linefit: total anchor budget"
     )
     anchors.add_argument(
         "--floor",
@@ -238,13 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     anchors.add_argument(
         "--variance-bins",
-        type=positive_int,
+        type=number(int, 1),
         default=10,
         help="linefit: width bins ranked by residual variance for the extra anchors",
     )
     anchors.add_argument(
         "--recall-threshold",
-        type=positive_unit_float,
+        type=number(float, 0, 1, strict=True),
         default=0.5,
         help="centered-IoU threshold for the recall diagnostic",
     )
@@ -272,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-darknet", action="store_true", help="write the detection-layer config fragment"
     )
     anchors.add_argument(
-        "--classes", type=positive_int, default=1, help="class count for the config fragment"
+        "--classes", type=number(int, 1), default=1, help="class count for the config fragment"
     )
     anchors.set_defaults(func=cmd_anchors)
 
@@ -287,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate_cmd.add_argument(
         "--iou-threshold",
-        type=positive_unit_float,
+        type=number(float, 0, 1, strict=True),
         default=0.70,
         help="minimum IoU for a detection to match a ground-truth box",
     )
     evaluate_cmd.add_argument(
         "--confidence-threshold",
-        type=unit_float,
+        type=number(float, 0, 1),
         default=0.5,
         help="detections at or above this confidence enter the predicted count",
     )
@@ -311,53 +281,60 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a synthetic corpus and, optionally, simulated predictions",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    synth.add_argument("--images", type=positive_int, required=True, help="number of images")
-    synth.add_argument("--image-width", type=positive_float, default=1200.0)
-    synth.add_argument("--image-height", type=positive_float, default=1200.0)
+    synth.add_argument("--images", type=number(int, 1), required=True, help="number of images")
+    synth.add_argument("--image-width", type=number(float, 0, strict=True), default=1200.0)
+    synth.add_argument("--image-height", type=number(float, 0, strict=True), default=1200.0)
     synth.add_argument(
-        "--count-mean", type=positive_float, default=103.0, help="mean boxes per image"
+        "--count-mean",
+        type=number(float, 0, strict=True),
+        default=103.0,
+        help="mean boxes per image",
     )
     synth.add_argument(
-        "--count-sd", type=nonnegative_float, default=25.0, help="spread of boxes per image"
+        "--count-sd", type=number(float, 0), default=25.0, help="spread of boxes per image"
     )
-    synth.add_argument("--width-min", type=positive_float, default=8.0, help="smallest box width")
-    synth.add_argument("--width-max", type=positive_float, default=90.0, help="largest box width")
     synth.add_argument(
-        "--slope", type=finite_float, default=1.0, help="height = slope * width + intercept"
+        "--width-min", type=number(float, 0, strict=True), default=8.0, help="smallest box width"
     )
-    synth.add_argument("--intercept", type=finite_float, default=0.0)
+    synth.add_argument(
+        "--width-max", type=number(float, 0, strict=True), default=90.0, help="largest box width"
+    )
+    synth.add_argument(
+        "--slope", type=number(float), default=1.0, help="height = slope * width + intercept"
+    )
+    synth.add_argument("--intercept", type=number(float), default=0.0)
     synth.add_argument(
         "--residual-sd",
-        type=nonnegative_float,
+        type=number(float, 0),
         default=3.0,
         help="spread of heights about the line",
     )
     synth.add_argument("--class-name", default="object", help="label written for every box")
-    synth.add_argument("--seed", type=nonnegative_int, default=0, help="generator seed")
+    synth.add_argument("--seed", type=number(int, 0), default=0, help="generator seed")
     synth.add_argument(
         "--simulate", action="store_true", help="also write simulated detector output"
     )
     synth.add_argument(
         "--miss-rate",
-        type=nonnegative_float,
+        type=number(float, 0),
         default=0.0,
         help="simulate: fraction of boxes the detector misses",
     )
     synth.add_argument(
         "--fp-rate",
-        type=nonnegative_float,
+        type=number(float, 0),
         default=0.0,
         help="simulate: expected false positives per image",
     )
     synth.add_argument(
         "--jitter",
-        type=nonnegative_float,
+        type=number(float, 0),
         default=0.0,
         help="simulate: per-edge Normal jitter in pixels",
     )
     synth.add_argument(
         "--tp-conf",
-        type=nonnegative_float,
+        type=number(float, 0),
         nargs=2,
         default=(0.5, 1.0),
         metavar=("LOW", "HIGH"),
@@ -365,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     synth.add_argument(
         "--fp-conf",
-        type=nonnegative_float,
+        type=number(float, 0),
         nargs=2,
         default=(0.05, 0.5),
         metavar=("LOW", "HIGH"),
         help="simulate: confidence range for false positives",
     )
     synth.add_argument(
-        "--noise-seed", type=nonnegative_int, default=1, help="simulate: detector seed"
+        "--noise-seed", type=number(int, 0), default=1, help="simulate: detector seed"
     )
     synth.set_defaults(func=cmd_synth)
 
@@ -684,29 +661,44 @@ def cmd_synth(args) -> None:
         _say(args, f"wrote {total} detections to {out / 'pred'}")
 
 
+def _manifest_text(name: str, value) -> str:
+    """A flag's ``run_manifest.txt`` value: ``true``/``false``, a lossless float, or its text."""
+    if name in MANIFEST_TEXT:
+        return MANIFEST_TEXT[name](value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_coordinate(value)
+    return "" if value is None else str(value)
+
+
 def _write_manifest(args) -> None:
     """``run_manifest.txt`` from every parsed flag but ``--out`` and ``--quiet``.
 
-    The path arguments become absolute ``input.*`` lines, ``--seed`` then
-    ``--noise-seed`` make up ``seeds``, and every other flag is a ``param.*``.
+    Lines: command, version, UTC timestamp, then ``--seed`` and
+    ``--noise-seed`` as ``seeds``, the path arguments as absolute ``input.*``
+    lines and every other flag as a ``param.*`` line, each group sorted by
+    name. The timestamp is the one line that differs between identical runs.
     """
     values = vars(args).copy()
     for name in ("command", "func", "out", "quiet"):
         del values[name]
+    seeds = [str(values.pop(name)) for name in ("seed", "noise_seed") if name in values]
     paths = {
         name: values.pop(name) for name in ("gt_dir", "pred_dir", "manifest") if name in values
     }
-    seeds = [values.pop(name) for name in ("seed", "noise_seed") if name in values]
-    write_run_manifest(
-        args.out,
-        args.command,
-        parameters={
-            name: MANIFEST_TEXT[name](value) if name in MANIFEST_TEXT else value
-            for name, value in values.items()
-        },
-        inputs={name: None if path is None else path.absolute() for name, path in paths.items()},
-        seeds=seeds,
-    )
+    lines = [
+        f"command = {args.command}",
+        f"version = {__version__}",
+        f"timestamp = {datetime.now(timezone.utc).isoformat(timespec='seconds')}",
+        f"seeds = {','.join(seeds)}",
+    ]
+    lines += [
+        f"input.{name} = {'' if path is None else path.absolute()}"
+        for name, path in sorted(paths.items())
+    ]
+    lines += [f"param.{name} = {_manifest_text(name, values[name])}" for name in sorted(values)]
+    atomic_write(args.out / "run_manifest.txt", "\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Deterministic report files: CSV tables, run manifests, atomic writes.
+"""Deterministic report files: CSV tables and atomic writes.
 
 ``write_csv`` takes blocks of typed columns, with one cell rule per type: a
 float array gets 6 significant digits (``%.6g``, '.' separator) and writes
@@ -8,11 +8,9 @@ text in every row of its block. ``block_text`` fills a %-template from such
 columns, ``ROW_BLOCK`` rows per string; charts draw their points with it
 too. Text is quoted as ``csv.writer`` quotes it: only a cell holding a
 comma, a double quote or a line break, with its quotes doubled, and the
-lone empty cell of a one-column row, as ``""``. The run
-manifest writes floats losslessly; its timestamp is the one line that
-differs between identical runs. Lines end in LF. Files land via a temp-file
-rename, so an interrupted run leaves no partial report, with the mode a
-plain ``open()`` gives them: 0o666 less the umask.
+lone empty cell of a one-column row, as ``""``. Lines end in LF. Files land
+via a temp-file rename, so an interrupted run leaves no partial report, with
+the mode a plain ``open()`` gives them: 0o666 less the umask.
 """
 
 from __future__ import annotations
@@ -21,15 +19,13 @@ import os
 import re
 import sys
 import tempfile
-from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
-from .annotations import ROW_BLOCK, format_coordinate
+from .annotations import ROW_BLOCK
 
 # The characters that make csv.writer quote a cell. With an LF line
 # terminator, Python before 3.13 leaves a lone "\r" unquoted.
@@ -134,35 +130,3 @@ def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence
     header_text = _block_text([[name] for name in header])
     _write_atomically(path, chain(header_text, chain.from_iterable(map(_block_text, blocks))))
 
-
-def write_run_manifest(
-    directory: str | Path,
-    command: str,
-    parameters: Mapping[str, object],
-    inputs: Mapping[str, object],
-    seeds: Sequence[int] = (),
-) -> None:
-    """Write ``directory/run_manifest.txt``: what produced that directory.
-
-    Lines: command, version, UTC timestamp, seeds, then ``input.*`` and
-    ``param.*`` sorted by key. Floats are written losslessly, so re-running
-    the command with these values reproduces every other output byte for
-    byte; the timestamp is the one line that changes.
-    """
-
-    def render(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return format_coordinate(value)
-        return "" if value is None else str(value)
-
-    lines = [
-        f"command = {command}",
-        f"version = {__version__}",
-        f"timestamp = {datetime.now(timezone.utc).isoformat(timespec='seconds')}",
-        f"seeds = {','.join(str(int(s)) for s in seeds)}",
-    ]
-    lines += [f"input.{key} = {render(inputs[key])}" for key in sorted(inputs)]
-    lines += [f"param.{key} = {render(parameters[key])}" for key in sorted(parameters)]
-    atomic_write(Path(directory) / "run_manifest.txt", "\n".join(lines) + "\n")

@@ -338,6 +338,15 @@ class TestSaveLoad:
         assert loaded.images["a"] == ann_explicit
         assert loaded.images["b"] == ann_none
 
+    def test_image_ids_that_need_csv_quoting_round_trip(self, tmp_path):
+        images = [
+            ImageAnnotations(image_id, ["c"], [(1, 2, 3, 4)], width=10.0, height=20.0)
+            for image_id in ("a,b", '"q', 'x"y,z')
+        ]
+        save_dataset(Dataset.from_images(images), tmp_path / "out")
+        loaded = load_dataset(tmp_path / "out", tmp_path / "out" / "manifest.csv")
+        assert [loaded.images[ann.image_id] for ann in images] == images
+
     def test_inferred_dims_survive_round_trip(self, tmp_path):
         gt_dir = write_corpus(tmp_path / "gt", {"a": "c 0 0 10 10\n"})
         ds = load_dataset(gt_dir)

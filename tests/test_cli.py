@@ -920,6 +920,72 @@ class TestManifestReplay:
         assert recorded == set(parsed) - {"command", "func", "out", "quiet"}
 
 
+class TestManifestLines:
+    """``run_manifest.txt`` as ``main`` writes it, with the command itself stubbed out."""
+
+    @staticmethod
+    def lines(monkeypatch, tmp_path, command, *argv) -> list[str]:
+        """The lines after the timestamp, once ``main`` ran ``command`` and wrote only them."""
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: None)
+        out = tmp_path / "out"
+        assert cli.main([command, *argv, "--out", str(out), "--quiet"]) == 0
+        assert os.listdir(out) == ["run_manifest.txt"]
+        lines = (out / "run_manifest.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == [f"command = {command}", f"version = {boxlab.__version__}"]
+        assert lines[2].startswith("timestamp = ") and lines[2].endswith("+00:00")
+        return lines[3:]
+
+    def test_synth_floats_are_lossless(self, monkeypatch, tmp_path):
+        assert self.lines(
+            monkeypatch, tmp_path, "synth", "--images", "2", "--count-mean",
+            "0.30000000000000004", "--jitter", "1e-05", "--width-min", "8.0", "--simulate",
+            "--seed", "4",
+        ) == [
+            "seeds = 4,1",
+            "param.class_name = object",
+            "param.count_mean = 0.30000000000000004",
+            "param.count_sd = 25",
+            "param.fp_conf = 0.05,0.5",
+            "param.fp_rate = 0",
+            "param.image_height = 1200",
+            "param.image_width = 1200",
+            "param.images = 2",
+            "param.intercept = 0",
+            "param.jitter = 1e-05",
+            "param.miss_rate = 0",
+            "param.residual_sd = 3",
+            "param.simulate = true",
+            "param.slope = 1",
+            "param.tp_conf = 0.5,1",
+            "param.width_max = 90",
+            "param.width_min = 8",
+        ]
+
+    def test_anchors_inputs_are_absolute(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert self.lines(
+            monkeypatch, tmp_path, "anchors", str(Path("corpus", "gt")), "--compare",
+            "--floor", "none", "--recall-threshold", "0.30000000000000004", "--seed", "3",
+        ) == [
+            "seeds = 3",
+            f"input.gt_dir = {Path.cwd() / 'corpus' / 'gt'}",
+            "input.manifest = ",
+            "param.anchors = ",
+            "param.classes = 1",
+            "param.compare = true",
+            "param.distance = one_minus_iou",
+            "param.emit_darknet = false",
+            "param.floor = none",
+            "param.k = 9",
+            "param.layers = auto",
+            "param.method = linefit",
+            "param.n_line = 9",
+            "param.n_total = 13",
+            "param.recall_threshold = 0.30000000000000004",
+            "param.variance_bins = 10",
+        ]
+
+
 @pytest.mark.parametrize("failure, expected_code", [("usage", 2), ("data", 1)])
 def test_a_failed_run_writes_no_manifest(tmp_path, failure, expected_code):
     gt = TestAnchors().corpus(tmp_path)
@@ -954,10 +1020,11 @@ class TestNegativeSeeds:
         assert not (tmp_path / "out").exists()
 
     def test_nonnegative_int_bounds(self):
-        assert cli.nonnegative_int("0") == 0
+        nonnegative_int = cli.number(int, 0)
+        assert nonnegative_int("0") == 0
         for text in ("-1", "1.5", "x"):
             with pytest.raises(argparse.ArgumentTypeError):
-                cli.nonnegative_int(text)
+                nonnegative_int(text)
 
 
 class TestOverflowingBoxArea:
@@ -1212,14 +1279,16 @@ class TestUnitIntervalFlags:
         assert not (tmp_path / "out").exists()
 
     def test_bounds(self):
-        assert cli.unit_float("0") == 0.0
-        assert cli.unit_float("1") == 1.0
-        assert cli.positive_unit_float("1") == 1.0
+        unit_float = cli.number(float, 0, 1)
+        positive_unit_float = cli.number(float, 0, 1, strict=True)
+        assert unit_float("0") == 0.0
+        assert unit_float("1") == 1.0
+        assert positive_unit_float("1") == 1.0
         for parse, text in [
-            (cli.unit_float, "-0.1"),
-            (cli.unit_float, "nan"),
-            (cli.positive_unit_float, "0"),
-            (cli.positive_unit_float, "inf"),
+            (unit_float, "-0.1"),
+            (unit_float, "nan"),
+            (positive_unit_float, "0"),
+            (positive_unit_float, "inf"),
         ]:
             with pytest.raises(argparse.ArgumentTypeError):
                 parse(text)
@@ -1242,6 +1311,103 @@ class TestNonFiniteFlags:
         assert code == 2
         assert "must be finite" in err
         assert not (tmp_path / "out").exists()
+
+
+TINY = 5e-324  # the least positive float
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+HUGE = sys.float_info.max
+# Every numeric flag: (command, flag, a bound it accepts, the next value outside
+# that bound, the start of the error). A flag with two bounds has two rows.
+NUMERIC_FLAG_BOUNDS = [
+    ("stats", "--min-count", 0, -1, "must be >= 0"),
+    ("stats", "--min-coverage", 0.0, -TINY, "must be >= 0"),
+    ("stats", "--bins", 1, 0, "must be >= 1"),
+    ("anchors", "--k", 1, 0, "must be >= 1"),
+    ("anchors", "--seed", 0, -1, "must be >= 0"),
+    ("anchors", "--n-line", 1, 0, "must be >= 1"),
+    ("anchors", "--n-total", 1, 0, "must be >= 1"),
+    ("anchors", "--variance-bins", 1, 0, "must be >= 1"),
+    ("anchors", "--recall-threshold", TINY, 0.0, "must be > 0"),
+    ("anchors", "--recall-threshold", 1.0, ABOVE_ONE, "must be <= 1"),
+    ("anchors", "--classes", 1, 0, "must be >= 1"),
+    ("eval", "--iou-threshold", TINY, 0.0, "must be > 0"),
+    ("eval", "--iou-threshold", 1.0, ABOVE_ONE, "must be <= 1"),
+    ("eval", "--confidence-threshold", 0.0, -TINY, "must be >= 0"),
+    ("eval", "--confidence-threshold", 1.0, ABOVE_ONE, "must be <= 1"),
+    ("synth", "--images", 1, 0, "must be >= 1"),
+    ("synth", "--image-width", TINY, 0.0, "must be > 0"),
+    ("synth", "--image-height", TINY, 0.0, "must be > 0"),
+    ("synth", "--count-mean", TINY, 0.0, "must be > 0"),
+    ("synth", "--count-sd", 0.0, -TINY, "must be >= 0"),
+    ("synth", "--width-min", TINY, 0.0, "must be > 0"),
+    ("synth", "--width-max", TINY, 0.0, "must be > 0"),
+    ("synth", "--slope", HUGE, math.inf, "must be finite"),
+    ("synth", "--slope", -HUGE, -math.inf, "must be finite"),
+    ("synth", "--intercept", HUGE, math.inf, "must be finite"),
+    ("synth", "--intercept", -HUGE, -math.inf, "must be finite"),
+    ("synth", "--residual-sd", 0.0, -TINY, "must be >= 0"),
+    ("synth", "--seed", 0, -1, "must be >= 0"),
+    ("synth", "--miss-rate", 0.0, -TINY, "must be >= 0"),
+    ("synth", "--fp-rate", 0.0, -TINY, "must be >= 0"),
+    ("synth", "--jitter", 0.0, -TINY, "must be >= 0"),
+    ("synth", "--tp-conf", 0.0, -TINY, "must be >= 0"),
+    ("synth", "--fp-conf", 0.0, -TINY, "must be >= 0"),
+    ("synth", "--noise-seed", 0, -1, "must be >= 0"),
+]
+COMMAND_INPUTS = {
+    "stats": [str(WORKED_GT)],
+    "anchors": [str(WORKED_GT)],
+    "eval": [str(WORKED_GT), str(WORKED_PRED)],
+    "synth": ["--images", "2"],
+}
+PAIR_FLAGS = ("--tp-conf", "--fp-conf")
+
+
+def numeric_flag_argv(command: str, flag: str, value) -> list[str]:
+    """``command`` with its inputs and ``flag`` set to ``value``, written out in full."""
+    text = str(value) if isinstance(value, int) else np.format_float_positional(value)
+    # "--flag=value" keeps a negative value from reading as a flag; the pair
+    # flags take two words, which the exponent-free text keeps apart from flags.
+    given = [flag, text, text] if flag in PAIR_FLAGS else [f"{flag}={text}"]
+    return [command, *COMMAND_INPUTS[command], *given]
+
+
+class TestNumericFlagBounds:
+    def test_every_numeric_flag_is_listed(self):
+        number_code = cli.number(int).__code__
+        (commands,) = (
+            action.choices for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        numeric = {
+            (command, action.option_strings[0])
+            for command, parser in commands.items()
+            for action in parser._actions
+            if getattr(action.type, "__code__", None) is number_code
+        }
+        assert numeric == {(command, flag) for command, flag, *_ in NUMERIC_FLAG_BOUNDS}
+
+    @pytest.mark.parametrize("command, flag, bound, outside, message", NUMERIC_FLAG_BOUNDS)
+    def test_bound_is_accepted(self, command, flag, bound, outside, message):
+        args = cli.build_parser().parse_args(numeric_flag_argv(command, flag, bound))
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if flag in PAIR_FLAGS:
+            assert value[0] == value[1]
+            value = value[0]
+        assert value == bound and type(value) is type(bound)
+
+    @pytest.mark.parametrize("command, flag, bound, outside, message", NUMERIC_FLAG_BOUNDS)
+    def test_next_value_outside_is_a_usage_error(
+        self, tmp_path, capsys, command, flag, bound, outside, message
+    ):
+        out = tmp_path / "out"
+        argv = numeric_flag_argv(command, flag, outside)
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"usage error: argument {flag}: {message}")
+        assert not out.exists()
 
 
 def doubled_box_file(text: str, first_coordinate: int) -> str:
@@ -1432,26 +1598,59 @@ RELATION_DETS = st.lists(
 )
 
 
-def eval_tree(root: Path, gt_rows: list, det_rows: dict) -> dict[str, bytes]:
+def box_text(rows) -> str:
+    """A box file of (class, box) or (class, confidence, box) rows."""
+    return "".join(" ".join(map(str, (*row[:-1], *row[-1]))) + "\n" for row in rows)
+
+
+def eval_files(root: Path, gt: dict, dets: dict) -> dict[str, bytes]:
     """Every file but ``run_manifest.txt`` that ``eval`` writes for the corpus, by path.
 
-    ``gt_rows`` holds each image's (class, box) rows, and ``det_rows`` maps an
-    image's position to its (class, confidence, box) rows; an image it leaves
-    out has no prediction file.
+    ``gt`` maps each image id to its (class, box) rows, and ``dets`` maps an
+    image id to its (class, confidence, box) rows; an image it leaves out has
+    no prediction file.
     """
-    gt = write_corpus(root / "gt", {
-        f"img_{i}": "".join(f"{name} {' '.join(map(str, box))}\n" for name, box in rows)
-        for i, rows in enumerate(gt_rows)
-    })
-    pred = write_corpus(root / "pred", {
-        f"img_{i}": "".join(
-            f"{name} {confidence} {' '.join(map(str, box))}\n" for name, confidence, box in rows
-        )
-        for i, rows in det_rows.items()
-    })
+    gt_dir = write_corpus(root / "gt", {image_id: box_text(rows) for image_id, rows in gt.items()})
+    pred_dir = write_corpus(
+        root / "pred", {image_id: box_text(rows) for image_id, rows in dets.items()}
+    )
     out = root / "out"
-    assert cli.main(["eval", str(gt), str(pred), "--out", str(out), "--quiet"]) == 0
+    assert cli.main(["eval", str(gt_dir), str(pred_dir), "--out", str(out), "--quiet"]) == 0
     return {name: data for name, data in tree_bytes(out).items() if name != "run_manifest.txt"}
+
+
+def eval_tree(root: Path, gt_rows: list, det_rows: dict) -> dict[str, bytes]:
+    """``eval_files`` for images named ``img_<position>``.
+
+    ``gt_rows`` holds each image's rows, and ``det_rows`` maps an image's
+    position to its rows.
+    """
+    return eval_files(
+        root,
+        {f"img_{i}": rows for i, rows in enumerate(gt_rows)},
+        {f"img_{i}": rows for i, rows in det_rows.items()},
+    )
+
+
+def report_rows(tree: dict[str, bytes], *prefixes: str) -> list[str]:
+    """The lines of the tree's ``report.csv`` that start with one of ``prefixes``."""
+    lines = tree["report.csv"].decode("utf-8").splitlines()
+    return [line for line in lines if line.startswith(prefixes)]
+
+
+def relation_corpus(classes: tuple[str, ...]):
+    """Images of (gt rows, detection rows or None for no file), with only ``classes``."""
+    return st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from(classes), RELATION_BOXES), max_size=5),
+            st.none() | st.lists(
+                st.tuples(st.sampled_from(classes), RELATION_CONFIDENCES, RELATION_BOXES),
+                max_size=5,
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    )
 
 
 class TestEvalRelations:
@@ -1509,11 +1708,6 @@ class TestEvalRelations:
         root = tmp_path_factory.mktemp("relation")
         plain = eval_tree(root / "plain", gt_rows, before)
         with_zebras = eval_tree(root / "zebras", gt_rows, after)
-
-        def report_rows(tree, *prefixes):
-            lines = tree["report.csv"].decode("utf-8").splitlines()
-            return [line for line in lines if line.startswith(prefixes)]
-
         assert report_rows(with_zebras, "map,", "ap.") == report_rows(plain, "map,", "ap.")
         (plain_total,), (zebra_total,) = (
             report_rows(tree, "total_detections,") for tree in (plain, with_zebras)
@@ -1522,6 +1716,122 @@ class TestEvalRelations:
         assert int(zebra_total.split(",")[1]) == int(plain_total.split(",")[1]) + added
         for name in ("pr_curve.csv", "pr_curve.svg"):
             assert with_zebras[name] == plain[name], name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                RELATION_GT,
+                st.lists(
+                    st.tuples(st.sampled_from(["head", "leaf"]), st.integers(1, 9),
+                              RELATION_BOXES),
+                    max_size=5,
+                ),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        st.data(),
+    )
+    def test_renaming_that_reorders_the_images_leaves_the_ap_outputs(
+        self, tmp_path_factory, images, data
+    ):
+        # Image i's confidences end in the digit i, so no two images share one.
+        assume(any(gt_rows for gt_rows, _ in images))
+        new_names = data.draw(st.permutations([f"r{i}" for i in range(len(images))]))
+        gt_rows = [gt for gt, _ in images]
+        det_rows = [
+            [(name, f"0.{digit}{i}", box) for name, digit, box in dets]
+            for i, (_, dets) in enumerate(images)
+        ]
+        root = tmp_path_factory.mktemp("relation")
+        original = eval_tree(root / "original", gt_rows, dict(enumerate(det_rows)))
+        renamed = eval_files(
+            root / "renamed", dict(zip(new_names, gt_rows)), dict(zip(new_names, det_rows))
+        )
+        assert report_rows(renamed, "map,", "ap.") == report_rows(original, "map,", "ap.")
+        assert renamed["pr_curve.csv"] == original["pr_curve.csv"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(relation_corpus(("head", "leaf")), relation_corpus(("root", "stem")))
+    def test_disjoint_union_keeps_each_class_ap(self, tmp_path_factory, first, second):
+        # The two corpora's ids interleave in the union: img_0, img_2, ... and img_1, img_3, ...
+        corpora = []
+        for parity, images in enumerate((first, second)):
+            assume(any(gt_rows for gt_rows, _ in images))
+            assume(any(dets is not None for _, dets in images))
+            ids = [f"img_{2 * i + parity}" for i in range(len(images))]
+            corpora.append((
+                {image_id: gt_rows for image_id, (gt_rows, _) in zip(ids, images)},
+                {image_id: dets for image_id, (_, dets) in zip(ids, images) if dets is not None},
+            ))
+        root = tmp_path_factory.mktemp("relation")
+        alone = [
+            eval_files(root / f"alone_{n}", gt, dets) for n, (gt, dets) in enumerate(corpora)
+        ]
+        (first_gt, first_dets), (second_gt, second_dets) = corpora
+        union = eval_files(
+            root / "union", {**first_gt, **second_gt}, {**first_dets, **second_dets}
+        )
+        assert report_rows(union, "ap.") == sum((report_rows(t, "ap.") for t in alone), [])
+        # Every first-corpus class sorts before every second-corpus one.
+        assert union["pr_curve.csv"].splitlines()[1:] == sum(
+            (t["pr_curve.csv"].splitlines()[1:] for t in alone), []
+        )
+
+
+class TestTranslatedCorpus:
+    """Moving every box by one integer offset, each frame grown by it, changes no box size
+    and no overlap, so every report that does not hold a coordinate or a coverage stays."""
+
+    FRAME = 40  # RELATION_BOXES end at 32
+
+    def reports(self, root: Path, images: list, offset: tuple[int, int]) -> tuple[dict, int]:
+        """The ``stats``, ``anchors`` and ``eval`` files the relation keeps, and the
+        exit code of ``anchors``, for the corpus moved by ``offset``."""
+        dx, dy = offset
+
+        def moved(rows):
+            return [(*row, (l + dx, t + dy, r + dx, b + dy)) for *row, (l, t, r, b) in rows]
+
+        gt = write_corpus(root / "gt", {
+            f"img_{i}": box_text(moved(gt_rows)) for i, (gt_rows, _) in enumerate(images)
+        })
+        pred = write_corpus(root / "pred", {
+            f"img_{i}": box_text(moved(dets)) for i, (_, dets) in enumerate(images)
+        })
+        manifest = root / "dims.csv"
+        manifest.write_text("image_id,width,height\n" + "".join(
+            f"img_{i},{self.FRAME + dx},{self.FRAME + dy}\n" for i in range(len(images))
+        ), encoding="utf-8")
+        files, codes = {}, {}
+        for command, *argv in (("stats", gt), ("anchors", gt, "--compare", "--k", "3"),
+                               ("eval", gt, pred)):
+            out = root / command
+            codes[command] = cli.main([command, *map(str, argv), "--manifest", str(manifest),
+                                       "--out", str(out), "--quiet"])
+            files.update((f"{command}/{path.name}", path.read_bytes())
+                         for path in sorted(out.glob("*.csv")))
+        assert codes["stats"] == codes["eval"] == 0
+        with io.StringIO(files.pop("stats/per_image.csv").decode("utf-8")) as fh:
+            files["stats/per_image.csv"] = [row[:3] for row in csv.reader(fh)]
+        for name in ("stats/summary.csv", "stats/coverage_hist.csv"):
+            del files[name]
+        return files, codes["anchors"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.tuples(RELATION_GT, RELATION_DETS), min_size=1, max_size=5),
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(any),
+    )
+    def test_reports_are_unchanged(self, tmp_path_factory, images, offset):
+        assume(any(gt_rows for gt_rows, _ in images))
+        root = tmp_path_factory.mktemp("translation")
+        original, original_code = self.reports(root / "original", images, (0, 0))
+        translated, translated_code = self.reports(root / "translated", images, offset)
+        assert translated_code == original_code
+        assert sorted(original) == sorted(translated)
+        assert translated == original
 
 
 class TestEvalReleaseOrder:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boxlab import __version__, reports
+from boxlab import reports
 from boxlab.anchorlab import ROW_BLOCK
-from boxlab.reports import atomic_write, fmt_num, write_csv, write_run_manifest
+from boxlab.reports import atomic_write, fmt_num, write_csv
 from oracles import reference_write_csv
 
 HEADER = ("name", "value")
@@ -186,30 +186,3 @@ class TestAtomicWrite:
         assert target.read_text(encoding="utf-8") == "name,value\na,1\n"
         assert os.listdir(tmp_path) == ["report.csv"]
 
-
-class TestWriteRunManifest:
-    def test_line_order_and_lossless_values(self, tmp_path):
-        write_run_manifest(
-            tmp_path / "out",
-            "anchors",
-            parameters={"k": 9, "compare": True, "floor": "none", "ratio": 0.1 + 0.2,
-                        "width": 8.0, "small": 1e-05},
-            inputs={"manifest": None, "gt_dir": Path("corpus") / "gt"},
-            seeds=(3,),
-        )
-        lines = (tmp_path / "out" / "run_manifest.txt").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "command = anchors"
-        assert lines[1] == f"version = {__version__}"
-        assert lines[2].startswith("timestamp = ") and lines[2].endswith("+00:00")
-        assert lines[3:] == [
-            "seeds = 3",
-            f"input.gt_dir = {Path('corpus') / 'gt'}",
-            "input.manifest = ",
-            "param.compare = true",
-            "param.floor = none",
-            "param.k = 9",
-            "param.ratio = 0.30000000000000004",
-            "param.small = 1e-05",
-            "param.width = 8",
-        ]
-        assert os.listdir(tmp_path / "out") == ["run_manifest.txt"]
