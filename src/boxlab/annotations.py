@@ -490,19 +490,18 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
     Inferred dimensions are not written to the manifest, so a save/load
     round trip preserves the ``dims_inferred`` flag.
     """
+    from .reports import write_csv  # reports imports ROW_BLOCK from this module
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for ann in dataset:
         path = directory / f"{ann.image_id}.txt"
         path.write_text(format_ground_truth(ann), encoding="utf-8", newline="\n")
-    with (directory / "manifest.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("image_id", "width", "height"))
-        writer.writerows(
-            (ann.image_id, format_coordinate(ann.width), format_coordinate(ann.height))
-            for ann in dataset
-            if ann.width is not None and not ann.dims_inferred
-        )
+    explicit = [ann for ann in dataset if ann.width is not None and not ann.dims_inferred]
+    ids = [ann.image_id for ann in explicit]
+    widths = [format_coordinate(ann.width) for ann in explicit]
+    heights = [format_coordinate(ann.height) for ann in explicit]
+    write_csv(directory / "manifest.csv", ("image_id", "width", "height"), [(ids, widths, heights)])
 
 
 def load_predictions_dir(directory: str | Path) -> dict[str, ImageDetections]:

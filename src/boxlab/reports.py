@@ -6,19 +6,17 @@ float array gets 6 significant digits (``%.6g``, '.' separator) and writes
 ``true``/``false``, a sequence of str as its text, and a bare str is that
 text in every row of its block. ``block_text`` fills a %-template from such
 columns, ``ROW_BLOCK`` rows per string; charts draw their points with it
-too. Text is quoted as ``csv.writer`` quotes it: only a cell holding a
-comma, a double quote or a line break, with its quotes doubled, and the
-lone empty cell of a one-column row, as ``""``. Lines end in LF. Files land
-via a temp-file rename, so an interrupted run leaves no partial report, with
-the mode a plain ``open()`` gives them: 0o666 less the umask.
+too. Text is quoted by 3.13's ``csv.writer`` rule on every Python: only a
+cell holding a comma, a double quote, an LF or a CR, with its quotes
+doubled, and the lone empty cell of a one-column row, as ``""``. Lines end
+in LF. Files land via a temp-file rename, so an interrupted run leaves no
+partial report, with the mode a plain ``open()`` gives: 0o666 less the umask.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import sys
-import tempfile
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -27,9 +25,7 @@ import numpy as np
 
 from .annotations import ROW_BLOCK
 
-# The characters that make csv.writer quote a cell. With an LF line
-# terminator, Python before 3.13 leaves a lone "\r" unquoted.
-_NEEDS_QUOTES = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
+_NEEDS_QUOTES = re.compile('[,"\n\r]')  # the characters that make a cell quoted
 
 FLOAT = "%.6g"  # a float's %-directive: 6 significant digits, '.' as the separator
 # A numpy column's %-directive, by dtype kind, and how a slice of it becomes
@@ -68,19 +64,24 @@ def block_text(template: str, columns: Sequence) -> Iterator[str]:
 def _write_atomically(path: str | Path, chunks: Iterable[str]) -> None:
     """Write UTF-8 ``chunks`` in order, with LF endings, via temp file + rename."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    for _ in range(os.TMP_MAX):
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+    else:
+        raise FileExistsError(f"no free temp-file name beside {path}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
-        # mkstemp creates the file 0o600; reading the umask means setting it.
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp_name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise
@@ -92,7 +93,7 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 
 def _quoted(cells: Sequence[str], alone: bool) -> Sequence[str]:
-    """``cells`` as csv.writer writes them; ``alone`` marks a one-column block."""
+    """``cells`` with the quoting rule applied; ``alone`` marks a one-column block."""
     if not _NEEDS_QUOTES.search("".join(cells)) and not (alone and "" in cells):
         return cells
     return [

@@ -452,14 +452,20 @@ def reference_write_csv(path, header, rows) -> None:
 
     Floats take 6 significant digits with "-0" written as "0", bools
     ``true``/``false``, None an empty field; anything else goes through
-    ``str``. Fields are quoted minimally, and lines end in LF.
+    ``str``. Fields are quoted minimally, by the rule ``csv.writer`` follows
+    from Python 3.13: a field holding a comma, a double quote, an LF or a
+    CR. Before 3.13 it quotes a CR only when the line terminator holds one,
+    so each row is written with CRLF, which then becomes LF.
     """
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_reference_cell(cell) for cell in row])
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="\n")
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    lines = []
+    for row in [list(header), *([_reference_cell(cell) for cell in row] for row in rows)]:
+        writer.writerow(row)
+        lines.append(buffer.getvalue().removesuffix("\r\n") + "\n")
+        buffer.seek(0)
+        buffer.truncate()
+    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")
 
 
 def reference_series_markup(series, sx, sy, palette) -> list[str]:

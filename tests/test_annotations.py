@@ -339,9 +339,11 @@ class TestSaveLoad:
         assert loaded.images["b"] == ann_none
 
     def test_image_ids_that_need_csv_quoting_round_trip(self, tmp_path):
+        # A lone CR is the id that csv.writer leaves unquoted before Python 3.13;
+        # the sizes need more than the 6 digits of a report float.
         images = [
-            ImageAnnotations(image_id, ["c"], [(1, 2, 3, 4)], width=10.0, height=20.0)
-            for image_id in ("a,b", '"q', 'x"y,z')
+            ImageAnnotations(image_id, ["c"], [(1, 2, 3, 4)], width=10.0 + n / 3, height=20.0)
+            for n, image_id in enumerate(("a,b", '"q', 'x"y,z', "c\rr", "c\r\nlf", "l\nf"))
         ]
         save_dataset(Dataset.from_images(images), tmp_path / "out")
         loaded = load_dataset(tmp_path / "out", tmp_path / "out" / "manifest.csv")

@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -82,6 +83,7 @@ class TestWriteCsv:
     @example(list(HEADER), [[["-0"], np.array([-0.0])], [["a,b"], "a"]], 1)
     @example(list(HEADER), [["a", np.array([1.5, -0.0]), np.array([2, 3])], ["x,y%d", [""]]], 1)
     @example(["n"], [[np.array([1e-05, 999999.5, 5e-324]), np.array([True, False, True])]], 2)
+    @example(["\r"], [[["a\rb", "\r\n", ""]], ["c\r", np.array([], dtype=int)]], 1)
     def test_matches_the_cell_by_cell_writer(self, header, table, row_block):
         # A row block of 1, 2 or 5 rows ends inside even the small blocks drawn here.
         rows = [row for block in table for row in transposed(block)]
@@ -97,7 +99,7 @@ class TestWriteCsv:
             [['he"ad,x', "-0"], np.array([-0.0, 1e-05]), np.array([True, False])],
             [["", "x"]],
             ["a,b%d", np.array([], dtype=float)],
-            [["a\nb"], np.array([999999.5]), ""],
+            [["a\nb", "c\rd"], np.array([999999.5, 2.5]), ""],
         ]
         write_csv(tmp_path / "out.csv", HEADER, table)
         assert (tmp_path / "out.csv").read_bytes() == (
@@ -109,6 +111,7 @@ class TestWriteCsv:
             b'""\n'
             b"x\n"
             b'"a\nb",1e+06,\n'
+            b'"c\rd",2.5,\n'
         )
 
     @pytest.mark.parametrize(
@@ -164,7 +167,64 @@ class TestFmtNum:
         assert fmt_num(value) == text
 
 
+set_umask = os.umask  # TestAtomicWrite forbids the writer to call os.umask
+
+
 class TestAtomicWrite:
+    @pytest.fixture(autouse=True)
+    def forbid_mode_calls(self, monkeypatch):
+        """The writer leaves the mode to the kernel: no umask or chmod call."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the report writer called os.umask or os.chmod")
+
+        monkeypatch.setattr(os, "umask", forbidden)
+        monkeypatch.setattr(os, "chmod", forbidden)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_new_files_get_the_mode_a_plain_open_gives(self, tmp_path, umask):
+        previous = set_umask(umask)
+        try:
+            atomic_write(tmp_path / "report.txt", "text\n")
+            write_csv(tmp_path / "report.csv", HEADER, [[["a"], np.array([1])]])
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            set_umask(previous)
+        plain = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        assert plain == 0o666 & ~umask
+        for name in ("report.txt", "report.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == plain, name
+
+    def test_existing_target_is_replaced(self, tmp_path):
+        target = tmp_path / "report.txt"
+        atomic_write(target, "old text that is longer\n")
+        atomic_write(target, "new\n")
+        assert target.read_bytes() == b"new\n"
+        assert os.listdir(tmp_path) == ["report.txt"]
+
+    def test_missing_parent_directories_are_made(self, tmp_path):
+        target = tmp_path / "a" / "b" / "report.txt"
+        atomic_write(target, "text\n")
+        assert target.read_bytes() == b"text\n"
+        assert os.listdir(target.parent) == ["report.txt"]
+
+    def test_a_name_clash_is_retried_and_bounded(self, tmp_path, monkeypatch):
+        clash = tmp_path / f".report.txt.{bytes(6).hex()}.tmp"
+        clash.write_text("someone else's\n")
+        names = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(os, "urandom", lambda size: next(names))
+        atomic_write(tmp_path / "report.txt", "text\n")
+        assert (tmp_path / "report.txt").read_bytes() == b"text\n"
+        assert clash.read_text() == "someone else's\n"
+        assert sorted(os.listdir(tmp_path)) == [clash.name, "report.txt"]
+
+        monkeypatch.setattr(os, "urandom", lambda size: bytes(6))
+        monkeypatch.setattr(os, "TMP_MAX", 3)
+        with pytest.raises(FileExistsError):
+            atomic_write(tmp_path / "report.txt", "new\n")
+        assert (tmp_path / "report.txt").read_bytes() == b"text\n"
+
     def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path):
         target = tmp_path / "report.csv"
         atomic_write(target, "old\n")
