@@ -478,30 +478,24 @@ def linefit_anchors(
     if floor_dims is not None and floor_dims.prod() < min(w * h for w, h in anchors):
         anchors.append(floor_dims[0])
 
-    extras_needed = n_total - len(anchors)
-    if extras_needed > 0:
+    extras = n_total - len(anchors)
+    if extras > 0:
         residuals = heights - (slope * widths + intercept)
         edges = linear_quantiles(widths, np.linspace(0.0, 1.0, variance_bins + 1))
         bin_index = np.clip(
             np.searchsorted(edges[1:-1], widths, side="right"), 0, variance_bins - 1
         )
-        populated = [
-            (float(residuals[bin_index == b].var()), b)
-            for b in range(variance_bins)
-            if np.any(bin_index == b)
-        ]
-        populated.sort(key=lambda item: (-item[0], item[1]))
-        sign = 1.0
-        cursor = 0
-        while extras_needed > 0:
-            _, b = populated[cursor % len(populated)]
-            members = bin_index == b
+        # Each bin's members in point order, from one stable (radix) sort of narrow labels.
+        order = np.argsort(bin_index.astype(np.min_scalar_type(variance_bins - 1)), kind="stable")
+        counts = np.bincount(bin_index)
+        groups = [g for g in np.split(order, np.cumsum(counts)[:-1]) if len(g)]
+        # Noisiest bins first; the stable sort keeps equal variances in bin order.
+        ranked = sorted(groups, key=lambda members: -residuals[members].var())
+        for i in range(extras):
+            members = ranked[i % len(ranked)]
             w_extra = float(widths[members].mean())
-            offset = float(residuals[members].std())
-            anchors.append(_round_anchor(w_extra, slope * w_extra + intercept + sign * offset))
-            sign = -sign
-            cursor += 1
-            extras_needed -= 1
+            offset = (-1) ** i * float(residuals[members].std())
+            anchors.append(_round_anchor(w_extra, slope * w_extra + intercept + offset))
 
     return AnchorSet.from_dims(anchors)
 

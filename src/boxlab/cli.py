@@ -397,14 +397,9 @@ def cmd_stats(args) -> None:
         ("count_hist", counts, "heads per image"),
         ("coverage_hist", coverages, "coverage fraction"),
     ):
-        rows = histogram(values, args.bins)
-        lefts, rights, tallies = zip(*rows)
-        write_csv(
-            out / f"{name}.csv",
-            ("bin_left", "bin_right", "count"),
-            [[np.array(lefts), np.array(rights), np.array(tallies)]],
-        )
-        svg = histogram_svg(rows, x_label=label, y_label="images", title=f"{label} distribution")
+        bins = [np.array(column) for column in zip(*histogram(values, args.bins))]
+        write_csv(out / f"{name}.csv", ("bin_left", "bin_right", "count"), [bins])
+        svg = histogram_svg(*bins, x_label=label, y_label="images", title=f"{label} distribution")
         atomic_write(out / f"{name}.svg", svg)
 
     _say(args, f"images = {stats.image_count}")

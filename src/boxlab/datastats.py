@@ -163,6 +163,4 @@ def histogram(values, bins: int = 20) -> list[tuple[float, float, int]]:
     if np.any(np.diff(np.linspace(low, high, bins + 1)) <= 0):
         low, high = low - 0.5, high + 0.5
     counts, edges = np.histogram(data, bins=bins, range=(low, high))
-    return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
-    ]
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))

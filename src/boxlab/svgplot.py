@@ -4,10 +4,11 @@ No plotting stack, no fonts to rasterize, no timestamps: the same data
 always renders byte-identical markup. Numbers are written with 6
 significant digits and '.' as the decimal separator regardless of locale.
 Data points are drawn at whole pixels, one marker per distinct pixel, so a
-chart's size is bounded by its canvas, not by its number of points. Their
-markup is block text: one %-template per marker shape, filled from the
-pixel columns by ``reports.block_text``, ``ROW_BLOCK`` points per string,
-so charts and report CSVs format floats with one rule.
+chart's size is bounded by its canvas, not by its number of points. Every
+repeated element is block text: point markers, histogram bars, grid lines
+with their tick labels, and legend entries each have one %-template,
+filled from their columns by ``reports.block_text``, ``ROW_BLOCK`` rows
+per string, so charts and report CSVs format floats with one rule.
 """
 
 from __future__ import annotations
@@ -170,27 +171,22 @@ class _Canvas:
         self.add("</g>")
 
     def frame_and_grid(self, title: str, x_label: str, y_label: str) -> None:
-        for tick in self.x_ticks:
-            x = fmt(self.sx(tick))
-            self.add(
-                f'<line x1="{x}" y1="{fmt(MARGIN_TOP)}" x2="{x}" '
-                f'y2="{fmt(MARGIN_TOP + self.plot_h)}" stroke="{GRID_COLOR}" stroke-width="1"/>'
-            )
-            self.add(
-                f'<text x="{x}" y="{fmt(MARGIN_TOP + self.plot_h + 16)}" {FONT} '
-                f'font-size="11" fill="{TEXT_COLOR}" text-anchor="middle">{fmt(tick)}</text>'
-            )
-        for tick in self.y_ticks:
-            y = fmt(self.sy(tick))
-            self.add(
-                f'<line x1="{fmt(MARGIN_LEFT)}" y1="{y}" x2="{fmt(MARGIN_LEFT + self.plot_w)}" '
-                f'y2="{y}" stroke="{GRID_COLOR}" stroke-width="1"/>'
-            )
-            self.add(
-                f'<text x="{fmt(MARGIN_LEFT - 6)}" y="{y}" {FONT} font-size="11" '
-                f'fill="{TEXT_COLOR}" text-anchor="end" dominant-baseline="middle">'
-                f"{fmt(tick)}</text>"
-            )
+        bottom = MARGIN_TOP + self.plot_h
+        grid = f'stroke="{GRID_COLOR}" stroke-width="1"/>\n'
+        text = f'{FONT} font-size="11" fill="{TEXT_COLOR}"'
+        x_tick = (
+            f'<line x1="{FLOAT}" y1="{fmt(MARGIN_TOP)}" x2="{FLOAT}" y2="{fmt(bottom)}" {grid}'
+            f'<text x="{FLOAT}" y="{fmt(bottom + 16)}" {text} text-anchor="middle">{FLOAT}</text>\n'
+        )
+        y_tick = (
+            f'<line x1="{fmt(MARGIN_LEFT)}" y1="{FLOAT}" x2="{fmt(MARGIN_LEFT + self.plot_w)}" '
+            f'y2="{FLOAT}" {grid}<text x="{fmt(MARGIN_LEFT - 6)}" y="{FLOAT}" {text} '
+            f'text-anchor="end" dominant-baseline="middle">{FLOAT}</text>\n'
+        )
+        x_ticks, y_ticks = np.array(self.x_ticks), np.array(self.y_ticks)
+        x, y = self.sx(x_ticks), self.sy(y_ticks)
+        self.parts.extend(block_text(x_tick, (x, x, x, x_ticks)))
+        self.parts.extend(block_text(y_tick, (y, y, y, y_ticks)))
         self.add(
             f'<rect x="{fmt(MARGIN_LEFT)}" y="{fmt(MARGIN_TOP)}" width="{fmt(self.plot_w)}" '
             f'height="{fmt(self.plot_h)}" fill="none" stroke="{AXIS_COLOR}" stroke-width="1"/>'
@@ -246,18 +242,17 @@ class _Canvas:
                 self.group(f'fill="{color}"{opacity}', block_text(circle, (x, y)))
 
     def legend(self, series: Sequence[Series]) -> None:
-        labeled = [(i, s) for i, s in enumerate(series) if s.label]
-        if not labeled:
-            return
-        for row, (i, s) in enumerate(labeled):
-            color = PALETTE[i % len(PALETTE)]
-            y = MARGIN_TOP + 14 + row * 16
-            x = MARGIN_LEFT + self.plot_w - 130
-            self.add(f'<rect x="{fmt(x)}" y="{fmt(y - 8)}" width="10" height="10" fill="{color}"/>')
-            self.add(
-                f'<text x="{fmt(x + 15)}" y="{fmt(y)}" {FONT} font-size="11" '
-                f'fill="{TEXT_COLOR}">{escape(s.label)}</text>'
-            )
+        labeled = [i for i, s in enumerate(series) if s.label]
+        x = MARGIN_LEFT + self.plot_w - 130
+        y = MARGIN_TOP + 14 + 16.0 * np.arange(len(labeled))
+        entry = (
+            f'<rect x="{fmt(x)}" y="{FLOAT}" width="10" height="10" fill="%s"/>\n'
+            f'<text x="{fmt(x + 15)}" y="{FLOAT}" {FONT} font-size="11" '
+            f'fill="{TEXT_COLOR}">%s</text>\n'
+        )
+        colors = [PALETTE[i % len(PALETTE)] for i in labeled]
+        labels = [escape(series[i].label) for i in labeled]
+        self.parts.extend(block_text(entry, (y - 8, colors, y, labels)))
 
     def annotate(self, annotation: str) -> None:
         if annotation:
@@ -343,29 +338,26 @@ def line_svg(
 
 
 def histogram_svg(
-    bins: Sequence[tuple[float, float, int]],
+    lefts: Sequence[float] | np.ndarray,
+    rights: Sequence[float] | np.ndarray,
+    counts: Sequence[float] | np.ndarray,
     x_label: str,
     y_label: str = "count",
     title: str = "",
 ) -> str:
-    """Bar chart over (bin_left, bin_right, count) rows; y axis starts at 0."""
-    bins = [(float(left), float(right), int(count)) for left, right, count in bins]
-    if not bins:
+    """Bar chart over the bin_left, bin_right and count columns; y axis starts at 0."""
+    bins = np.column_stack((lefts, rights, counts)).astype(float)
+    if not len(bins):
         raise ValueError("no histogram bins to plot")
-    x_range = (bins[0][0], bins[-1][1])
-    y_range = (0.0, max(count for _, _, count in bins) or 1.0)
+    x_range = (float(bins[0, 0]), float(bins[-1, 1]))
+    y_range = (0.0, float(bins[:, 2].max()) or 1.0)
     canvas = _Canvas(_ticks(*x_range), _ticks(*y_range))
     canvas.frame_and_grid(title, x_label, y_label)
-    color = PALETTE[0]
-    for left, right, count in bins:
-        if count == 0:
-            continue
-        x = canvas.sx(left)
-        y = canvas.sy(count)
-        width = canvas.sx(right) - x
-        height = canvas.sy(0.0) - y
-        canvas.add(
-            f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(width)}" height="{fmt(height)}" '
-            f'fill="{color}" fill-opacity="0.8" stroke="#ffffff" stroke-width="0.5"/>'
-        )
+    left, right, count = bins[bins[:, 2] != 0].T
+    x, y = canvas.sx(left), canvas.sy(count)
+    bar = (
+        f'<rect x="{FLOAT}" y="{FLOAT}" width="{FLOAT}" height="{FLOAT}" fill="{PALETTE[0]}" '
+        f'fill-opacity="0.8" stroke="#ffffff" stroke-width="0.5"/>\n'
+    )
+    canvas.parts.extend(block_text(bar, (x, y, canvas.sx(right) - x, canvas.sy(0.0) - y)))
     return canvas.render()

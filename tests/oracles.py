@@ -5,11 +5,11 @@ pixels on a grid, AP by scanning every confidence cutoff or by a
 rank-by-rank loop, rankings with every sort key spelled out, correlation
 via numpy's own corrcoef, annotation files one line and one check at a
 time, CSV reports one cell at a time through ``csv.writer``, chart
-markers one f-string per marker, k-means seeded by numpy's own
-``Generator`` and with a full cost matrix on every iteration, distinct
-chart pixels by ``np.unique`` over whole rows, the detector simulator one
-box at a time in scalar arithmetic. None of it shares code with the
-package.
+markers one f-string per marker, line-fit bins by a scan of every point
+per bin, k-means seeded by numpy's own ``Generator`` and with a full cost
+matrix on every iteration, distinct chart pixels by ``np.unique`` over
+whole rows, the detector simulator one box at a time in scalar
+arithmetic. None of it shares code with the package.
 """
 
 from __future__ import annotations
@@ -296,6 +296,56 @@ def bin_residual_variances(widths, heights, slope, intercept, bins):
     return [
         float(residuals[index == b].var()) if np.any(index == b) else None for b in range(bins)
     ]
+
+
+def reference_linefit_anchors(dims, n_line, floor, n_total, variance_bins):
+    """``linefit_anchors`` as distinct pairs in anchor order, each bin found by a scan of all points.
+
+    The fit, the line samples and the floor are restated with numpy's own
+    quantile. The extra anchors come from the original loop: one
+    ``bin_index == b`` scan per bin, then a cursor over the ranked bins with
+    a sign that flips after each anchor.
+    """
+    widths, heights = np.array(dims, dtype=float).T
+    w_mean = widths.mean()
+    h_mean = heights.mean()
+    dw = widths - w_mean
+    slope = float(np.sum(dw * (heights - h_mean)) / np.sum(dw * dw))
+    intercept = float(h_mean - slope * w_mean)
+
+    def round_anchor(width, height):
+        return tuple(min(MAX_COORDINATE, max(1.0, float(round(v)))) for v in (width, height))
+
+    quantiles = [i / (n_line + 1) for i in range(1, n_line + 1)]
+    anchors = [round_anchor(w, slope * w + intercept) for w in np.quantile(widths, quantiles)]
+    if floor is not None and floor[0] * floor[1] < min(w * h for w, h in anchors):
+        anchors.append((float(floor[0]), float(floor[1])))
+
+    extras_needed = n_total - len(anchors)
+    if extras_needed > 0:
+        residuals = heights - (slope * widths + intercept)
+        edges = np.quantile(widths, np.linspace(0.0, 1.0, variance_bins + 1))
+        bin_index = np.clip(
+            np.searchsorted(edges[1:-1], widths, side="right"), 0, variance_bins - 1
+        )
+        populated = [
+            (float(residuals[bin_index == b].var()), b)
+            for b in range(variance_bins)
+            if np.any(bin_index == b)
+        ]
+        populated.sort(key=lambda item: (-item[0], item[1]))
+        sign = 1.0
+        cursor = 0
+        while extras_needed > 0:
+            _, b = populated[cursor % len(populated)]
+            members = bin_index == b
+            w_extra = float(widths[members].mean())
+            offset = float(residuals[members].std())
+            anchors.append(round_anchor(w_extra, slope * w_extra + intercept + sign * offset))
+            sign = -sign
+            cursor += 1
+            extras_needed -= 1
+    return reference_anchor_order(anchors)
 
 
 def _reference_costs(points, centroids, distance):

@@ -31,6 +31,7 @@ from oracles import (
     raster_centered_iou,
     reference_anchor_order,
     reference_kmeans_pp_init,
+    reference_linefit_anchors,
     reference_run_kmeans,
 )
 
@@ -641,6 +642,24 @@ class TestLineFit:
             linefit_anchors(dims, n_line=9, n_total=9)
         with pytest.raises(AnchorError):
             linefit_anchors(dims, variance_bins=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(ANCHOR_SIDES, ANCHOR_SIDES), min_size=2, max_size=80).filter(
+            lambda pairs: len({w for w, _ in pairs}) > 1
+        ),
+        st.integers(1, 12),
+        st.integers(1, 30),
+        st.none() | st.tuples(ANCHOR_SIDES, ANCHOR_SIDES),
+        st.integers(1, 60),
+    )
+    def test_extras_match_the_per_bin_scan(self, pairs, n_line, n_extra, floor, variance_bins):
+        # Few distinct widths against up to 60 bins leave many bins empty.
+        dims = dims_of(pairs)
+        n_total = n_line + n_extra
+        anchors = linefit_anchors(dims, n_line, floor, n_total, variance_bins)
+        expected = reference_linefit_anchors(dims, n_line, floor, n_total, variance_bins)
+        assert anchors.pairs() == expected
 
     def test_tiny_fitted_heights_are_clamped_to_one_pixel(self):
         # A steep negative line pushes fitted heights below zero at the

@@ -380,6 +380,36 @@ class TestStats:
         assert code == 1
         assert "not a directory" in err
 
+    BAR = re.compile(r'<rect x="([^"]+)" y="[^"]+" width="[^"]+" height="([^"]+)"[^>]*'
+                     r'fill-opacity="0.8"')
+
+    @pytest.mark.parametrize("bins", [5, 1])
+    def test_each_chart_draws_one_bar_per_nonzero_csv_row(self, tmp_path, bins):
+        # 1, 1, 1, 5 and 10 heads of 10x10 px on 100x100 images: in five bins,
+        # the second and fourth bin of both histograms are empty.
+        heads = dict(zip("abcde", (1, 1, 1, 5, 10)))
+        gt = write_corpus(tmp_path / "gt", {
+            image_id: "".join(f"head {10 * j} 0 {10 * j + 10} 10\n" for j in range(n))
+            for image_id, n in heads.items()
+        })
+        manifest = tmp_path / "dims.csv"
+        manifest.write_text("image_id,width,height\n" + "".join(f"{i},100,100\n" for i in heads))
+        out = tmp_path / "out"
+        code, _, _ = run_cli("stats", gt, "--manifest", manifest, "--bins", bins, "--out", out)
+        assert code == 0
+        for name in ("count_hist", "coverage_hist"):
+            with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
+                rows = [(float(left), int(count)) for left, _, count in list(csv.reader(fh))[1:]]
+            assert [count for _, count in rows] == ([3, 0, 1, 0, 1] if bins == 5 else [5])
+            bars = [tuple(map(float, bar)) for bar in self.BAR.findall(
+                (out / f"{name}.svg").read_text(encoding="utf-8"))]
+            drawn = [count for _, count in rows if count]
+            assert len(bars) == len(drawn)
+            # In row order: left to right, each as tall as its count.
+            assert [x for x, _ in bars] == sorted({x for x, _ in bars})
+            per_image = bars[0][1] / drawn[0]
+            assert [h for _, h in bars] == pytest.approx([n * per_image for n in drawn], rel=1e-5)
+
     def test_negative_min_count_is_a_usage_error(self, tmp_path):
         gt = self.corpus(tmp_path)
         code, _, err = run_cli("stats", gt, "--min-count", "-3", "--out", tmp_path / "out")

@@ -256,19 +256,18 @@ class TestLine:
 
 class TestHistogram:
     def test_draws_one_bar_per_nonzero_bin(self):
-        bins = [(0.0, 1.0, 5), (1.0, 2.0, 0), (2.0, 3.0, 2)]
-        text = histogram_svg(bins, "count")
+        text = histogram_svg([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [5, 0, 2], "count")
         parse_svg(text)
         # Background and plot frame, then one bar per non-empty bin.
         assert text.count("<rect") == 2 + 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            histogram_svg([], "count")
+            histogram_svg([], [], [], "count")
 
     def test_deterministic(self):
-        bins = [(0.0, 10.0, 3), (10.0, 20.0, 9)]
-        assert histogram_svg(bins, "v") == histogram_svg(bins, "v")
+        bins = np.array([0.0, 10.0]), np.array([10.0, 20.0]), np.array([3, 9])
+        assert histogram_svg(*bins, "v") == histogram_svg(*bins, "v")
 
 
 def drawn_by_the_oracle(canvas, series):
@@ -351,7 +350,7 @@ class TestAgainstTheOracle:
                 [Series("pr", np.column_stack((recall, np.linspace(1, 0, 500) ** 2)))],
                 "recall", "precision", x_range=(0.0, 1.0), y_range=(0.0, 1.0),
             ),
-            "histogram": histogram_svg([(0.0, 1.0, 5), (1.0, 2.0, 0), (2.0, 3.0, 7)], "v"),
+            "histogram": histogram_svg([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [5, 0, 7], "v"),
         }
         digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in charts.items()}
         assert digests == self.DIGESTS
