@@ -82,7 +82,11 @@ class CoverageDiagnostic:
     mean_best_iou: float
     recall_at_t: float
     threshold_t: float
-    per_anchor_assignment_counts: np.ndarray  # read-only int array, one count per anchor
+    per_anchor_assignment_counts: np.ndarray  # read-only intp array, one count per anchor
+
+    def __post_init__(self):
+        counts = frozen(self.per_anchor_assignment_counts, np.intp)
+        self.__dict__.update(per_anchor_assignment_counts=counts)
 
     __eq__ = same_fields
 
@@ -154,6 +158,9 @@ class KMeansRun:
     centroids: np.ndarray
     labels: np.ndarray
     objective_history: tuple[float, ...]
+
+    def __post_init__(self):
+        self.__dict__.update(centroids=frozen(self.centroids), labels=frozen(self.labels, np.intp))
 
     __eq__ = same_fields
 
@@ -405,7 +412,7 @@ def run_kmeans(
         lower -= to_distance(drift).max()
         centroids = candidates
         history.append(float(own.sum()))
-    return KMeansRun(frozen(centroids), frozen(labels, np.intp), tuple(history))
+    return KMeansRun(centroids, labels, tuple(history))
 
 
 def kmeans_anchors(
@@ -526,7 +533,7 @@ def coverage(
         mean_best_iou=float(best_iou.mean()),
         recall_at_t=float((best_iou >= threshold_t).mean()),
         threshold_t=float(threshold_t),
-        per_anchor_assignment_counts=frozen(counts, np.intp),
+        per_anchor_assignment_counts=counts,
     )
 
 

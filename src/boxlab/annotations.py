@@ -376,22 +376,23 @@ def format_coordinate(value: float) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-def format_ground_truth(annotations: ImageAnnotations) -> str:
-    """Serialize back to the ground-truth text format (round-trips exactly)."""
+def _format_rows(class_names, values: np.ndarray) -> str:
+    """The text ``_parse_columns`` reads back as ``class_names`` and ``values``, losslessly."""
     return "".join(
         f"{name} {' '.join(map(format_coordinate, row))}\n"
-        for name, row in zip(annotations.class_names, annotations.edges.tolist())
+        for name, row in zip(class_names, values.tolist())
     )
+
+
+def format_ground_truth(annotations: ImageAnnotations) -> str:
+    """Serialize back to the ground-truth text format (round-trips exactly)."""
+    return _format_rows(annotations.class_names, annotations.edges)
 
 
 def format_predictions(detections: ImageDetections) -> str:
     """Serialize back to the prediction text format (round-trips exactly)."""
-    return "".join(
-        f"{name} {format_coordinate(confidence)} {' '.join(map(format_coordinate, row))}\n"
-        for name, confidence, row in zip(
-            detections.class_names, detections.confidences.tolist(), detections.edges.tolist()
-        )
-    )
+    rows = np.column_stack((detections.confidences, detections.edges))
+    return _format_rows(detections.class_names, rows)
 
 
 def load_manifest(path: str | Path) -> dict[str, tuple[float, float]]:
@@ -437,8 +438,12 @@ def _txt_files(directory: str | Path, what: str) -> list[Path]:
 
 
 def _read_text(path: Path) -> str:
-    """A file decoded as UTF-8, a leading byte-order mark skipped; ParseError names a bad byte."""
-    data = path.read_bytes()
+    """A file decoded as UTF-8, a leading byte-order mark skipped; ParseError names a bad byte,
+    DatasetError a file that cannot be read."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read: {exc.strerror}") from None
     try:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -446,6 +451,12 @@ def _read_text(path: Path) -> str:
         # the box parsers do (a manifest's CSV rows cannot be counted here).
         line = len((data[: exc.start].decode("utf-8-sig") + "x").splitlines())
         raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line, str(path)) from None
+
+
+def _inferred_size(edges: np.ndarray) -> tuple[float, float] | None:
+    """The size of an image without dimensions: the ceiling of its furthest right and bottom
+    edges, or None with no boxes. A NaN or inf edge is left for the constructor to reject."""
+    return tuple(np.ceil(edges[:, 2:].max(axis=0)).tolist()) if len(edges) else None
 
 
 def _parse_file(file: Path, value_names: tuple[str, ...], build):
@@ -471,11 +482,8 @@ def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> D
     def with_dims(image_id: str, class_names, edges: np.ndarray) -> ImageAnnotations:
         if image_id in dims:
             return ImageAnnotations(image_id, class_names, edges, *dims[image_id])
-        if len(edges) == 0:
-            return ImageAnnotations(image_id, class_names, edges)
-        # Unchecked edges: a NaN or inf here makes the constructor reject its row.
-        width, height = np.ceil(edges[:, 2:].max(axis=0)).tolist()
-        return ImageAnnotations(image_id, class_names, edges, width, height, dims_inferred=True)
+        size = _inferred_size(edges) or (None, None)
+        return ImageAnnotations(image_id, class_names, edges, *size, size[0] is not None)
 
     images = [_parse_file(file, EDGE_NAMES, with_dims) for file in files]
     missing = sorted(set(dims).difference(ann.image_id for ann in images))
@@ -484,24 +492,35 @@ def load_dataset(directory: str | Path, manifest: str | Path | None = None) -> D
     return Dataset.from_images(images)
 
 
+def _save_corpus(records: Mapping, directory: str | Path, format_text) -> None:
+    """Write ``format_text(record)`` to ``<image_id>.txt`` per record, in id order, through the
+    report writer. First, DatasetError for any id that would not load back as its file's stem:
+    one that is empty or holds a path separator or a NUL."""
+    from .reports import atomic_write  # reports imports ROW_BLOCK from this module
+
+    names = {image_id: f"{image_id}.txt" for image_id in sorted(records)}
+    for image_id, name in names.items():
+        if "\0" in name or Path(name).name != name or Path(name).stem != image_id:
+            raise DatasetError(f"image id {image_id!r} is empty or holds a path separator or a NUL")
+    for image_id, name in names.items():
+        atomic_write(Path(directory, name), format_text(records[image_id]))
+
+
 def save_dataset(dataset: Dataset, directory: str | Path) -> None:
     """Write one ``<image_id>.txt`` per image plus ``manifest.csv`` of explicit dims.
 
     Inferred dimensions are not written to the manifest, so a save/load
     round trip preserves the ``dims_inferred`` flag.
     """
-    from .reports import write_csv  # reports imports ROW_BLOCK from this module
+    from .reports import write_csv
 
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for ann in dataset:
-        path = directory / f"{ann.image_id}.txt"
-        path.write_text(format_ground_truth(ann), encoding="utf-8", newline="\n")
+    _save_corpus(dataset.images, directory, format_ground_truth)
     explicit = [ann for ann in dataset if ann.width is not None and not ann.dims_inferred]
     ids = [ann.image_id for ann in explicit]
     widths = [format_coordinate(ann.width) for ann in explicit]
     heights = [format_coordinate(ann.height) for ann in explicit]
-    write_csv(directory / "manifest.csv", ("image_id", "width", "height"), [(ids, widths, heights)])
+    header = ("image_id", "width", "height")
+    write_csv(Path(directory, "manifest.csv"), header, [(ids, widths, heights)])
 
 
 def load_predictions_dir(directory: str | Path) -> dict[str, ImageDetections]:
@@ -512,8 +531,4 @@ def load_predictions_dir(directory: str | Path) -> dict[str, ImageDetections]:
 
 def save_predictions(predictions: Mapping[str, ImageDetections], directory: str | Path) -> None:
     """Write one prediction file per image."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for image_id in sorted(predictions):
-        path = directory / f"{image_id}.txt"
-        path.write_text(format_predictions(predictions[image_id]), encoding="utf-8", newline="\n")
+    _save_corpus(predictions, directory, format_predictions)

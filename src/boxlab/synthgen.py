@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import MAX_COORDINATE, MIN_SIDE, DataError, Dataset, ImageAnnotations
-from .annotations import ImageDetections, in_domain
+from .annotations import ImageDetections, _class_name_problem, _inferred_size, in_domain
 
 
 class SynthError(DataError):
@@ -67,8 +67,9 @@ class SynthConfig:
         low, high = self.width_range
         if not MIN_SIDE <= low <= high:
             raise SynthError(f"width_range must be at least 2**-50 and ordered, got {self.width_range}")
-        if not self.class_name or any(c.isspace() for c in self.class_name):
-            raise SynthError(f"invalid class name {self.class_name!r}")
+        problem = _class_name_problem(self.class_name)
+        if problem:
+            raise SynthError(problem)
         tallest = max(self.line_slope * low, self.line_slope * high) + self.line_intercept
         if high > self.image_width or max(tallest, 1.0) > self.image_height:
             raise SynthError(
@@ -145,14 +146,6 @@ def generate_dataset(config: SynthConfig) -> Dataset:
     return Dataset.from_images(images)
 
 
-def _frame(ann: ImageAnnotations) -> tuple[float, float] | None:
-    if ann.width is not None:
-        return (ann.width, ann.height)
-    if len(ann):
-        return (float(ann.edges[:, 2].max()), float(ann.edges[:, 3].max()))
-    return None
-
-
 def _restored(edges: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Jittered ``(n, 4)`` rows made valid inside their ``(n, 2)`` frames (width, height).
 
@@ -196,8 +189,11 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
     their class and dimensions from a random ground-truth box anywhere in
     the corpus (an all-empty corpus yields no false positives) and land
     uniformly inside the image. Survivors come first, in ground-truth
-    order, then the false positives. Every frame, set or inferred, lies in
-    the coordinate domain, so every restored box does too.
+    order, then the false positives. An image without dimensions is framed
+    by the size ``load_dataset`` infers for it, the ceiling of its furthest
+    right and bottom edges, so a corpus gives the same detections before
+    and after a save and load. Every frame, set or inferred, lies in the
+    coordinate domain, so every restored box does too.
 
     Each image draws from its own substream seeded by (seed, image index),
     in this order: one uniform survival draw per box; then per box, missed
@@ -221,7 +217,7 @@ def simulate_detector(gt: Dataset, noise: DetectorNoise) -> dict[str, ImageDetec
     start = 0
     for index, ann in enumerate(images):
         rng = np.random.default_rng([noise.seed, index])
-        frame = _frame(ann)
+        frame = (ann.width, ann.height) if ann.width is not None else _inferred_size(ann.edges)
         frames.append(frame or (0.0, 0.0))
         stop = start + len(ann)
         rng.random(out=survival[start:stop])

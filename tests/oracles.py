@@ -568,10 +568,11 @@ def reference_distinct(pixels):
 
 
 def _reference_frame(ann) -> tuple[float, float] | None:
+    """An image's set size, or without one the loader's: each furthest edge rounded up."""
     if ann.width is not None:
         return (ann.width, ann.height)
     if len(ann):
-        return (float(ann.edges[:, 2].max()), float(ann.edges[:, 3].max()))
+        return (float(math.ceil(ann.edges[:, 2].max())), float(math.ceil(ann.edges[:, 3].max())))
     return None
 
 

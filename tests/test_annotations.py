@@ -181,6 +181,16 @@ class TestRoundTrip:
         )
         assert parse_predictions(format_predictions(dets), "img") == dets
 
+    def test_both_formats_write_each_number_by_one_rule(self):
+        edges = [(0.5, 2.0, 10.0, 1e-05 + 3), (-0.0, 0.0, 2**50, 7.25)]
+        ann = ImageAnnotations("img", ["c", "d"], edges)
+        dets = ImageDetections("img", ["c", "d"], edges, [1.0, 0.981597])
+        assert format_ground_truth(ann) == "c 0.5 2 10 3.00001\nd 0 0 1125899906842624 7.25\n"
+        assert format_predictions(dets) == (
+            "c 1 0.5 2 10 3.00001\nd 0.981597 0 0 1125899906842624 7.25\n"
+        )
+        assert format_predictions(ImageDetections("img")) == ""
+
 
 class TestImageAnnotations:
     def test_dims_must_come_together(self):
@@ -367,6 +377,37 @@ class TestSaveLoad:
         dets = ImageDetections("a", ["c"], [(26, 448, 58, 477)], [0.981597])
         save_predictions({"a": dets}, tmp_path / "pred")
         assert load_predictions_dir(tmp_path / "pred") == {"a": dets}
+
+    @pytest.mark.parametrize(
+        "image_id", ["", "../escaped", "sub/x", "a\x00b"], ids=["empty", "parent", "sub", "nul"]
+    )
+    @pytest.mark.parametrize("save", [save_dataset, save_predictions], ids=lambda f: f.__name__)
+    def test_an_id_that_is_not_a_file_stem_is_refused_before_any_write(
+        self, tmp_path, save, image_id
+    ):
+        ids = ("a", image_id)  # "a" sorts before every bad id but the first two
+        if save is save_dataset:
+            records = Dataset.from_images(ImageAnnotations(i, ["c"], [(0, 0, 1, 1)]) for i in ids)
+        else:
+            records = {i: ImageDetections(i, ["c"], [(0, 0, 1, 1)], [0.5]) for i in ids}
+        out = tmp_path / "corpus" / "out"
+        with pytest.raises(DatasetError) as excinfo:
+            save(records, out)
+        assert str(excinfo.value) == (
+            f"image id {image_id!r} is empty or holds a path separator or a NUL"
+        )
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_corpus_files_replace_old_ones_whole(self, tmp_path):
+        """A save over a corpus replaces each file by a rename and leaves no temp file."""
+        first = ImageDetections("a", ["c"] * 3, [(0, 0, 1, 1)] * 3, [0.5] * 3)
+        save_predictions({"a": first}, tmp_path)
+        old = (tmp_path / "a.txt").stat().st_ino
+        second = ImageDetections("a", ["c"], [(0, 0, 2, 2)], [0.25])
+        save_predictions({"a": second}, tmp_path)
+        assert (tmp_path / "a.txt").stat().st_ino != old
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+        assert load_predictions_dir(tmp_path) == {"a": second}
 
 
 class TestLoadManifest:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import math
@@ -826,6 +827,18 @@ def test_report_files_get_the_mode_a_plain_open_gives(tmp_path, umask):
         assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask, name
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_corpus_files_get_the_mode_a_plain_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run_cli("synth", "--images", "2", "--simulate", "--out", tmp_path, "--quiet")
+    finally:
+        os.umask(previous)
+    assert code == 0
+    for name in ("gt/img_0000.txt", "gt/manifest.csv", "pred/img_0001.txt"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask, name
+
+
 def manifest_entries(manifest: Path) -> dict[str, str]:
     return dict(line.split(" = ", 1) for line in manifest.read_text(encoding="utf-8").splitlines())
 
@@ -1225,6 +1238,31 @@ class TestUndecodableBytes:
         code, _, err = run_cli(command, *inputs[command], "--out", tmp_path / "out")
         assert code == 1
         assert err.splitlines() == [f"error: {path}: line 2: not UTF-8 text: byte 0xff"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnreadableInputs:
+    """An input path that cannot be read is one data-error line naming it, not an OSError text."""
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [("stats", "gt"), ("anchors", "gt"), ("eval", "gt"), ("eval", "pred"),
+         ("stats", "manifest"), ("eval", "manifest")],
+        ids=["stats-gt", "anchors-gt", "eval-gt", "eval-pred", "stats-manifest", "eval-manifest"],
+    )
+    def test_is_a_data_error_naming_the_path(self, tmp_path, command, bad):
+        gt = write_corpus(tmp_path / "gt", {"a": "head 0 0 10 10\n"})
+        pred = write_corpus(tmp_path / "pred", {"a": "head 0.9 0 0 10 10\n"})
+        inputs = {"stats": [gt], "anchors": [gt], "eval": [gt, pred]}[command]
+        if bad == "manifest":
+            path, reason = tmp_path / "missing.csv", os.strerror(errno.ENOENT)
+            inputs = [*inputs, "--manifest", path]
+        else:
+            path, reason = (gt if bad == "gt" else pred) / "sub.txt", os.strerror(errno.EISDIR)
+            path.mkdir()
+        code, _, err = run_cli(command, *inputs, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.splitlines() == [f"error: {path}: cannot read: {reason}"]
         assert not (tmp_path / "out").exists()
 
 

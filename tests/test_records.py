@@ -130,6 +130,12 @@ def test_record_contract(cls):
         changed = dataclasses.replace(record, **{name: value})
         assert changed != record and record != changed, name
         assert not changed == record, name
+        # The record stores its own read-only copy of a value passed in, whatever its type.
+        for array_name in arrays:
+            stored = getattr(changed, array_name)
+            assert isinstance(stored, np.ndarray) and not stored.flags.writeable, (name, array_name)
+        if name in arrays:
+            assert not np.shares_memory(getattr(changed, name), value), name
 
     for name, array in arrays.items():
         assert not array.flags.writeable, name

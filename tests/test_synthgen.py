@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boxlab.annotations import MAX_COORDINATE, MIN_SIDE, Dataset, ImageAnnotations, save_dataset
+from boxlab.annotations import (
+    MAX_COORDINATE, MIN_SIDE, Dataset, ImageAnnotations, load_dataset, save_dataset,
+)
 from boxlab.evalcore import evaluate
 from boxlab.synthgen import (
     DetectorNoise,
@@ -57,6 +59,16 @@ class TestSynthConfigValidation:
     def test_rejects_bad_parameters(self, overrides):
         with pytest.raises(SynthError):
             SynthConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("", "empty class name"), ("a b", "class name contains whitespace: 'a b'"),
+         ("a\x1fb", "class name contains whitespace: 'a\\x1fb'")],
+    )
+    def test_class_name_is_checked_by_the_loaders_rule(self, name, message):
+        with pytest.raises(SynthError) as excinfo:
+            SynthConfig(n_images=1, class_name=name)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("side", [2.0**50 + 1, 1e17, 1e300, math.nan])
     def test_rejects_sides_above_2_to_the_50(self, side):
@@ -380,6 +392,19 @@ class TestSimulateDetector:
         rows = [[0.0, 0.0, MIN_SIDE, sliver], [3.0, 7.0, 3.0 + 4 * MIN_SIDE, 7.0]]
         restored = _restored(np.array(rows), np.array([[100.0, 100.0]] * 2)).tolist()
         assert restored == [[0.0, 0.0, MIN_SIDE, 1.0], [3.0, 6.5, 3.0 + 4 * MIN_SIDE, 7.5]]
+
+    def test_an_image_without_dimensions_is_framed_as_the_loader_sizes_it(self, tmp_path):
+        """In memory, an image without dimensions gets the size it has after a save and load."""
+        corpus = Dataset.from_images([
+            ImageAnnotations("a", ["h", "h"], [(0.5, 1.0, 10.5, 3.0), (2.0, 0.25, 4.0, 7.75)]),
+            ImageAnnotations("b", ["h"], [(1.0, 1.0, 2.5, 2.5)]),
+            ImageAnnotations("c", ()),
+        ])
+        save_dataset(corpus, tmp_path)
+        loaded = load_dataset(tmp_path)
+        assert (loaded.images["a"].width, loaded.images["a"].height) == (11.0, 8.0)
+        noise = DetectorNoise(false_positive_rate=3, jitter_sd=1, seed=4)
+        assert simulate_detector(corpus, noise) == simulate_detector(loaded, noise)
 
     def test_false_positive_count_is_calibrated(self):
         ds = generate_dataset(
