@@ -85,8 +85,11 @@ class CoverageDiagnostic:
     per_anchor_assignment_counts: np.ndarray  # read-only intp array, one count per anchor
 
     def __post_init__(self):
-        counts = frozen(self.per_anchor_assignment_counts, np.intp)
-        self.__dict__.update(per_anchor_assignment_counts=counts)
+        self.__dict__.update(
+            mean_best_iou=float(self.mean_best_iou), recall_at_t=float(self.recall_at_t),
+            threshold_t=float(self.threshold_t),
+            per_anchor_assignment_counts=frozen(self.per_anchor_assignment_counts, np.intp),
+        )
 
     __eq__ = same_fields
 
@@ -144,11 +147,16 @@ def _dims_array(dims: ArrayLike, what: str = "box dimensions") -> np.ndarray:
     return points
 
 
+def _centered_iou(w, h, area, cw, ch, carea) -> np.ndarray:
+    """Centred IoU between broadcastable width, height and area columns."""
+    inter = np.minimum(w, cw) * np.minimum(h, ch)
+    return inter / (area + carea - inter)
+
+
 def centered_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise centered IoU between (n, 2) and (m, 2) dimension arrays."""
-    inter = np.minimum(a[:, None, 0], b[None, :, 0]) * np.minimum(a[:, None, 1], b[None, :, 1])
-    union = (a[:, 0] * a[:, 1])[:, None] + (b[:, 0] * b[:, 1])[None, :] - inter
-    return inter / union
+    (w, h), (cw, ch) = a.T[:, :, None], b.T[:, None, :]
+    return _centered_iou(w, h, w * h, cw, ch, cw * ch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +168,8 @@ class KMeansRun:
     objective_history: tuple[float, ...]
 
     def __post_init__(self):
-        self.__dict__.update(centroids=frozen(self.centroids), labels=frozen(self.labels, np.intp))
+        self.__dict__.update(centroids=frozen(self.centroids), labels=frozen(self.labels, np.intp),
+                             objective_history=tuple(map(float, self.objective_history)))
 
     __eq__ = same_fields
 
@@ -266,15 +275,14 @@ def _kmeans_pp_init(w, h, area, k: int, distance: str, rng: _SeedStream) -> list
 def _pair_costs(w, h, area, cw, ch, carea, distance: str) -> np.ndarray:
     """Costs between broadcastable width, height and area columns.
 
-    Squared Euclidean, or 1 - centred IoU with the per-element operations
-    of ``centered_iou_matrix``, so the same floats.
+    Squared Euclidean, or 1 - the ``_centered_iou`` that
+    ``centered_iou_matrix`` also computes, so the same floats.
     """
     if distance == "euclidean":
         dw = w - cw
         dh = h - ch
         return dw * dw + dh * dh
-    inter = np.minimum(w, cw) * np.minimum(h, ch)
-    return 1.0 - inter / (area + carea - inter)
+    return 1.0 - _centered_iou(w, h, area, cw, ch, carea)
 
 
 def _integer(value, name: str) -> int:
@@ -412,7 +420,7 @@ def run_kmeans(
         lower -= to_distance(drift).max()
         centroids = candidates
         history.append(float(own.sum()))
-    return KMeansRun(centroids, labels, tuple(history))
+    return KMeansRun(centroids, labels, history)
 
 
 def kmeans_anchors(
@@ -530,9 +538,9 @@ def coverage(
         best_iou[block] = matrix[np.arange(len(matrix)), best_index[block]]
     counts = np.bincount(best_index, minlength=len(anchors))
     return CoverageDiagnostic(
-        mean_best_iou=float(best_iou.mean()),
-        recall_at_t=float((best_iou >= threshold_t).mean()),
-        threshold_t=float(threshold_t),
+        mean_best_iou=best_iou.mean(),
+        recall_at_t=(best_iou >= threshold_t).mean(),
+        threshold_t=threshold_t,
         per_anchor_assignment_counts=counts,
     )
 

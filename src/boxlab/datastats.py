@@ -6,7 +6,7 @@ are double counted, so values above 1 are possible by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,21 +33,29 @@ Quantiles = tuple[float, float, float, float, float]
 
 @dataclass(frozen=True)
 class DatasetStats:
-    """Corpus summary: per-image rows plus count and coverage aggregates.
+    """Corpus summary: per-image rows, and the count and coverage aggregates computed from them.
 
-    Quantiles are (min, q25, median, q75, max) with linear interpolation;
-    the standard deviation is the population figure over all images.
+    An empty ``per_image`` is a StatsError. Quantiles are (min, q25, median, q75,
+    max), linearly interpolated; the standard deviation is the population figure.
     """
 
     per_image: tuple[ImageStats, ...]
-    total_heads: int
-    mean_count: float
-    sd_count: float
-    count_quantiles: Quantiles
-    coverage_quantiles: Quantiles
+    total_heads: int = field(init=False)
+    mean_count: float = field(init=False)
+    sd_count: float = field(init=False)
+    count_quantiles: Quantiles = field(init=False)
+    coverage_quantiles: Quantiles = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "per_image", tuple(self.per_image))
+        per_image = tuple(self.per_image)
+        if not per_image:
+            raise StatsError("dataset is empty")
+        counts = np.array([s.head_count for s in per_image], dtype=float)
+        coverages = np.array([s.coverage_fraction for s in per_image], dtype=float)
+        self.__dict__.update(per_image=per_image, total_heads=int(counts.sum()),
+                             mean_count=float(counts.mean()), sd_count=float(counts.std()),
+                             count_quantiles=_quantiles(counts),
+                             coverage_quantiles=_quantiles(coverages))
 
     @property
     def image_count(self) -> int:
@@ -76,18 +84,15 @@ def linear_quantiles(values: np.ndarray, q) -> np.ndarray:
 
 
 def _quantiles(values: np.ndarray) -> Quantiles:
-    q = linear_quantiles(values, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return (float(q[0]), float(q[1]), float(q[2]), float(q[3]), float(q[4]))
+    return tuple(linear_quantiles(values, [0.0, 0.25, 0.5, 0.75, 1.0]).tolist())
 
 
 def compute_stats(dataset: Dataset) -> DatasetStats:
-    """Compute per-image and corpus-level statistics.
+    """Compute per-image statistics; ``DatasetStats`` derives the corpus-level ones.
 
     Every image containing boxes must carry dimensions (explicit or
     inferred); a box-free image contributes zero area and zero coverage.
     """
-    if len(dataset) == 0:
-        raise StatsError("dataset is empty")
     per_image = []
     for ann in dataset:
         edges = ann.edges
@@ -96,25 +101,9 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
         if len(ann) and ann.width is None:
             raise StatsError(f"image {ann.image_id!r} has boxes but no dimensions")
         coverage = 0.0 if ann.width is None else total_area / (ann.width * ann.height)
-        per_image.append(
-            ImageStats(
-                image_id=ann.image_id,
-                head_count=len(ann),
-                total_box_area=float(total_area),
-                coverage_fraction=float(coverage),
-                dims_inferred=ann.dims_inferred,
-            )
-        )
-    counts = np.array([s.head_count for s in per_image], dtype=float)
-    coverages = np.array([s.coverage_fraction for s in per_image], dtype=float)
-    return DatasetStats(
-        per_image=tuple(per_image),
-        total_heads=int(counts.sum()),
-        mean_count=float(counts.mean()),
-        sd_count=float(counts.std()),
-        count_quantiles=_quantiles(counts),
-        coverage_quantiles=_quantiles(coverages),
-    )
+        per_image.append(ImageStats(ann.image_id, len(ann), float(total_area), float(coverage),
+                                    ann.dims_inferred))
+    return DatasetStats(tuple(per_image))
 
 
 def extract_dims(dataset: Dataset) -> np.ndarray:

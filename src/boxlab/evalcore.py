@@ -29,7 +29,7 @@ class EvalError(DataError):
 
 # Column name -> dtype of a Verdicts table, in constructor order.
 _COLUMNS = {"image": np.int64, "det_index": np.int64, "confidence": np.float64,
-            "is_tp": np.bool_, "matched_gt": np.int64, "iou": np.float64}
+            "matched_gt": np.int64, "iou": np.float64}
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +42,14 @@ class Verdicts:
     the detection's position in its file. A TP holds the matched box's
     position in its image in ``matched_gt`` and their IoU in ``iou``; an FP
     holds -1 and the best IoU among still-unmatched boxes of its class at
-    decision time (0.0 when none was left). A slice or mask selects rows.
+    decision time (0.0 when none was left). ``is_tp`` is not passed in: it
+    is ``matched_gt >= 0``. A slice or mask selects rows.
     """
 
     image: np.ndarray = ()
     det_index: np.ndarray = ()
     confidence: np.ndarray = ()
-    is_tp: np.ndarray = ()
+    is_tp: np.ndarray = field(init=False)
     matched_gt: np.ndarray = ()
     iou: np.ndarray = ()
 
@@ -56,6 +57,7 @@ class Verdicts:
         columns = {name: frozen(getattr(self, name), dtype) for name, dtype in _COLUMNS.items()}
         if len({column.shape for column in columns.values()}) != 1 or columns["image"].ndim != 1:
             raise EvalError("verdict columns must be one-dimensional and of equal length")
+        columns["is_tp"] = frozen(columns["matched_gt"] >= 0, np.bool_)
         self.__dict__.update(columns)
 
     def __len__(self) -> int:
@@ -77,16 +79,17 @@ class PRCurve:
 
     Row i holds the recall and precision after the i + 1 best-ranked
     detections and the confidence of the last of them. Recall must not
-    decrease along the ranks. ``points`` is the same curve as a tuple of
-    (recall, precision) pairs, built anew on each access; it is kept for
-    perfbench's eval output check, which reads pairs. Two curves are equal
-    when their columns and AP are; a curve is not hashable.
+    decrease along the ranks. ``ap`` is computed, not passed in: the
+    ``math.fsum`` of each recall step times the best precision at or after
+    it. ``points`` is the same curve as (recall, precision) pairs, built
+    anew on each access for perfbench's eval output check. Two curves are
+    equal when their columns are; a curve is not hashable.
     """
 
     recall: np.ndarray
     precision: np.ndarray
     confidences: np.ndarray
-    ap: float
+    ap: float = field(init=False)
 
     def __post_init__(self):
         columns = {name: frozen(getattr(self, name)) for name in _CURVE_COLUMNS}
@@ -97,7 +100,9 @@ class PRCurve:
             raise EvalError("one confidence per PR point required")
         if np.any(recall[1:] < recall[:-1]):
             raise EvalError("recall must be non-decreasing along ranks")
-        self.__dict__.update(columns)
+        steps = np.diff(recall, prepend=0.0)
+        steps *= np.maximum.accumulate(precision[::-1])[::-1]
+        self.__dict__.update(columns, ap=math.fsum(steps))
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -110,6 +115,8 @@ class PRCurve:
 class EvalReport:
     """Full evaluation summary: per-class AP, mAP, count pairs, and R².
 
+    ``ap_per_class`` (each curve's ``ap``) and their ``math.fsum`` mean
+    ``map_score`` are computed, not passed in; no class is an EvalError.
     ``r_squared`` is None when the count regression is undefined for the
     corpus (fewer than two images, or constant true counts).
     ``verdicts`` holds the rows of every detection whose class has ground
@@ -117,14 +124,20 @@ class EvalReport:
     detection sequences.
     """
 
-    ap_per_class: dict[str, float]
     pr_per_class: dict[str, PRCurve]
-    map_score: float
-    count_pairs: tuple[tuple[str, int, int], ...]
-    r_squared: float | None
     iou_threshold: float
-    confidence_threshold: float | None
+    ap_per_class: dict[str, float] = field(init=False)
+    map_score: float = field(init=False)
+    count_pairs: tuple[tuple[str, int, int], ...] = ()
+    r_squared: float | None = None
+    confidence_threshold: float | None = None
     verdicts: Verdicts = field(default_factory=Verdicts)
+
+    def __post_init__(self):
+        if not self.pr_per_class:
+            raise EvalError("an evaluation report needs at least one class")
+        aps = {name: curve.ap for name, curve in self.pr_per_class.items()}
+        self.__dict__.update(ap_per_class=aps, map_score=math.fsum(aps.values()) / len(aps))
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,18 +215,16 @@ def match_detections(
     _checked_iou_threshold(iou_threshold)
     order, partners, ious = _greedy_matches(gt, pred, iou_threshold)
     image = np.zeros(len(pred), np.int64)
-    return Verdicts(image, order, pred.confidences[order], partners >= 0, partners, ious)
+    return Verdicts(image, order, pred.confidences[order], partners, ious)
 
 
 def _ranked_curve(is_tp: np.ndarray, confidences: np.ndarray, total_gt: int) -> PRCurve:
-    """PR curve and all-point AP of detections already in rank order.
+    """PR curve of detections already in rank order; the PRCurve computes its AP.
 
     Each value is an integer true division, which numpy and Python both
     round correctly, and a rank that adds no recall adds an exact 0.0 to
-    the ``math.fsum``, which reads the array without a list of every rank,
-    so the curve and AP equal a rank-by-rank loop's. Each n-length
-    intermediate is dropped once used, so the PRCurve's copies are made
-    beside only its three columns.
+    the AP's ``math.fsum``, which reads the array without a list of every
+    rank, so the curve and AP equal a rank-by-rank loop's.
     """
     true_positives = np.cumsum(is_tp, dtype=np.int64)
     if len(true_positives) and true_positives[-1] > total_gt:
@@ -221,11 +232,7 @@ def _ranked_curve(is_tp: np.ndarray, confidences: np.ndarray, total_gt: int) -> 
     recall = true_positives / total_gt
     precision = true_positives / np.arange(1, len(true_positives) + 1)
     del true_positives
-    steps = np.diff(recall, prepend=0.0)
-    steps *= np.maximum.accumulate(precision[::-1])[::-1]
-    ap = math.fsum(steps)
-    del steps
-    return PRCurve(recall, precision, confidences, ap)
+    return PRCurve(recall, precision, confidences)
 
 
 def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
@@ -233,10 +240,11 @@ def average_precision(verdicts: Verdicts, total_gt: int) -> PRCurve:
 
     The ranking merges all images by (confidence descending, image,
     detection index), so results are independent of row order; rows equal
-    on that whole key keep their order. AP is the area under the monotone
-    precision envelope, integrated at every rank that adds recall (the
-    PASCAL VOC definition since 2010). A box matched twice within an
-    image, or more TPs than ``total_gt``, is an EvalError.
+    on that whole key keep their order. A row is a TP exactly when it holds
+    a matched box (``matched_gt >= 0``). AP is the curve's own ``ap``: the
+    area under the monotone precision envelope, integrated at every rank
+    that adds recall (the PASCAL VOC definition since 2010). A box matched
+    twice within an image, or more TPs than ``total_gt``, is an EvalError.
 
     The curve's recall and precision columns go into the PRCurve as
     computed, with the confidences in rank order; no per-rank Python
@@ -295,7 +303,7 @@ def _corpus_verdicts(
         order, partners, ious = order[kept], partners[kept], ious[kept]
         rows = slice(stop, stop + len(order))
         stop = rows.stop
-        values = (position, order, pred.confidences[order], partners >= 0, partners, ious)
+        values = (position, order, pred.confidences[order], partners, ious)
         for column, value in zip(columns.values(), values):
             column[rows] = value
         class_codes[rows] = row_codes[kept]
@@ -326,13 +334,7 @@ def _mean_average_precision(
         name: _ranked_curve(verdicts.is_tp[ranked], verdicts.confidence[ranked], gt_totals[name])
         for name, ranked in zip(codes, segments)
     }
-    ap_per_class = {name: curve.ap for name, curve in pr_per_class.items()}
-    return EvalReport(
-        ap_per_class=ap_per_class, pr_per_class=pr_per_class,
-        map_score=math.fsum(ap_per_class.values()) / len(ap_per_class),
-        count_pairs=(), r_squared=None, iou_threshold=float(iou_threshold),
-        confidence_threshold=None, verdicts=verdicts,
-    )
+    return EvalReport(pr_per_class, float(iou_threshold), verdicts=verdicts)
 
 
 def mean_average_precision(

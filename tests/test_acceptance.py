@@ -69,10 +69,10 @@ def random_ap_instance(seed):
         unmatched = list(range(gt_count))
         for d, conf in enumerate(sorted((next(confidences) for _ in range(n_det)), reverse=True)):
             if unmatched and rng.random() < 0.6:
-                rows.append((i, d, conf, True, unmatched.pop(0), 1.0))
+                rows.append((i, d, conf, unmatched.pop(0), 1.0))
             else:
-                rows.append((i, d, conf, False, -1, 0.0))
-    return Verdicts(*(zip(*rows) if rows else [()] * 6)), total_gt
+                rows.append((i, d, conf, -1, 0.0))
+    return Verdicts(*(zip(*rows) if rows else [()] * 5)), total_gt
 
 
 def test_criterion_02_ap_matches_cutoff_enumeration():

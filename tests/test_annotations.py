@@ -326,6 +326,17 @@ class TestLoadDataset:
         assert "bad.txt" in str(excinfo.value)
         assert excinfo.value.line == 1
 
+    @pytest.mark.parametrize(
+        "load, row", [(load_dataset, "c 0 0 1 1\n"), (load_predictions_dir, "c 0.5 0 0 1 1\n")],
+        ids=["gt", "pred"],
+    )
+    def test_only_names_ending_in_lower_case_txt_load_dot_files_too(self, tmp_path, load, row):
+        for name in ("a.txt", ".hidden.txt", "B.TXT", "d.Txt", "c.txt.bak", "e.txt~"):
+            (tmp_path / name).write_text(row, encoding="utf-8")
+        loaded = load(tmp_path)
+        ids = loaded.image_ids if isinstance(loaded, Dataset) else tuple(loaded)
+        assert ids == (".hidden", "a")
+
     def test_creation_order_does_not_matter(self, tmp_path):
         files = {"x": "c 0 0 1 1\n", "m": "c 1 1 3 3\n", "a": ""}
         one = write_corpus(tmp_path / "one", files)

@@ -52,9 +52,10 @@ def verdict_rows(table):
 
 
 def verdicts_table(rows):
-    """A table from (image, det_index, confidence, is_tp, matched_gt) rows; IoU 1.0 for a TP."""
-    columns = list(zip(*rows)) or [()] * 5
-    return Verdicts(*columns, [1.0 if is_tp else 0.0 for is_tp in columns[3]])
+    """A table from (image, det_index, confidence, matched_gt) rows; a TP (matched_gt >= 0)
+    gets IoU 1.0."""
+    columns = list(zip(*rows)) or [()] * 4
+    return Verdicts(*columns, [1.0 if matched >= 0 else 0.0 for matched in columns[3]])
 
 
 def curve_columns(curve):
@@ -306,17 +307,32 @@ class TestMatchDetectionsAgainstReference:
 
 
 class TestMatchResultValidation:
-    """``average_precision`` rejects a table no matching can produce."""
+    """A table's TP flags follow from its matched boxes, and ``average_precision`` rejects a
+    table no matching can produce."""
 
     def test_double_match_rejected(self):
-        table = verdicts_table([(0, 0, 0.9, True, 0), (0, 1, 0.8, True, 0)])
+        table = verdicts_table([(0, 0, 0.9, 0), (0, 1, 0.8, 0)])
         with pytest.raises(EvalError, match="a ground-truth box was matched more than once"):
             average_precision(table, total_gt=2)
 
     def test_more_tps_than_gt_rejected(self):
-        table = verdicts_table([(0, 0, 0.9, True, 0), (1, 0, 0.8, True, 0)])
+        table = verdicts_table([(0, 0, 0.9, 0), (1, 0, 0.8, 0)])
         with pytest.raises(EvalError, match="more true positives than ground-truth boxes"):
             average_precision(table, total_gt=1)
+
+    def test_a_row_without_a_matched_box_is_never_a_tp(self):
+        table = Verdicts(image=[0], det_index=[0], confidence=[0.9], matched_gt=[-1], iou=[0.0])
+        assert table.is_tp.tolist() == [False]
+        assert average_precision(table, 1).ap == 0.0
+
+    @given(st.lists(st.integers(-1, 3), max_size=8))
+    def test_is_tp_is_whether_the_row_holds_a_matched_box(self, matched):
+        n = len(matched)
+        table = Verdicts([0] * n, range(n), [0.5] * n, matched, [0.0] * n)
+        assert table.is_tp.tolist() == [m >= 0 for m in matched]
+        assert not table.is_tp.flags.writeable
+        assert table[::-1].is_tp.tolist() == [m >= 0 for m in matched[::-1]]
+        assert not replace(table, matched_gt=[-1] * n).is_tp.any()
 
 
 def random_match_results(seed):
@@ -335,10 +351,7 @@ def random_match_results(seed):
         confs = sorted((next(next_conf) for _ in range(n_det)), reverse=True)
         for d, conf in enumerate(confs):
             make_tp = tp_budget and rng.random() < 0.6
-            if make_tp:
-                rows.append((i, d, conf, True, tp_budget.pop(0)))
-            else:
-                rows.append((i, d, conf, False, -1))
+            rows.append((i, d, conf, tp_budget.pop(0) if make_tp else -1))
     return verdicts_table(rows), total_gt
 
 
@@ -409,14 +422,14 @@ def match_result_lists(draw):
         for det_index, confidence, is_tp in draw(st.lists(st.tuples(
             st.integers(0, 3), st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.booleans()
         ), max_size=8)):
-            rows.append((image, det_index, confidence, is_tp, tp_per_image[image] if is_tp else -1))
+            rows.append((image, det_index, confidence, tp_per_image[image] if is_tp else -1))
             tp_per_image[image] += is_tp
     return verdicts_table(rows), max(1, sum(tp_per_image) + draw(st.integers(0, 3)))
 
 
 def _tied_verdicts_that_differ_in_is_tp():
     # Equal (confidence, image, det_index): only row order ranks the TP first.
-    return verdicts_table([(0, 0, 0.5, True, 0), (0, 0, 0.5, False, -1)]), 1
+    return verdicts_table([(0, 0, 0.5, 0), (0, 0, 0.5, -1)]), 1
 
 
 class TestAveragePrecisionAgainstReference:
@@ -431,7 +444,7 @@ class TestAveragePrecisionAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(match_result_lists())
     @example((Verdicts(), 1))
-    @example((verdicts_table([(0, 0, 0.9, False, -1), (0, 1, 0.4, False, -1)]), 1))
+    @example((verdicts_table([(0, 0, 0.9, -1), (0, 1, 0.4, -1)]), 1))
     def test_generated_rankings(self, case):
         self.assert_same(*case)
 
@@ -452,26 +465,27 @@ class TestAveragePrecisionAgainstReference:
 class TestPRCurveValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(EvalError, match="one confidence per PR point required"):
-            PRCurve(recall=[0.5], precision=[1.0], confidences=[], ap=0.5)
+            PRCurve(recall=[0.5], precision=[1.0], confidences=[])
         with pytest.raises(EvalError, match="recall and precision"):
-            PRCurve(recall=[0.5, 1.0], precision=[1.0], confidences=[0.9, 0.8], ap=0.5)
+            PRCurve(recall=[0.5, 1.0], precision=[1.0], confidences=[0.9, 0.8])
         with pytest.raises(EvalError, match="one-dimensional"):
-            PRCurve(recall=[[0.5]], precision=[[1.0]], confidences=[[0.9]], ap=0.5)
+            PRCurve(recall=[[0.5]], precision=[[1.0]], confidences=[[0.9]])
 
     def test_decreasing_recall_rejected(self):
         with pytest.raises(EvalError, match="recall must be non-decreasing along ranks"):
-            PRCurve(recall=[0.5, 0.4], precision=[1.0, 0.5], confidences=[0.9, 0.8], ap=0.5)
+            PRCurve(recall=[0.5, 0.4], precision=[1.0, 0.5], confidences=[0.9, 0.8])
 
 
 class TestPRCurveLayout:
     def test_columns_are_read_only_float64_copies(self):
         recall = np.array([0.5, 0.5, 1.0])
-        curve = PRCurve(recall, [1, 0.5, 2 / 3], (0.9, 0.8, 0.7), 5 / 6)
+        curve = PRCurve(recall, [1, 0.5, 2 / 3], (0.9, 0.8, 0.7))
         recall[0] = 0.0
         for column in (curve.recall, curve.precision, curve.confidences):
             assert column.dtype == np.float64 and column.shape == (3,)
             assert not column.flags.writeable
         assert curve.recall.tolist() == [0.5, 0.5, 1.0]
+        assert curve.ap == pytest.approx(5 / 6, abs=1e-12)
 
     def test_points_is_a_tuple_view_of_recall_and_precision(self, worked_example):
         gt, preds = worked_example
@@ -480,15 +494,15 @@ class TestPRCurveLayout:
         assert type(points) is tuple
         assert points == tuple(zip(curve.recall.tolist(), curve.precision.tolist()))
         assert points == ((0.5, 1.0), (0.5, 0.5), (1.0, 2 / 3))
-        assert PRCurve([], [], [], 0.0).points == ()
+        assert PRCurve([], [], []).points == ()
 
     def test_equality_compares_the_columns_and_ap(self):
-        curve = PRCurve([0.5, 1.0], [1.0, 1.0], [0.9, 0.8], 1.0)
-        assert curve == PRCurve(np.array([0.5, 1.0]), (1, 1), [0.9, 0.8], 1.0)
-        assert curve != PRCurve([0.5, 1.0], [1.0, 0.5], [0.9, 0.8], 1.0)
-        assert curve != PRCurve([0.5, 1.0], [1.0, 1.0], [0.9, 0.7], 1.0)
-        assert curve != PRCurve([0.5, 1.0], [1.0, 1.0], [0.9, 0.8], 0.75)
-        assert curve != PRCurve([1.0], [1.0], [0.9], 1.0)
+        curve = PRCurve([0.5, 1.0], [1.0, 1.0], [0.9, 0.8])
+        assert curve == PRCurve(np.array([0.5, 1.0]), (1, 1), [0.9, 0.8])
+        assert curve != PRCurve([0.5, 1.0], [1.0, 0.5], [0.9, 0.8])
+        assert curve != PRCurve([0.5, 1.0], [1.0, 1.0], [0.9, 0.7])
+        assert curve != PRCurve([0.5, 0.75], [1.0, 1.0], [0.9, 0.8])
+        assert curve != PRCurve([1.0], [1.0], [0.9])
         with pytest.raises(TypeError):
             hash(curve)
 
@@ -587,7 +601,6 @@ class TestMeanAveragePrecision:
             image=[0, 0, 0, 1],
             det_index=[1, 0, 2, 0],
             confidence=[0.9, 0.8, 0.7, 0.5],
-            is_tp=[True, True, False, False],
             matched_gt=[2, 1, -1, -1],
             iou=[1.0, 1.0, 0.0, 0.0],
         )
@@ -639,8 +652,8 @@ class TestMeanAveragePrecision:
                 assert [v for v in verdict_rows(table) if names[v[0]] == name] == verdicts
         expected_pr = {
             name: curve_columns(average_precision(
-                verdicts_table([(i, d, c, t, -1 if g is None else g)
-                                for i, (_, _, vs) in enumerate(rows) for d, c, t, g, _ in vs]),
+                verdicts_table([(i, d, c, -1 if g is None else g)
+                                for i, (_, _, vs) in enumerate(rows) for d, c, _, g, _ in vs]),
                 sum(n for _, n, _ in rows),
             ))
             for name, rows in expected.items()
@@ -821,7 +834,8 @@ def corpus_verdict_layouts(draw):
         for det_index in ranks.tolist():
             code, confidence = detections[det_index]
             if code >= 0:
-                rows.append((image, det_index, confidence, draw(st.booleans()), -1))
+                # A TP here matches box 0: the ranking never reads which box.
+                rows.append((image, det_index, confidence, draw(st.sampled_from([0, -1]))))
                 codes.append(code)
     return verdicts_table(rows), np.array(codes, np.int64)
 
